@@ -92,16 +92,14 @@ Trial run_trial(net::VirtualNetwork& net, counter::WstCounterDeployment& wst,
 
 /// Wire-path trial: same request mix, NO simulated backend stage, so
 /// per-request cost is pure container work (parse, dispatch, database
-/// touch, serialize) and the arena/template fast path is the variable.
+/// touch, serialize) over the arena parser and response templates.
 struct WireTrial {
   double ops_per_sec;
   double nodes_per_request;
 };
 
 WireTrial run_wire_trial(net::VirtualNetwork& net,
-                         counter::WstCounterDeployment& wst, bool fast_path,
-                         int thread_count) {
-  soap::Envelope::set_wire_fast_path(fast_path);
+                         counter::WstCounterDeployment& wst, int thread_count) {
   struct Worker {
     std::unique_ptr<net::VirtualCaller> caller;
     std::unique_ptr<counter::WstCounterClient> client;
@@ -150,10 +148,9 @@ WireTrial run_wire_trial(net::VirtualNetwork& net,
   double nodes_per_request =
       nodes.count ? static_cast<double>(nodes.sum_us) / nodes.count : 0.0;
 
+  // The record keeps its ":fast" name so runs compare against earlier JSON.
   bench::BenchTelemetry::instance().add(
-      std::string("concurrent_dispatch/wire_path:") +
-          (fast_path ? "fast" : "dom") + "/threads:" +
-          std::to_string(thread_count),
+      "concurrent_dispatch/wire_path:fast/threads:" + std::to_string(thread_count),
       total_ops, std::move(interval), ops_per_sec);
   return {ops_per_sec, nodes_per_request};
 }
@@ -194,10 +191,10 @@ int main() {
                 trial.ops_per_sec, speedup);
   }
 
-  // --- wire-path trials: backend stage at zero -------------------------------
+  // --- wire-path trial: backend stage at zero --------------------------------
   // A second deployment WITHOUT the simulated backend handler isolates the
-  // serialization stack; toggling the fast path measures what the arena
-  // parser + response templates buy when nothing else dominates.
+  // serialization stack: what the arena parser + response templates cost
+  // when nothing else dominates. (tests/wire_test.cpp bounds the nodes.)
   net::VirtualCaller wire_sink(
       net, net::VirtualCaller::Options{.transport = net::TransportKind::kSoapTcp});
   counter::WstCounterDeployment wire(counter::WstCounterDeployment::Params{
@@ -211,45 +208,18 @@ int main() {
 
   constexpr int kWireThreads = 4;
   std::printf("wire path (no backend stage, %d threads):\n", kWireThreads);
-  WireTrial dom = run_wire_trial(net, wire, /*fast_path=*/false, kWireThreads);
-  WireTrial fast = run_wire_trial(net, wire, /*fast_path=*/true, kWireThreads);
-  soap::Envelope::set_wire_fast_path(true);  // restore the default
-
-  double alloc_ratio =
-      fast.nodes_per_request > 0 ? dom.nodes_per_request / fast.nodes_per_request
-                                 : dom.nodes_per_request;
-  std::printf("  dom:  ops/sec=%.1f  dom_nodes/request=%.1f\n",
-              dom.ops_per_sec, dom.nodes_per_request);
-  std::printf("  fast: ops/sec=%.1f  dom_nodes/request=%.1f  (%.1fx fewer)\n",
-              fast.ops_per_sec, fast.nodes_per_request, alloc_ratio);
+  WireTrial wire_trial = run_wire_trial(net, wire, kWireThreads);
+  std::printf("  ops/sec=%.1f  dom_nodes/request=%.1f\n", wire_trial.ops_per_sec,
+              wire_trial.nodes_per_request);
 
   bench::BenchTelemetry::instance().write("concurrent_dispatch");
 
-  bool ok = true;
   if (best_speedup < 3.0) {
     std::printf("FAIL: best speedup %.2fx < 3x over single-thread\n",
                 best_speedup);
-    ok = false;
-  } else {
-    std::printf("PASS: best speedup %.2fx >= 3x over single-thread\n",
-                best_speedup);
+    return 1;
   }
-  if (alloc_ratio < 5.0) {
-    std::printf("FAIL: fast path allocates only %.1fx fewer DOM nodes "
-                "per request (< 5x)\n", alloc_ratio);
-    ok = false;
-  } else {
-    std::printf("PASS: fast path allocates %.1fx fewer DOM nodes per "
-                "request (>= 5x)\n", alloc_ratio);
-  }
-  if (fast.ops_per_sec <= dom.ops_per_sec) {
-    std::printf("FAIL: wire fast path is not faster (%.1f <= %.1f ops/sec)\n",
-                fast.ops_per_sec, dom.ops_per_sec);
-    ok = false;
-  } else {
-    std::printf("PASS: wire fast path %.1f > %.1f ops/sec (+%.0f%%)\n",
-                fast.ops_per_sec, dom.ops_per_sec,
-                100.0 * (fast.ops_per_sec / dom.ops_per_sec - 1.0));
-  }
-  return ok ? 0 : 1;
+  std::printf("PASS: best speedup %.2fx >= 3x over single-thread\n",
+              best_speedup);
+  return 0;
 }

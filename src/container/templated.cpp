@@ -9,8 +9,7 @@ namespace gs::container {
 bool TemplatedResponder::eligible(const RequestContext& ctx) {
   // The MessageID check mirrors write_addressing: an empty RelatesTo is
   // skipped on the DOM path, and the compiled skeleton always carries one.
-  return ctx.allow_template_response && soap::Envelope::wire_fast_path() &&
-         !ctx.info.message_id.empty();
+  return ctx.allow_template_response && !ctx.info.message_id.empty();
 }
 
 std::shared_ptr<soap::PendingResponse> TemplatedResponder::start(

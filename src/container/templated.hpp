@@ -13,9 +13,9 @@
 //   // ... DOM path, byte-identical by construction ...
 //
 // start() returns null when the fast path does not apply (in-process entry,
-// message security, the runtime toggle off, or a request without a
-// MessageID — the DOM path skips RelatesTo then, which a compiled skeleton
-// cannot), and the operation falls through to the classic DOM build.
+// message security, or a request without a MessageID — the DOM path skips
+// RelatesTo then, which a compiled skeleton cannot), and the operation falls
+// through to the classic DOM build.
 //
 // The trace-context header QName is injected here (the container layer
 // already depends on telemetry; soap must not).

@@ -1,7 +1,5 @@
 #include "soap/envelope.hpp"
 
-#include <atomic>
-
 #include "soap/namespaces.hpp"
 #include "soap/template.hpp"
 #include "xml/canonical.hpp"
@@ -12,20 +10,10 @@ namespace gs::soap {
 
 namespace {
 
-std::atomic<bool> g_wire_fast_path{true};
-
 xml::QName env_name(const char* local) { return {ns::kEnvelope, local}; }
 xml::QName wsa_name(const char* local) { return {ns::kAddressing, local}; }
 
 }  // namespace
-
-void Envelope::set_wire_fast_path(bool on) noexcept {
-  g_wire_fast_path.store(on, std::memory_order_relaxed);
-}
-
-bool Envelope::wire_fast_path() noexcept {
-  return g_wire_fast_path.load(std::memory_order_relaxed);
-}
 
 Envelope::Envelope() : root_(std::make_unique<xml::Element>(env_name("Envelope"))) {
   root_->declare_prefix("soap", ns::kEnvelope);
@@ -379,20 +367,13 @@ const std::string& Envelope::canonical_signed_content() const {
 }
 
 Envelope Envelope::from_xml(std::string_view wire) {
-  if (wire_fast_path()) {
-    auto doc = std::make_shared<const xml::ArenaDocument>(
-        xml::ArenaDocument::parse(std::string(wire)));
-    const xml::ArenaNode& root = doc->root();
-    if (root.ns != ns::kEnvelope || root.local != "Envelope") {
-      throw std::runtime_error("not a SOAP envelope: " + root.clark());
-    }
-    return Envelope(std::move(doc));
+  auto doc = std::make_shared<const xml::ArenaDocument>(
+      xml::ArenaDocument::parse(std::string(wire)));
+  const xml::ArenaNode& root = doc->root();
+  if (root.ns != ns::kEnvelope || root.local != "Envelope") {
+    throw std::runtime_error("not a SOAP envelope: " + root.clark());
   }
-  auto root = xml::parse_element(wire);
-  if (root->name() != env_name("Envelope")) {
-    throw std::runtime_error("not a SOAP envelope: " + root->name().clark());
-  }
-  return Envelope(std::move(root));
+  return Envelope(std::move(doc));
 }
 
 }  // namespace gs::soap

@@ -49,7 +49,7 @@ class SoapFault : public std::runtime_error {
 ///  - DOM-backed: owns a mutable xml::Element tree (the classic form; any
 ///    envelope built in-process starts here).
 ///  - wire-backed: owns an immutable xml::ArenaDocument view of the exact
-///    received octets (the fast parse path). Read accessors answer from the
+///    received octets (what from_xml returns). Read accessors answer from the
 ///    view, materializing at most the subtree they return; the first
 ///    *mutating* access converts the whole view to a DOM.
 ///  - pending: a pre-compiled response template plus this reply's values
@@ -133,13 +133,7 @@ class Envelope {
   /// the envelope is mutated.
   const std::string& canonical_signed_content() const;
 
-  // --- wire fast path ---------------------------------------------------------
-
-  /// Process-wide toggle (default on). When off, from_xml always builds the
-  /// DOM and template responses are not used — the pre-PR7 path, kept
-  /// runtime-selectable so benchmarks measure both sides in one binary.
-  static void set_wire_fast_path(bool on) noexcept;
-  static bool wire_fast_path() noexcept;
+  // --- template responses -----------------------------------------------------
 
   /// Wraps a template response (see soap/template.hpp).
   static Envelope make_pending(std::shared_ptr<PendingResponse> pending);

@@ -1,11 +1,12 @@
-// Bump-pointer arena for the zero-copy XML wire path.
+// Bump-pointer arena for the XML pull parser.
 //
 // The DOM in node.hpp pays one heap allocation per node plus several per
 // name/attribute string; on the request hot path that churn dominates
-// container.parse_us. The arena backs the pull parser in pull.hpp: nodes
-// and attribute arrays are bump-allocated in large blocks and freed all at
-// once when the document dies. Types placed here must be trivially
-// destructible — the arena never runs destructors.
+// container.parse_us. The arena backs every parse (pull.hpp): nodes and
+// attribute arrays are bump-allocated in large blocks and freed all at once
+// when the document — or, for parse_element, the parse — ends. Types placed
+// here must be trivially destructible — the arena never runs destructors.
+// Blocks are not zero-filled: every byte is written before it is read.
 #pragma once
 
 #include <cstddef>
@@ -84,7 +85,8 @@ class Arena {
 
   void grow(std::size_t at_least) {
     std::size_t size = std::max(block_bytes_, at_least);
-    blocks_.push_back(Block{std::make_unique<char[]>(size), size, 0});
+    blocks_.push_back(
+        Block{std::make_unique_for_overwrite<char[]>(size), size, 0});
   }
 
   std::size_t block_bytes_;

@@ -160,10 +160,4 @@ class Element final : public Node {
   std::vector<std::pair<std::string, std::string>> ns_decls_;
 };
 
-/// Owning handle for a parsed document: the root element plus any prolog
-/// information we retain.
-struct Document {
-  std::unique_ptr<Element> root;
-};
-
 }  // namespace gs::xml

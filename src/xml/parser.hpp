@@ -26,17 +26,15 @@ class ParseError : public std::runtime_error {
   int column_;
 };
 
-/// Parses a complete XML document and returns its root element.
+/// Parses a complete XML document and returns its root element as a DOM.
 ///
 /// Supported: prolog (`<?xml ...?>`), namespaces (default + prefixed,
 /// including undeclaration), attributes, character data, the five built-in
 /// entities plus decimal/hex character references, comments, CDATA sections
 /// and processing instructions (skipped). DTDs are rejected.
 ///
-/// Throws ParseError on malformed input.
-Document parse(std::string_view input);
-
-/// Parses and returns the root element directly (common case).
+/// Runs the pull parser (pull.hpp) over `input` without copying it, then
+/// materializes the tree. Throws ParseError on malformed input.
 std::unique_ptr<Element> parse_element(std::string_view input);
 
 }  // namespace gs::xml

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <map>
 #include <tuple>
 #include <utility>
@@ -12,9 +13,6 @@
 namespace gs::xml {
 namespace {
 
-// Name/character predicates and entity decoding are kept in lockstep with
-// parser.cpp: the equivalence suite requires both parsers to accept and
-// reject the same byte streams with the same diagnostics.
 bool is_name_start(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':' ||
          static_cast<unsigned char>(c) >= 0x80;
@@ -214,14 +212,14 @@ class PullParser {
     if (name == "quot") return "\"";
     if (name == "apos") return "'";
     if (!name.empty() && name[0] == '#') {
+      // A bare digit run: no sign, blanks or trailing junk.
+      bool hex = name.size() > 1 && (name[1] == 'x' || name[1] == 'X');
+      std::string_view digits = std::string_view(name).substr(hex ? 2 : 1);
+      const char* end = digits.data() + digits.size();
       unsigned long cp = 0;
-      try {
-        cp = (name.size() > 1 && (name[1] == 'x' || name[1] == 'X'))
-                 ? std::stoul(name.substr(2), nullptr, 16)
-                 : std::stoul(name.substr(1), nullptr, 10);
-      } catch (const std::exception&) {
+      auto [stop, ec] = std::from_chars(digits.data(), end, cp, hex ? 16 : 10);
+      if (ec != std::errc() || stop != end)
         fail("malformed character reference &" + name + ";");
-      }
       if (cp == 0 || cp > 0x10FFFF) fail("character reference out of range");
       std::string out;
       append_utf8(out, cp);
@@ -514,6 +512,14 @@ ArenaDocument ArenaDocument::parse(std::string input) {
   doc.buffer_ = std::make_unique<const std::string>(std::move(input));
   doc.root_ = PullParser(*doc.buffer_, doc.arena_, doc.nodes_).parse_document();
   return doc;
+}
+
+std::unique_ptr<Element> parse_element(std::string_view input) {
+  // The view tree only lives until to_dom has copied it out, so it can point
+  // straight into the caller's buffer.
+  Arena arena;
+  std::size_t nodes = 0;
+  return ArenaDocument::to_dom(*PullParser(input, arena, nodes).parse_document());
 }
 
 std::unique_ptr<Element> ArenaDocument::to_dom(const ArenaNode& el) {

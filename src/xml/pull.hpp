@@ -1,18 +1,18 @@
 // Arena-backed pull parser producing a read-only document view.
 //
-// The DOM parser in parser.cpp allocates one heap node plus several strings
-// per element; on the wire hot path that is most of container.parse_us. The
-// pull parser here takes ownership of the input buffer, scans it once, and
+// This is the project's only XML grammar. A DOM built directly allocates one
+// heap node plus several strings per element; on the wire hot path that is
+// most of container.parse_us. The pull parser here scans the input once and
 // builds a tree of trivially-destructible ArenaNodes whose names, attribute
-// values and text are string_views into that buffer (entity-decoded runs are
-// the only copies, placed in the arena). The result is immutable; handlers
-// that need to mutate convert the relevant subtree to the classic DOM with
-// to_dom(), which reproduces exactly what parser.cpp would have built —
-// including namespace-prefix hints — so the two paths serialize identically.
+// values and text are string_views into the input (entity-decoded runs are
+// the only copies, placed in the arena). ArenaDocument owns its input buffer
+// and the resulting immutable view; handlers that need to mutate convert the
+// relevant subtree to the classic DOM with to_dom(), which keeps
+// namespace-prefix hints so a materialized tree serializes like the input.
+// xml::parse_element (parser.hpp) is the same parse followed by to_dom().
 //
-// Acceptance and rejection behavior (error messages, line/column positions,
-// the 256-level depth limit, DTD rejection) intentionally matches parser.cpp
-// byte for byte; tests/xml_test.cpp holds the two parsers to that contract.
+// Limits and diagnostics: 256-level depth limit, DTDs rejected, ParseError
+// with a 1-based line/column on malformed input (pinned by tests/xml_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -78,8 +78,8 @@ struct ArenaNode {
 /// view must outlive its producer (soap::Envelope does this).
 class ArenaDocument {
  public:
-  /// Parses `input`, taking ownership of the buffer. Throws ParseError with
-  /// the same messages/positions parser.cpp would produce.
+  /// Parses `input`, taking ownership of the buffer. Throws ParseError on
+  /// malformed input.
   static ArenaDocument parse(std::string input);
 
   ArenaDocument(ArenaDocument&&) noexcept = default;
@@ -92,8 +92,8 @@ class ArenaDocument {
   std::size_t node_count() const noexcept { return nodes_; }
   std::size_t arena_bytes() const noexcept { return arena_.bytes_used(); }
 
-  /// Materializes a subtree as the mutable DOM, byte-identical on re-parse
-  /// to what parser.cpp builds (names, attributes in order, prefix hints).
+  /// Materializes a subtree as the mutable DOM (names, attributes in order,
+  /// prefix hints).
   static std::unique_ptr<Element> to_dom(const ArenaNode& el);
   std::unique_ptr<Element> to_dom() const { return to_dom(*root_); }
 

@@ -163,7 +163,7 @@ TEST(Store, FileIsValidXml) {
   std::ifstream in(path);
   std::string content(std::istreambuf_iterator<char>(in),
                       std::istreambuf_iterator<char>{});
-  EXPECT_NO_THROW(xml::parse(content));
+  EXPECT_NO_THROW(xml::parse_element(content));
   std::filesystem::remove(path);
 }
 
