@@ -80,9 +80,10 @@ elif [[ "$TSAN_ONLY" == "1" ]]; then
   # substrate, the observability layer (sampler vs request threads,
   # SLO evaluation against a concurrently-fed store), and the durable
   # storage engine (group-commit thread vs writers, drain barriers, the
-  # load/store/remove cache hammer).
+  # load/store/remove cache hammer), and the network substrate (the
+  # HttpServer worker pool and its request-deadline path on real sockets).
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \
-    -R 'telemetry|reliability|monitor|concurrency|scheduler|xml|wire|overload|timeseries|slo|durability'
+    -R 'telemetry|reliability|monitor|concurrency|scheduler|xml|wire|overload|timeseries|slo|durability|net'
 elif [[ "${OVERLOAD:-0}" == "1" ]]; then
   # Overload gate, part one: the admission/breaker suite.
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \

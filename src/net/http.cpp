@@ -1,6 +1,8 @@
 #include "net/http.hpp"
 
-#include <charconv>
+#include <algorithm>
+
+#include "common/parse.hpp"
 
 namespace gs::net {
 namespace {
@@ -10,123 +12,109 @@ char ascii_lower(char c) noexcept {
 }
 
 bool iequals(std::string_view a, std::string_view b) noexcept {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (ascii_lower(a[i]) != ascii_lower(b[i])) return false;
-  }
-  return true;
+  return std::ranges::equal(a, b, {}, ascii_lower, ascii_lower);
 }
 
-// Headers whose framing the serializers own; caller-set copies are skipped
-// so a message never carries two Content-Length values (ambiguous framing).
-bool is_framing_header(std::string_view name) noexcept {
-  return iequals(name, "Content-Length");
+std::string_view trim_ows(std::string_view s) noexcept {
+  size_t b = s.find_first_not_of(" \t");
+  if (b == std::string_view::npos) return {};
+  return s.substr(b, s.find_last_not_of(" \t") - b + 1);
 }
 
-// Splits header block lines; returns false on malformed framing.
-bool parse_headers(std::string_view block, HeaderMap& out) {
-  size_t pos = 0;
-  while (pos < block.size()) {
-    size_t eol = block.find("\r\n", pos);
-    if (eol == std::string_view::npos) eol = block.size();
-    std::string_view line = block.substr(pos, eol - pos);
-    pos = eol + 2;
-    if (line.empty()) continue;
-    size_t colon = line.find(':');
-    if (colon == std::string_view::npos) return false;
-    std::string name(line.substr(0, colon));
-    size_t vstart = colon + 1;
-    while (vstart < line.size() && line[vstart] == ' ') ++vstart;
-    out[name] = std::string(line.substr(vstart));
+// The one head writer: `head` holds the start line (and a request's Host
+// field); the caller's fields follow, then Content-Length. Framing is the
+// writer's, so caller-set Content-Length or Transfer-Encoding is skipped.
+std::string write_head(std::string head, const HeaderMap& headers,
+                       size_t body_size) {
+  for (const auto& [name, value] : headers) {
+    if (iequals(name, "Content-Length") || iequals(name, "Transfer-Encoding")) continue;
+    head.append(name).append(": ").append(value).append("\r\n");
   }
-  return true;
+  head.append("Content-Length: ").append(std::to_string(body_size)).append("\r\n\r\n");
+  return head;
+}
+
+std::string status_line(int status, const std::string& reason) {
+  return "HTTP/1.1 " + std::to_string(status) + " " + reason + "\r\n";
 }
 
 }  // namespace
 
-bool HeaderNameLess::operator()(std::string_view a, std::string_view b) const noexcept {
-  size_t n = a.size() < b.size() ? a.size() : b.size();
-  for (size_t i = 0; i < n; ++i) {
-    char ca = ascii_lower(a[i]);
-    char cb = ascii_lower(b[i]);
-    if (ca != cb) return ca < cb;
+HttpFrame frame_http(std::string_view wire, HeaderMap* headers) {
+  const HttpFrame malformed{Framing::kMalformed};
+  size_t blank = wire.substr(0, kMaxHeadBytes).find("\r\n\r\n");
+  if (blank == std::string_view::npos) {
+    return {wire.size() < kMaxHeadBytes ? Framing::kIncomplete : Framing::kHeadTooLarge};
   }
-  return a.size() < b.size();
+  std::optional<size_t> length;
+  for (size_t pos = wire.find("\r\n") + 2, eol; pos < blank + 2; pos = eol + 2) {
+    eol = wire.find("\r\n", pos);
+    std::string_view line = wire.substr(pos, eol - pos);
+    std::string_view name = line.substr(0, line.find(':'));
+    if (name.empty() || name.size() == line.size() ||
+        name.find_first_of(" \t") != std::string_view::npos) {
+      return malformed;
+    }
+    std::string_view value = trim_ows(line.substr(name.size() + 1));
+    if (iequals(name, "Content-Length")) {
+      auto n = common::parse_number<size_t>(value);
+      if (!n || (length && *length != *n)) return malformed;
+      length = n;
+    } else if (iequals(name, "Transfer-Encoding")) {
+      return malformed;
+    } else if (headers) {
+      (*headers)[std::string(name)] = std::string(value);
+    }
+  }
+  if (length.value_or(0) > kMaxBodyBytes) return {Framing::kBodyTooLarge};
+  HttpFrame frame{Framing::kIncomplete, blank + 4, blank + 4 + length.value_or(0)};
+  if (wire.size() >= frame.size) frame.status = Framing::kComplete;
+  return frame;
+}
+
+bool HeaderNameLess::operator()(std::string_view a, std::string_view b) const noexcept {
+  return std::ranges::lexicographical_compare(a, b, {}, ascii_lower, ascii_lower);
 }
 
 std::string HttpRequest::serialize() const {
-  std::string out = method + " " + path + " HTTP/1.1\r\n";
-  out += "Host: " + host + "\r\n";
-  for (const auto& [name, value] : headers) {
-    if (is_framing_header(name)) continue;
-    out += name + ": " + value + "\r\n";
-  }
-  out += "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n";
+  std::string out = write_head(
+      method + " " + path + " HTTP/1.1\r\nHost: " + host + "\r\n", headers,
+      body.size());
   out += body;
   return out;
 }
 
 std::optional<HttpRequest> HttpRequest::parse(std::string_view wire) {
-  size_t line_end = wire.find("\r\n");
-  if (line_end == std::string_view::npos) return std::nullopt;
-  std::string_view request_line = wire.substr(0, line_end);
-
-  size_t sp1 = request_line.find(' ');
-  size_t sp2 = request_line.rfind(' ');
-  if (sp1 == std::string_view::npos || sp2 == sp1) return std::nullopt;
-
   HttpRequest req;
-  req.method = std::string(request_line.substr(0, sp1));
-  req.path = std::string(request_line.substr(sp1 + 1, sp2 - sp1 - 1));
-
-  size_t headers_end = wire.find("\r\n\r\n", line_end);
-  if (headers_end == std::string_view::npos) return std::nullopt;
-  if (!parse_headers(wire.substr(line_end + 2, headers_end - line_end - 2),
-                     req.headers)) {
+  HttpFrame frame = frame_http(wire, &req.headers);
+  if (frame.status != Framing::kComplete) return std::nullopt;
+  // "METHOD SP path SP HTTP/1.x"; the path may itself hold spaces.
+  std::string_view line = wire.substr(0, wire.find("\r\n"));
+  size_t sp1 = line.find(' ');
+  size_t sp2 = line.rfind(' ');
+  if (sp1 == 0 || sp2 == std::string_view::npos || sp2 <= sp1 + 1 ||
+      !line.substr(sp2 + 1).starts_with("HTTP/1.")) {
     return std::nullopt;
   }
+  req.method = std::string(line.substr(0, sp1));
+  req.path = std::string(line.substr(sp1 + 1, sp2 - sp1 - 1));
   if (auto it = req.headers.find("Host"); it != req.headers.end()) {
-    req.host = it->second;
+    req.host = std::move(it->second);
     req.headers.erase(it);
   }
-  std::string_view body = wire.substr(headers_end + 4);
-  if (auto it = req.headers.find("Content-Length"); it != req.headers.end()) {
-    size_t len = 0;
-    auto [p, ec] = std::from_chars(it->second.data(),
-                                   it->second.data() + it->second.size(), len);
-    if (ec != std::errc() || body.size() < len) return std::nullopt;
-    body = body.substr(0, len);
-    req.headers.erase(it);
-  }
-  req.body = std::string(body);
+  req.body = std::string(wire.substr(frame.head, frame.size - frame.head));
   return req;
 }
 
 std::string HttpResponse::serialize() const {
-  std::string out = "HTTP/1.1 " + std::to_string(status) + " " + reason + "\r\n";
-  for (const auto& [name, value] : headers) {
-    if (is_framing_header(name)) continue;
-    out += name + ": " + value + "\r\n";
-  }
-  out += "Content-Length: " + std::to_string(body_size()) + "\r\n\r\n";
+  std::string out = write_head(status_line(status, reason), headers, body_size());
   out.reserve(out.size() + body_size());
-  if (body_chain.empty()) {
-    out += body;
-  } else {
-    body_chain.join_into(out);
-  }
+  append_body(out);
   return out;
 }
 
 void HttpResponse::serialize_to(common::BufferChain& out) const {
-  std::string head =
-      "HTTP/1.1 " + std::to_string(status) + " " + reason + "\r\n";
-  for (const auto& [name, value] : headers) {
-    if (is_framing_header(name)) continue;
-    head += name + ": " + value + "\r\n";
-  }
-  head += "Content-Length: " + std::to_string(body_size()) + "\r\n\r\n";
-  out.append(std::move(head));
+  out.append(write_head(status_line(status, reason), headers, body_size()));
   if (body_chain.empty()) {
     out.append_static(body);  // views *this; see header contract
   } else {
@@ -135,42 +123,27 @@ void HttpResponse::serialize_to(common::BufferChain& out) const {
 }
 
 std::optional<HttpResponse> HttpResponse::parse(std::string_view wire) {
-  size_t line_end = wire.find("\r\n");
-  if (line_end == std::string_view::npos) return std::nullopt;
-  std::string_view status_line = wire.substr(0, line_end);
-  if (!status_line.starts_with("HTTP/1.1 ")) return std::nullopt;
-
   HttpResponse resp;
-  std::string_view rest = status_line.substr(9);
-  size_t sp = rest.find(' ');
-  std::string_view code = sp == std::string_view::npos ? rest : rest.substr(0, sp);
-  auto [p, ec] = std::from_chars(code.data(), code.data() + code.size(), resp.status);
-  if (ec != std::errc()) return std::nullopt;
-  if (sp != std::string_view::npos) resp.reason = std::string(rest.substr(sp + 1));
-
-  size_t headers_end = wire.find("\r\n\r\n", line_end);
-  if (headers_end == std::string_view::npos) return std::nullopt;
-  if (!parse_headers(wire.substr(line_end + 2, headers_end - line_end - 2),
-                     resp.headers)) {
+  HttpFrame frame = frame_http(wire, &resp.headers);
+  std::string_view line = wire.substr(0, wire.find("\r\n"));
+  if (frame.status != Framing::kComplete || !line.starts_with("HTTP/1.1 ")) {
     return std::nullopt;
   }
-  std::string_view body = wire.substr(headers_end + 4);
-  if (auto it = resp.headers.find("Content-Length"); it != resp.headers.end()) {
-    size_t len = 0;
-    auto [p2, ec2] = std::from_chars(it->second.data(),
-                                     it->second.data() + it->second.size(), len);
-    if (ec2 != std::errc() || body.size() < len) return std::nullopt;
-    body = body.substr(0, len);
-    resp.headers.erase(it);
+  // "HTTP/1.1 SP 3-digit-code [SP reason]"
+  std::string_view rest = line.substr(9);
+  auto code = common::parse_number<int>(rest.substr(0, 3));
+  if (!code || *code < 100 || (rest.size() > 3 && rest[3] != ' ')) {
+    return std::nullopt;
   }
-  resp.body = std::string(body);
+  resp.status = *code;
+  resp.reason = rest.size() > 3 ? std::string(rest.substr(4)) : std::string();
+  resp.body = std::string(wire.substr(frame.head, frame.size - frame.head));
   return resp;
 }
 
 HttpResponse HttpResponse::ok(std::string body, std::string content_type) {
-  HttpResponse resp;
+  HttpResponse resp = error(200, "OK", std::move(body));
   resp.headers["Content-Type"] = std::move(content_type);
-  resp.body = std::move(body);
   return resp;
 }
 
@@ -206,15 +179,9 @@ std::optional<Url> Url::parse(std::string_view url) {
                  : std::string(rest.substr(path_start));
   size_t colon = authority.rfind(':');
   if (colon != std::string_view::npos) {
-    std::string_view port_text = authority.substr(colon + 1);
-    int port = 0;
-    auto [p, ec] =
-        std::from_chars(port_text.data(), port_text.data() + port_text.size(), port);
-    if (ec != std::errc() || p != port_text.data() + port_text.size() ||
-        port <= 0 || port > 65535) {
-      return std::nullopt;
-    }
-    out.port = port;
+    auto port = common::parse_number<int>(authority.substr(colon + 1));
+    if (!port || *port <= 0 || *port > 65535) return std::nullopt;
+    out.port = *port;
     out.host = std::string(authority.substr(0, colon));
   } else {
     out.host = std::string(authority);

@@ -3,8 +3,17 @@
 // Real request/response serialization — the byte counts the simulated wire
 // charges for are the actual octets an HTTP transport would move, and the
 // same framing drives the real TCP server used by the examples.
+//
+// One framer (`frame_http`) sits behind both parsers and the socket reader.
+// Header values are trimmed of optional whitespace. Content-Length is the
+// only body framing: a strict decimal whose repeats must agree; any
+// Transfer-Encoding is malformed (chunked coding is not implemented), and
+// without Content-Length the body is empty. Servers answer malformed framing
+// 400, an oversized head 431, an oversized body 413 (before reading it) and
+// a request not in by kRequestDeadline 408.
 #pragma once
 
+#include <chrono>
 #include <map>
 #include <optional>
 #include <string>
@@ -24,6 +33,24 @@ struct HeaderNameLess {
 /// or `HOST` is as well-formed as one sending the canonical spelling.
 using HeaderMap = std::map<std::string, std::string, HeaderNameLess>;
 
+/// Framing limits: the head (start line through the blank line), the
+/// announced body, and a server's wait for one whole request.
+inline constexpr std::size_t kMaxHeadBytes = 64 * 1024;
+inline constexpr std::size_t kMaxBodyBytes = 16 * 1024 * 1024;
+inline constexpr std::chrono::milliseconds kRequestDeadline{2000};
+
+enum class Framing { kIncomplete, kComplete, kMalformed, kHeadTooLarge, kBodyTooLarge };
+
+/// How far a buffer gets toward one message. Once the head is in, `head`
+/// and `size` count its octets and the whole message's (non-zero).
+struct HttpFrame {
+  Framing status = Framing::kIncomplete;
+  std::size_t head = 0;
+  std::size_t size = 0;
+};
+/// The one framer; fills `headers` (all but Content-Length) when given.
+HttpFrame frame_http(std::string_view buffer, HeaderMap* headers = nullptr);
+
 struct HttpRequest {
   std::string method = "POST";
   std::string path = "/";
@@ -32,10 +59,10 @@ struct HttpRequest {
   std::string body;
 
   /// Full request octets. Host and Content-Length are framing-owned: they
-  /// are emitted from `host`/`body.size()`, and any caller-set spelling of
-  /// Content-Length in `headers` is ignored (never duplicated).
+  /// are emitted from `host`/`body.size()`, and caller-set Content-Length
+  /// or Transfer-Encoding in `headers` is ignored (never duplicated).
   std::string serialize() const;
-  /// Parses a complete request; nullopt on malformed input.
+  /// Parses the request at the front of `wire`; nullopt unless complete.
   static std::optional<HttpRequest> parse(std::string_view wire);
 };
 
@@ -57,12 +84,17 @@ struct HttpResponse {
   std::string body_str() const {
     return body_chain.empty() ? body : body_chain.join();
   }
+  /// Appends the body octets to `out` regardless of representation.
+  void append_body(std::string& out) const {
+    body_chain.empty() ? void(out += body) : body_chain.join_into(out);
+  }
 
   std::string serialize() const;
   /// Appends the full response octets to `out` as segments (writev-style).
   /// Segments may view into this response's storage: *this must outlive
   /// any use of `out`.
   void serialize_to(common::BufferChain& out) const;
+  /// Parses the response at the front of `wire`; nullopt unless complete.
   static std::optional<HttpResponse> parse(std::string_view wire);
 
   static HttpResponse ok(std::string body, std::string content_type = "application/soap+xml");

@@ -2,48 +2,50 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
-#include <cstring>
+#include <optional>
+#include <utility>
 
-#include "common/buffer_chain.hpp"
-#include "common/parse.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 
 namespace gs::net {
 namespace {
 
-// Reads one HTTP message (headers + Content-Length body) from a socket.
-// Returns the raw octets, or empty on EOF/error.
-std::string read_http_message(int fd) {
-  std::string buffer;
-  char chunk[4096];
-  size_t body_needed = std::string::npos;
-  size_t headers_end = std::string::npos;
+// Reads one HTTP message into `buffer` until the framer has a verdict (or
+// the peer closes), polling before each recv so a `deadline` bounds the
+// whole read. Returns false when the deadline passed first.
+bool read_message(int fd, std::string& buffer,
+                  std::optional<std::chrono::steady_clock::time_point> deadline) {
+  char chunk[16 * 1024];
+  HttpFrame frame;
   for (;;) {
-    if (headers_end != std::string::npos &&
-        buffer.size() >= headers_end + 4 + body_needed) {
-      return buffer.substr(0, headers_end + 4 + body_needed);
+    // Once the head is in (frame.size > 0), wait for the whole body.
+    if (buffer.size() >= frame.size) {
+      frame = frame_http(buffer);
+      if (frame.status != Framing::kIncomplete) return true;
     }
-    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) return buffer;  // EOF or error: return what we have
-    buffer.append(chunk, static_cast<size_t>(n));
-    if (headers_end == std::string::npos) {
-      headers_end = buffer.find("\r\n\r\n");
-      if (headers_end != std::string::npos) {
-        body_needed = 0;
-        size_t cl = buffer.find("Content-Length:");
-        if (cl != std::string::npos && cl < headers_end) {
-          body_needed = static_cast<size_t>(
-              std::strtoul(buffer.c_str() + cl + 15, nullptr, 10));
-        }
+    if (deadline) {
+      auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          *deadline - std::chrono::steady_clock::now());
+      pollfd p{fd, POLLIN, 0};
+      if (left.count() <= 0 || ::poll(&p, 1, static_cast<int>(left.count())) <= 0) {
+        return false;
       }
     }
+    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return true;  // EOF or error: the framer judges what arrived
+    buffer.append(chunk, static_cast<size_t>(n));
   }
 }
+
+struct Socket {
+  int fd;
+  ~Socket() { if (fd >= 0) ::close(fd); }
+};
 
 bool send_all(int fd, std::string_view data) {
   size_t sent = 0;
@@ -60,27 +62,23 @@ bool send_all(int fd, std::string_view data) {
 HttpServer::HttpServer(Endpoint& endpoint, std::uint16_t port, unsigned workers)
     : endpoint_(endpoint), workers_(workers) {
   workers_.attach_metrics(telemetry::MetricsRegistry::global(), "net.http.pool");
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw NetworkError("socket() failed");
+  Socket sock{::socket(AF_INET, SOCK_STREAM, 0)};
+  if (sock.fd < 0) throw NetworkError("socket() failed");
   int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  ::setsockopt(sock.fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(listen_fd_);
+  if (::bind(sock.fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
     throw NetworkError("bind() failed on port " + std::to_string(port));
   }
   socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+  ::getsockname(sock.fd, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
-
-  if (::listen(listen_fd_, 64) < 0) {
-    ::close(listen_fd_);
-    throw NetworkError("listen() failed");
-  }
+  if (::listen(sock.fd, 64) < 0) throw NetworkError("listen() failed");
+  listen_fd_ = std::exchange(sock.fd, -1);
   acceptor_ = std::thread([this] { accept_loop(); });
 }
 
@@ -111,31 +109,12 @@ void HttpServer::accept_loop() {
 }
 
 void HttpServer::serve_connection(int fd) {
-  std::string wire = read_http_message(fd);
-  if (!wire.empty()) {
-    HttpResponse response;
-    if (auto request = HttpRequest::parse(wire)) {
-      // Scope the receive span to the handle() call only: once the endpoint
-      // re-roots it onto the caller's trace (via the carried TraceContext
-      // header) it must be closed — and thus recorded — before the client
-      // reads the trace log.
-      static telemetry::Counter& requests =
-          telemetry::MetricsRegistry::global().counter("net.http.requests");
-      static telemetry::Histogram& request_us =
-          telemetry::MetricsRegistry::global().histogram("net.http.request_us");
-      auto started = std::chrono::steady_clock::now();
-      {
-        telemetry::SpanScope span("http.receive", "net");
-        response = endpoint_.handle(*request);
-      }
-      requests.add();
-      request_us.record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - started)
-              .count()));
-    } else {
-      response = HttpResponse::error(400, "Bad Request");
-    }
+  Socket sock{fd};
+  std::string request;
+  bool arrived = read_message(
+      fd, request, std::chrono::steady_clock::now() + kRequestDeadline);
+  if (!arrived || !request.empty()) {
+    HttpResponse response = serve_http(endpoint_, request, !arrived);
     // Scatter write: the status line + headers, then the body segments
     // (template skeleton pieces, shared parse buffers) straight from where
     // they live — the chain-backed fast path never flattens the response.
@@ -144,57 +123,33 @@ void HttpServer::serve_connection(int fd) {
     bool ok = true;
     wire.for_each([&](std::string_view seg) { ok = ok && send_all(fd, seg); });
   }
-  ::close(fd);
 }
 
 soap::Envelope TcpSoapCaller::call(const std::string& address,
                                    const soap::Envelope& request) {
   auto url = Url::parse(address);
   if (!url) throw NetworkError("malformed address: " + address);
-  int port = url->port == 0 ? 80 : url->port;
-
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw NetworkError("socket() failed");
-
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_port = htons(static_cast<std::uint16_t>(url->port == 0 ? 80 : url->port));
   if (::inet_pton(AF_INET, url->host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
     throw NetworkError("unsupported host (use a dotted-quad address): " + url->host);
   }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
+
+  Socket sock{::socket(AF_INET, SOCK_STREAM, 0)};
+  if (sock.fd < 0) throw NetworkError("socket() failed");
+  if (::connect(sock.fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
     throw NetworkError("connect() to " + address + " failed");
   }
-
-  HttpRequest http;
-  http.host = url->authority();
-  http.path = url->path;
-  http.headers["Content-Type"] = "application/soap+xml";
-  http.body = request.to_xml();
-  if (!send_all(fd, http.serialize())) {
-    ::close(fd);
+  if (!send_all(sock.fd, soap_http_request(*url, request))) {
     throw NetworkError("send to " + address + " failed");
   }
-  ::shutdown(fd, SHUT_WR);
-  std::string wire = read_http_message(fd);
-  ::close(fd);
-
-  auto response = HttpResponse::parse(wire);
-  if (!response) throw NetworkError("malformed HTTP response from " + address);
-  if (response->status == 503) {
-    common::TimeMs retry_after_ms = 0;
-    if (auto it = response->headers.find("Retry-After");
-        it != response->headers.end()) {
-      if (auto secs = common::parse_number<common::TimeMs>(it->second)) {
-        retry_after_ms = *secs * 1000;
-      }
-    }
-    throw OverloadError("HTTP 503 Service Unavailable from " + address,
-                        retry_after_ms);
-  }
-  return soap::Envelope::from_xml(response->body);
+  ::shutdown(sock.fd, SHUT_WR);
+  // Same size caps as the server, but no deadline: slow handlers are
+  // legitimate.
+  std::string response;
+  read_message(sock.fd, response, std::nullopt);
+  return soap_http_response(response, address);
 }
 
 }  // namespace gs::net

@@ -3,13 +3,13 @@
 // The virtual network drives the benchmarks; this pair exists so the
 // example programs are genuinely network-facing — the quickstart stands up
 // a container on 127.0.0.1 and talks to it over real sockets.
+// Both ends read with the one framer and its size caps and share the
+// virtual fabric's exchange code (serve_http, soap_http_request/response).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <thread>
-#include <vector>
 
 #include "common/threadpool.hpp"
 #include "net/http.hpp"
@@ -17,7 +17,8 @@
 
 namespace gs::net {
 
-/// Blocking HTTP server on 127.0.0.1 dispatching to an Endpoint.
+/// Blocking HTTP server on 127.0.0.1 dispatching to an Endpoint, one request
+/// per connection. A worker waits at most kRequestDeadline for it (408).
 class HttpServer {
  public:
   /// Binds and listens immediately; `port == 0` picks an ephemeral port.

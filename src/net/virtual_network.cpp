@@ -14,9 +14,9 @@ namespace gs::net {
 
 namespace {
 
-// Server-side delivery on the virtual network: same span/metric shape as
-// HttpServer::serve_connection so traces look identical on both fabrics.
-HttpResponse handle_at_server(Endpoint& endpoint, const HttpRequest& request) {
+// The request side of the one server dispatch: the endpoint runs inside the
+// http.receive span, timed into net.http.requests / net.http.request_us.
+HttpResponse dispatch(Endpoint& endpoint, const HttpRequest& request) {
   static telemetry::Counter& requests =
       telemetry::MetricsRegistry::global().counter("net.http.requests");
   static telemetry::Histogram& request_us =
@@ -24,18 +24,86 @@ HttpResponse handle_at_server(Endpoint& endpoint, const HttpRequest& request) {
   auto started = std::chrono::steady_clock::now();
   HttpResponse response;
   {
+    // Scoped to handle() only: once the endpoint re-roots the span onto the
+    // caller's trace it must be recorded before the client reads the log.
     telemetry::SpanScope span("http.receive", "net");
     response = endpoint.handle(request);
   }
   requests.add();
   request_us.record(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - started)
-          .count()));
+      (std::chrono::steady_clock::now() - started) / std::chrono::microseconds(1)));
   return response;
 }
 
+// SOAP/TCP framing: a 4-byte little-endian payload length, then the payload.
+// Returns the prefix with room reserved for the payload the caller appends.
+std::string soap_tcp_prefix(std::size_t payload_size) {
+  std::string frame;
+  frame.reserve(4 + payload_size);
+  auto len = static_cast<std::uint32_t>(payload_size);
+  for (int i = 0; i < 4; ++i) frame.push_back(static_cast<char>((len >> (i * 8)) & 0xFF));
+  return frame;
+}
+
+std::string_view soap_tcp_payload(std::string_view frame) {
+  if (frame.size() < 4) throw NetworkError("short SOAP/TCP frame");
+  std::uint32_t len = 0;
+  for (int i = 0; i < 4; ++i) {
+    len |= std::uint32_t{static_cast<unsigned char>(frame[i])} << (i * 8);
+  }
+  if (frame.size() - 4 < len) throw NetworkError("short SOAP/TCP frame");
+  return frame.substr(4, len);
+}
+
 }  // namespace
+
+HttpResponse serve_http(Endpoint& endpoint, std::string_view octets,
+                        bool timed_out) {
+  static telemetry::Counter& rejected =
+      telemetry::MetricsRegistry::global().counter("net.http.rejected");
+  if (!timed_out) {
+    if (auto request = HttpRequest::parse(octets)) return dispatch(endpoint, *request);
+  }
+  rejected.add();
+  if (timed_out) return HttpResponse::error(408, "Request Timeout");
+  switch (frame_http(octets).status) {
+    case Framing::kHeadTooLarge:
+      return HttpResponse::error(431, "Request Header Fields Too Large");
+    case Framing::kBodyTooLarge:
+      return HttpResponse::error(413, "Content Too Large");
+    default:
+      return HttpResponse::error(400, "Bad Request");
+  }
+}
+
+std::string soap_http_request(const Url& url, const soap::Envelope& request) {
+  return HttpRequest{.path = url.path,
+                     .host = url.authority(),
+                     .headers = {{"Content-Type", "application/soap+xml"}},
+                     .body = request.to_xml()}
+      .serialize();
+}
+
+soap::Envelope soap_http_response(std::string_view octets,
+                                  const std::string& address) {
+  auto response = HttpResponse::parse(octets);
+  if (!response) throw NetworkError("malformed HTTP response from " + address);
+  if (response->status == 503) {
+    // Admission shed: surface the server's Retry-After so the retry layer
+    // backs off on the server's schedule and breakers count it.
+    auto it = response->headers.find("Retry-After");
+    auto secs = it == response->headers.end()
+                    ? std::nullopt
+                    : common::parse_number<common::TimeMs>(it->second);
+    throw OverloadError("HTTP 503 Service Unavailable from " + address,
+                        secs.value_or(0) * 1000);
+  }
+  if (response->status != 200 && response->body.empty()) {
+    throw NetworkError("HTTP " + std::to_string(response->status) + " " +
+                       response->reason + " from " + address);
+  }
+  return soap::Envelope::from_xml(response->body);
+}
 
 void VirtualNetwork::bind(const std::string& authority, Endpoint& endpoint) {
   std::lock_guard lock(mu_);
@@ -68,8 +136,7 @@ void VirtualNetwork::apply_faults(const std::string& authority,
                                   WireMeter* meter) {
   static telemetry::Counter& injected =
       telemetry::MetricsRegistry::global().counter("net.faults.injected");
-  bool fail = false;
-  const char* why = nullptr;
+  const char* kind = nullptr;  // "partition" or "drop" when this exchange fails
   {
     std::lock_guard lock(mu_);
     auto it = faults_.find(authority);
@@ -78,27 +145,22 @@ void VirtualNetwork::apply_faults(const std::string& authority,
     if (state.policy.added_latency_ms > 0.0 && meter) {
       meter->charge_ms(state.policy.added_latency_ms);
     }
+    // A drop draws the top 53 bits of one RNG output -> [0, 1); written out
+    // (instead of uniform_real_distribution) so sequences match on every stdlib.
     if (state.policy.partitioned) {
-      fail = true;
-      why = "partitioned route to ";
-    } else if (state.policy.drop_probability > 0.0) {
-      // Top 53 bits of one draw -> [0, 1); written out (instead of
-      // uniform_real_distribution) so sequences match on every stdlib.
-      double u = static_cast<double>(state.rng() >> 11) * 0x1.0p-53;
-      if (u < state.policy.drop_probability) {
-        fail = true;
-        why = "injected drop on route to ";
-      }
+      kind = "partition";
+    } else if (state.policy.drop_probability > 0.0 &&
+               static_cast<double>(state.rng() >> 11) * 0x1.0p-53 <
+                   state.policy.drop_probability) {
+      kind = "drop";
     }
   }
-  if (fail) {
-    injected.add();
-    telemetry::EventLog::global().emit(
-        telemetry::Level::kWarn, "net.fabric", "injected fault",
-        {{"authority", authority},
-         {"kind", why[0] == 'p' ? "partition" : "drop"}});
-    throw NetworkError(std::string(why) + authority);
-  }
+  if (!kind) return;
+  injected.add();
+  telemetry::EventLog::global().emit(telemetry::Level::kWarn, "net.fabric",
+                                     "injected fault",
+                                     {{"authority", authority}, {"kind", kind}});
+  throw NetworkError(std::string("injected ") + kind + " on route to " + authority);
 }
 
 void VirtualNetwork::charge_message(WireMeter* meter, std::size_t bytes) const {
@@ -129,54 +191,14 @@ soap::Envelope VirtualCaller::call(const std::string& address,
   auto url = Url::parse(address);
   if (!url) throw NetworkError("malformed address: " + address);
 
-  std::string response_octets;
-  switch (options_.transport) {
-    case TransportKind::kHttp:
-    case TransportKind::kHttps: {
-      HttpRequest http;
-      http.host = url->authority();
-      http.path = url->path;
-      http.headers["Content-Type"] = "application/soap+xml";
-      http.body = request.to_xml();
-      std::string wire = exchange_octets(*url, http.serialize());
-      auto response = HttpResponse::parse(wire);
-      if (!response) throw NetworkError("malformed HTTP response from " + address);
-      if (response->status == 503) {
-        // Admission shed: surface the server's Retry-After so the retry
-        // layer backs off on the server's schedule and breakers count it.
-        common::TimeMs retry_after_ms = 0;
-        if (auto it = response->headers.find("Retry-After");
-            it != response->headers.end()) {
-          if (auto secs = common::parse_number<common::TimeMs>(it->second)) {
-            retry_after_ms = *secs * 1000;
-          }
-        }
-        throw OverloadError("HTTP 503 Service Unavailable from " + address,
-                            retry_after_ms);
-      }
-      if (response->status != 200 && response->body.empty()) {
-        throw NetworkError("HTTP " + std::to_string(response->status) + " " +
-                           response->reason + " from " + address);
-      }
-      response_octets = std::move(response->body);
-      break;
-    }
-    case TransportKind::kSoapTcp: {
-      // 4-byte length prefix, then the envelope octets — no HTTP headers.
-      std::string body = request.to_xml();
-      std::string frame;
-      frame.reserve(4 + body.size());
-      std::uint32_t len = static_cast<std::uint32_t>(body.size());
-      for (int i = 0; i < 4; ++i)
-        frame.push_back(static_cast<char>((len >> (i * 8)) & 0xFF));
-      frame += body;
-      std::string wire = exchange_octets(*url, frame);
-      if (wire.size() < 4) throw NetworkError("short SOAP/TCP frame");
-      response_octets = wire.substr(4);
-      break;
-    }
+  if (options_.transport != TransportKind::kSoapTcp) {
+    return soap_http_response(
+        exchange_octets(*url, soap_http_request(*url, request)), address);
   }
-  return soap::Envelope::from_xml(response_octets);
+  // SOAP/TCP: the envelope octets behind a length prefix, no HTTP head.
+  std::string body = request.to_xml();
+  std::string frame = soap_tcp_prefix(body.size()) + body;
+  return soap::Envelope::from_xml(soap_tcp_payload(exchange_octets(*url, frame)));
 }
 
 std::string VirtualCaller::exchange_octets(const Url& url,
@@ -250,37 +272,23 @@ std::string VirtualCaller::exchange_octets(const Url& url,
     }
   }
 
-  if (!https) {
+  if (options_.transport == TransportKind::kSoapTcp) {
+    // Unframe, enter the dispatch with the request the endpoint would have
+    // seen over HTTP, frame the response body back.
     net_.charge_message(options_.meter, octets.size());
-    HttpResponse response;
-    if (options_.transport == TransportKind::kHttp) {
-      auto request = HttpRequest::parse(octets);
-      if (!request) throw NetworkError("malformed HTTP request");
-      response = handle_at_server(*endpoint, *request);
-      std::string wire = response.serialize();
-      net_.charge_message(options_.meter, wire.size());
-      return wire;
-    }
-    // kSoapTcp: strip framing, synthesize an HTTP request for the endpoint,
-    // frame the response back.
-    if (octets.size() < 4) throw NetworkError("short SOAP/TCP frame");
-    HttpRequest request;
-    request.host = authority;
-    request.path = url.path;
-    request.body = octets.substr(4);
-    response = handle_at_server(*endpoint, request);
-    std::string frame;
-    frame.reserve(4 + response.body_size());
-    std::uint32_t len = static_cast<std::uint32_t>(response.body_size());
-    for (int i = 0; i < 4; ++i)
-      frame.push_back(static_cast<char>((len >> (i * 8)) & 0xFF));
-    if (response.body_chain.empty()) {
-      frame += response.body;
-    } else {
-      response.body_chain.join_into(frame);
-    }
+    HttpResponse response = dispatch(
+        *endpoint, {.path = url.path, .host = authority, .headers = {},
+                    .body = std::string(soap_tcp_payload(octets))});
+    std::string frame = soap_tcp_prefix(response.body_size());
+    response.append_body(frame);
     net_.charge_message(options_.meter, frame.size());
     return frame;
+  }
+  if (!https) {
+    net_.charge_message(options_.meter, octets.size());
+    std::string wire = serve_http(*endpoint, octets).serialize();
+    net_.charge_message(options_.meter, wire.size());
+    return wire;
   }
 
   // HTTPS: seal on the client, open on the server, handle, seal the
@@ -288,22 +296,15 @@ std::string VirtualCaller::exchange_octets(const Url& url,
   // Only this authority's channel is locked, so the endpoint may call out
   // to other authorities through this same caller while handling.
   std::lock_guard lock(tls->mu);
-  std::vector<std::uint8_t> sealed =
-      tls->client.seal(common::as_bytes(octets));
+  std::vector<std::uint8_t> sealed = tls->client.seal(common::as_bytes(octets));
   net_.charge_message(options_.meter, sealed.size());
-  std::vector<std::uint8_t> plain_request = tls->server.open(sealed);
-
-  auto request = HttpRequest::parse(
-      std::string_view(reinterpret_cast<const char*>(plain_request.data()),
-                       plain_request.size()));
-  if (!request) throw NetworkError("malformed HTTPS request");
-  HttpResponse response = handle_at_server(*endpoint, *request);
-  std::string response_wire = response.serialize();
-  std::vector<std::uint8_t> sealed_response =
-      tls->server.seal(common::as_bytes(response_wire));
-  net_.charge_message(options_.meter, sealed_response.size());
-  std::vector<std::uint8_t> plain_response = tls->client.open(sealed_response);
-  return std::string(plain_response.begin(), plain_response.end());
+  std::vector<std::uint8_t> plain = tls->server.open(sealed);
+  sealed = tls->server.seal(common::as_bytes(
+      serve_http(*endpoint, {reinterpret_cast<const char*>(plain.data()), plain.size()})
+          .serialize()));
+  net_.charge_message(options_.meter, sealed.size());
+  plain = tls->client.open(sealed);
+  return std::string(plain.begin(), plain.end());
 }
 
 }  // namespace gs::net

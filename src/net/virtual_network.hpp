@@ -47,6 +47,12 @@ class LambdaEndpoint final : public Endpoint {
   const security::Credential* cred_;
 };
 
+/// The server dispatch of both fabrics: the request in `octets` goes to
+/// `endpoint` in the `http.receive` span; a rejected or `timed_out` one gets
+/// a typed 4xx (see http.hpp), counted in net.http.rejected.
+HttpResponse serve_http(Endpoint& endpoint, std::string_view octets,
+                        bool timed_out = false);
+
 class NetworkError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -137,6 +143,13 @@ class SoapCaller {
   virtual soap::Envelope call(const std::string& address,
                               const soap::Envelope& request) = 0;
 };
+
+/// The client side of a SOAP-over-HTTP exchange, for every caller. A 503
+/// reply throws OverloadError with its Retry-After; a malformed reply or an
+/// empty non-200 throws NetworkError naming `address`.
+std::string soap_http_request(const Url& url, const soap::Envelope& request);
+soap::Envelope soap_http_response(std::string_view octets,
+                                  const std::string& address);
 
 /// SOAP caller over the virtual network.
 ///

@@ -1,10 +1,19 @@
 // Tests for the network substrate: HTTP framing, URLs, the virtual network
 // with its three transports, wire metering, and the real TCP server.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
+#include <random>
 
 #include "net/tcp.hpp"
 #include "net/virtual_network.hpp"
 #include "soap/envelope.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace gs::net {
 namespace {
@@ -58,6 +67,116 @@ TEST(Http, RejectsMalformed) {
   EXPECT_FALSE(
       HttpRequest::parse("POST / HTTP/1.1\r\nContent-Length: 99\r\n\r\nx")
           .has_value());
+  // Strict Content-Length: trailing junk, a sign, overflow, and a repeat
+  // that disagrees (the request-smuggling shape) are all malformed.
+  for (const char* field :
+       {"Content-Length: 4junk", "Content-Length: -1", "Content-Length: +4",
+        "Content-Length: 99999999999999999999", "Content-Length:",
+        "Content-Length: 10\r\nContent-Length: 2",
+        "Content-Length: 4\r\ncontent-length: 5",
+        "Transfer-Encoding: chunked", "Transfer-Encoding: identity",
+        "Content-Length : 4", ": 4", "NoColon"}) {
+    std::string head = std::string("\r\n") + field + "\r\n\r\nbody....";
+    EXPECT_FALSE(HttpRequest::parse("POST / HTTP/1.1" + head)) << field;
+    EXPECT_EQ(frame_http("POST / HTTP/1.1" + head).status, Framing::kMalformed)
+        << field;
+    EXPECT_FALSE(HttpResponse::parse("HTTP/1.1 200 OK" + head)) << field;
+  }
+  EXPECT_FALSE(HttpResponse::parse("HTTP/1.1 2000 OK\r\n\r\n"));
+  EXPECT_FALSE(HttpResponse::parse("HTTP/1.1 -20 OK\r\n\r\n"));
+  EXPECT_FALSE(HttpRequest::parse("POST / SPDY/3\r\n\r\n"));
+}
+
+TEST(Http, ContentLengthToleratesWhitespaceAndAgreeingRepeats) {
+  for (const char* field :
+       {"Content-Length: 4 ", "Content-Length:4", "Content-Length:\t4\t",
+        "Content-Length: 4\r\nContent-Length: 4"}) {
+    auto req = HttpRequest::parse(std::string("POST / HTTP/1.1\r\n") + field +
+                                  "\r\n\r\nbodyEXTRA");
+    ASSERT_TRUE(req.has_value()) << field;
+    EXPECT_EQ(req->body, "body") << field;
+  }
+  auto req = HttpRequest::parse("POST / HTTP/1.1\r\nX-Pad:  padded \r\n\r\n");
+  ASSERT_TRUE(req.has_value());
+  EXPECT_EQ(req->headers.at("X-Pad"), "padded");
+}
+
+// Without Content-Length a message has no body: trailing octets are not
+// part of it (the same rule the socket reader applies).
+TEST(Http, NoContentLengthMeansEmptyBody) {
+  auto req = HttpRequest::parse("GET /x HTTP/1.1\r\nHost: h\r\n\r\ntrailing");
+  ASSERT_TRUE(req.has_value());
+  EXPECT_EQ(req->body, "");
+  auto resp = HttpResponse::parse("HTTP/1.1 204 No Content\r\n\r\ntrailing");
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->body, "");
+}
+
+TEST(Http, FramerReportsProgressAndLimits) {
+  const std::string wire = "POST / HTTP/1.1\r\nContent-Length: 4\r\n\r\nbody";
+  const std::size_t head = wire.size() - 4;
+  // A prefix of the head: size unknown yet.
+  HttpFrame frame = frame_http(wire.substr(0, head - 1));
+  EXPECT_EQ(frame.status, Framing::kIncomplete);
+  EXPECT_EQ(frame.size, 0u);
+  // Head in, body partial: the whole size is known.
+  frame = frame_http(wire.substr(0, head + 2));
+  EXPECT_EQ(frame.status, Framing::kIncomplete);
+  EXPECT_EQ(frame.size, wire.size());
+  frame = frame_http(wire + "NEXT");
+  EXPECT_EQ(frame.status, Framing::kComplete);
+  EXPECT_EQ(frame.size, wire.size());
+
+  std::string big_head = "POST / HTTP/1.1\r\nX-Big: " +
+                         std::string(kMaxHeadBytes, 'a');
+  EXPECT_EQ(frame_http(big_head).status, Framing::kHeadTooLarge);
+  EXPECT_EQ(frame_http(big_head + "\r\n\r\n").status, Framing::kHeadTooLarge);
+  std::string fits = "POST / HTTP/1.1\r\nX: ";
+  fits += std::string(kMaxHeadBytes - fits.size() - 4, 'a') + "\r\n\r\n";
+  EXPECT_EQ(frame_http(fits).status, Framing::kComplete);
+
+  // An announced body over the cap is refused as soon as the head is in.
+  EXPECT_EQ(frame_http("POST / HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n")
+                .status,
+            Framing::kBodyTooLarge);
+  EXPECT_EQ(frame_http("POST / HTTP/1.1\r\nContent-Length: " +
+                       std::to_string(kMaxBodyBytes) + "\r\n\r\n")
+                .status,
+            Framing::kIncomplete);
+}
+
+// The head writer's octets are pinned: every serializer shares it, and the
+// wire meter charges exactly these bytes.
+TEST(Http, SerializedOctetsArePinned) {
+  HttpRequest req;
+  req.path = "/svc/Counter";
+  req.host = "vo.example:8080";
+  req.headers["SOAPAction"] = "urn:a";
+  req.headers["Content-Type"] = "application/soap+xml";
+  req.body = "<xml/>";
+  EXPECT_EQ(req.serialize(),
+            "POST /svc/Counter HTTP/1.1\r\n"
+            "Host: vo.example:8080\r\n"
+            "Content-Type: application/soap+xml\r\n"
+            "SOAPAction: urn:a\r\n"
+            "Content-Length: 6\r\n\r\n<xml/>");
+
+  HttpResponse resp = HttpResponse::error(503, "Service Unavailable", "busy");
+  resp.headers["Retry-After"] = "1";
+  const std::string expected =
+      "HTTP/1.1 503 Service Unavailable\r\n"
+      "Retry-After: 1\r\n"
+      "Content-Length: 4\r\n\r\nbusy";
+  EXPECT_EQ(resp.serialize(), expected);
+  common::BufferChain chain;
+  resp.serialize_to(chain);
+  EXPECT_EQ(chain.join(), expected);
+  // A chain-backed body frames identically.
+  HttpResponse chained = resp;
+  chained.body.clear();
+  chained.body_chain.append(std::string("bu"));
+  chained.body_chain.append(std::string("sy"));
+  EXPECT_EQ(chained.serialize(), expected);
 }
 
 TEST(Http, BinaryBodySurvives) {
@@ -128,6 +247,87 @@ TEST(Http, CallerSetContentLengthIsNotDuplicated) {
   EXPECT_EQ(resp_back->body, "payload");
 }
 
+// Seeded mutational fuzz over the framer, with a fixed budget: bit flips,
+// truncations, splices between valid wires, and dictionary tokens aimed at
+// the framing rules. Every mutant is either rejected or parses to a message
+// whose serialization parses back to the same message.
+// Returns whether either parser accepted `wire`.
+bool expect_round_trip(const std::string& wire) {
+  HttpFrame frame = frame_http(wire);
+  auto req = HttpRequest::parse(wire);
+  if (req) {
+    EXPECT_EQ(frame.status, Framing::kComplete);
+    EXPECT_LE(frame.size, wire.size());
+    auto back = HttpRequest::parse(req->serialize());
+    EXPECT_TRUE(back.has_value()) << wire;
+    if (!back) return true;
+    EXPECT_EQ(back->method, req->method);
+    EXPECT_EQ(back->path, req->path);
+    EXPECT_EQ(back->host, req->host);
+    EXPECT_EQ(back->headers, req->headers);
+    EXPECT_EQ(back->body, req->body);
+  }
+  auto resp = HttpResponse::parse(wire);
+  if (resp) {
+    EXPECT_EQ(frame.status, Framing::kComplete);
+    auto back = HttpResponse::parse(resp->serialize());
+    EXPECT_TRUE(back.has_value()) << wire;
+    if (!back) return true;
+    EXPECT_EQ(back->status, resp->status);
+    EXPECT_EQ(back->reason, resp->reason);
+    EXPECT_EQ(back->headers, resp->headers);
+    EXPECT_EQ(back->body, resp->body);
+  }
+  return req || resp;
+}
+
+TEST(HttpFuzz, MutantsAreRejectedOrRoundTrip) {
+  HttpRequest req;
+  req.path = "/svc";
+  req.host = "h:80";
+  req.headers["Content-Type"] = "application/soap+xml";
+  req.body = "<s:Envelope/>";
+  HttpResponse resp = HttpResponse::ok("<ok/>");
+  resp.headers["Retry-After"] = "1";
+  const std::vector<std::string> seeds = {
+      req.serialize(), resp.serialize(),
+      "GET / HTTP/1.1\r\n\r\n",
+      "HTTP/1.1 404 Not Found\r\ncontent-length: 0\r\n\r\n"};
+  const std::vector<std::string> tokens = {
+      "Content-Length:", "\r\n\r\n", "-1", "99999999999999999999",
+      "Transfer-Encoding: chunked", "\r\n", " ", ":", "\t"};
+
+  std::mt19937_64 rng(0xf4a3e);
+  auto below = [&rng](std::size_t n) { return n == 0 ? 0 : rng() % n; };
+  int accepted = 0;
+  for (int i = 0; i < 50000; ++i) {
+    std::string wire = seeds[below(seeds.size())];
+    for (int m = 1 + static_cast<int>(below(4)); m > 0; --m) {
+      std::size_t at = below(wire.size() + 1);
+      switch (below(4)) {
+        case 0:  // bit flip
+          if (!wire.empty()) wire[below(wire.size())] ^= static_cast<char>(1 << below(8));
+          break;
+        case 1:  // truncation
+          wire.resize(at);
+          break;
+        case 2: {  // splice in a slice of another seed
+          const std::string& other = seeds[below(seeds.size())];
+          std::size_t from = below(other.size());
+          wire.insert(at, other, from, below(other.size() - from + 1));
+          break;
+        }
+        default:  // dictionary token
+          wire.insert(at, tokens[below(tokens.size())]);
+      }
+    }
+    accepted += expect_round_trip(wire);
+    if (HasFailure()) break;
+  }
+  // The budget reaches both verdicts, not only rejections.
+  EXPECT_GT(accepted, 1000);
+}
+
 // --- URLs -----------------------------------------------------------------------
 
 struct UrlCase {
@@ -194,7 +394,7 @@ class EchoEndpoint final : public Endpoint {
     return HttpResponse::ok(response.to_xml());
   }
   const security::Credential* tls_credential() const override { return cred_; }
-  int hits = 0;
+  std::atomic<int> hits{0};  // HttpServer workers handle concurrently
 
  private:
   const security::Credential* cred_;
@@ -215,8 +415,8 @@ TEST(VirtualNetwork, RoutesByAuthority) {
   caller.call("http://a.example/svc", make_request("x"));
   caller.call("http://b.example/svc", make_request("y"));
   caller.call("http://b.example/svc", make_request("z"));
-  EXPECT_EQ(a.hits, 1);
-  EXPECT_EQ(b.hits, 2);
+  EXPECT_EQ(a.hits.load(), 1);
+  EXPECT_EQ(b.hits.load(), 2);
 }
 
 TEST(VirtualNetwork, UnboundAuthorityThrows) {
@@ -349,6 +549,64 @@ TEST(VirtualNetwork, HttpsWithoutAnchorFails) {
   EXPECT_THROW(caller.call("https://h/svc", make_request("x")), NetworkError);
 }
 
+// The client exchange maps replies the same way on every fabric: a 503
+// carries its Retry-After, an empty non-200 is a transport failure.
+HttpResponse empty_not_found(const HttpRequest&) {
+  return HttpResponse::error(404, "Not Found");
+}
+HttpResponse shed(const HttpRequest&) {
+  HttpResponse resp = HttpResponse::error(503, "Service Unavailable");
+  resp.headers["Retry-After"] = "1";
+  return resp;
+}
+
+void expect_error_mapping(SoapCaller& caller, const std::string& not_found,
+                          const std::string& overloaded) {
+  try {
+    caller.call(not_found, make_request("x"));
+    ADD_FAILURE() << "empty 404 did not throw";
+  } catch (const OverloadError&) {
+    ADD_FAILURE() << "empty 404 mapped to OverloadError";
+  } catch (const NetworkError&) {
+  }
+  try {
+    caller.call(overloaded, make_request("x"));
+    ADD_FAILURE() << "503 did not throw";
+  } catch (const OverloadError& err) {
+    EXPECT_EQ(err.retry_after_ms(), 1000);
+  }
+}
+
+TEST(VirtualNetwork, ErrorStatusesMapToTypedErrors) {
+  VirtualNetwork net;
+  LambdaEndpoint missing(empty_not_found), busy(shed);
+  net.bind("missing", missing);
+  net.bind("busy", busy);
+  VirtualCaller caller(net, {});
+  expect_error_mapping(caller, "http://missing/svc", "http://busy/svc");
+}
+
+// A request the framer rejects is answered with a typed status on the
+// virtual fabric too, and counted.
+TEST(VirtualNetwork, ServerDispatchAnswersRejectsWithTypedStatus) {
+  EchoEndpoint ep;
+  auto& rejected = telemetry::MetricsRegistry::global().counter("net.http.rejected");
+  std::uint64_t before = rejected.value();
+  EXPECT_EQ(serve_http(ep, "garbage\r\n\r\n").status, 400);
+  EXPECT_EQ(serve_http(ep, "POST / HTTP/1.1\r\nContent-Length: 4junk\r\n\r\nbody")
+                .status,
+            400);
+  EXPECT_EQ(serve_http(ep, "POST / HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n")
+                .status,
+            413);
+  EXPECT_EQ(serve_http(ep, "POST / HTTP/1.1\r\nX: " + std::string(kMaxHeadBytes, 'a'))
+                .status,
+            431);
+  EXPECT_EQ(serve_http(ep, "POST / HTTP/1.1\r\n", /*timed_out=*/true).status, 408);
+  EXPECT_EQ(rejected.value() - before, 5u);
+  EXPECT_EQ(ep.hits.load(), 0);
+}
+
 TEST(VirtualNetwork, UnbindRemovesEndpoint) {
   VirtualNetwork net;
   EchoEndpoint ep;
@@ -403,6 +661,101 @@ TEST(TcpServer, ConnectToClosedPortFails) {
   EXPECT_THROW(caller.call("http://127.0.0.1:" + std::to_string(dead_port) + "/",
                            make_request("x")),
                NetworkError);
+}
+
+// Raw client for the framing regressions: sends `octets` (half-closing
+// when `close_write`), then reads until EOF or a 5 s receive timeout.
+std::string raw_exchange(std::uint16_t port, const std::string& octets,
+                         bool close_write = true) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  timeval five_s{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &five_s, sizeof(five_s));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    ::close(fd);
+    return "";
+  }
+  ::send(fd, octets.data(), octets.size(), MSG_NOSIGNAL);
+  if (close_write) ::shutdown(fd, SHUT_WR);
+  std::string reply;
+  char chunk[4096];
+  for (ssize_t n; (n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0;) {
+    reply.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return reply;
+}
+
+int status_of(const std::string& reply) {
+  auto resp = HttpResponse::parse(reply);
+  return resp ? resp->status : -1;
+}
+
+std::string envelope_request(const std::string& fields) {
+  std::string body = make_request("raw").to_xml();
+  return "POST /svc HTTP/1.1\r\nHost: h\r\n" + fields + std::to_string(body.size()) +
+         "\r\n\r\n" + body;
+}
+
+TEST(TcpServer, FramesLowercaseContentLength) {
+  EchoEndpoint ep;
+  HttpServer server(ep, 0, 1);
+  std::string reply = raw_exchange(server.port(), envelope_request("content-length: "));
+  ASSERT_EQ(status_of(reply), 200) << reply;
+  EXPECT_EQ(soap::Envelope::from_xml(HttpResponse::parse(reply)->body).payload()->text(),
+            "raw");
+}
+
+TEST(TcpServer, IgnoresContentLengthDecoyHeaders) {
+  EchoEndpoint ep;
+  HttpServer server(ep, 0, 1);
+  std::string reply = raw_exchange(
+      server.port(), envelope_request("X-Content-Length: 3\r\nContent-Length: "));
+  EXPECT_EQ(status_of(reply), 200) << reply;
+}
+
+TEST(TcpServer, RejectsOversizedHeadAndBody) {
+  LambdaEndpoint ep([](const HttpRequest&) { return HttpResponse::ok("fine"); });
+  HttpServer server(ep, 0, 1);
+  EXPECT_EQ(status_of(raw_exchange(
+                server.port(), "POST / HTTP/1.1\r\nX-Big: " +
+                                   std::string(kMaxHeadBytes, 'a') + "\r\n\r\n")),
+            431);
+  // Answered from the head alone: the client never sends the body and keeps
+  // its side open.
+  EXPECT_EQ(status_of(raw_exchange(server.port(),
+                                   "POST / HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n",
+                                   /*close_write=*/false)),
+            413);
+}
+
+// An idle connection holds the only worker for at most the read deadline:
+// it is answered 408, and the client queued behind it is then served.
+TEST(TcpServer, IdleConnectionTimesOutAndFreesWorker) {
+  EchoEndpoint ep;
+  HttpServer server(ep, 0, 1);
+  auto started = std::chrono::steady_clock::now();
+  std::thread idle_client([&] {
+    EXPECT_EQ(status_of(raw_exchange(server.port(), "", /*close_write=*/false)), 408);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  TcpSoapCaller caller;
+  soap::Envelope reply = caller.call(server.base_url() + "/svc", make_request("next"));
+  EXPECT_EQ(reply.payload()->text(), "next");
+  idle_client.join();
+  EXPECT_LE(std::chrono::steady_clock::now() - started,
+            kRequestDeadline + std::chrono::seconds(1));
+}
+
+TEST(TcpServer, ErrorStatusesMapToTypedErrors) {
+  LambdaEndpoint missing(empty_not_found), busy(shed);
+  HttpServer missing_server(missing, 0, 1), busy_server(busy, 0, 1);
+  TcpSoapCaller caller;
+  expect_error_mapping(caller, missing_server.base_url() + "/svc",
+                       busy_server.base_url() + "/svc");
 }
 
 TEST(TcpServer, StopIsIdempotent) {
