@@ -16,15 +16,7 @@ namespace gs::bench {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
+using telemetry::json_escape;
 
 std::string json_double(double v) {
   char buf[32];

@@ -11,7 +11,7 @@
 #   $ OVERLOAD=1 scripts/tier1.sh       # overload suite + the open-loop
 #                                       # goodput bench
 # Observability gate (the sampler-overhead claim, machine-checked):
-#   $ OBSERVE=1 scripts/tier1.sh        # timeseries/slo suites + the
+#   $ OBSERVE=1 scripts/tier1.sh        # timeseries/slo/monitor suites + the
 #                                       # sampling-overhead bench
 # Durability gate (the crash-safety + group-commit claims, machine-checked):
 #   $ DURABLE=1 scripts/tier1.sh        # crash-injection suites + the
@@ -95,9 +95,10 @@ elif [[ "${OVERLOAD:-0}" == "1" ]]; then
   cmake --build "$BUILD_DIR" -j"$(nproc)" --target bench_overload
   (cd "$BUILD_DIR/bench" && ./bench_overload)
 elif [[ "${OBSERVE:-0}" == "1" ]]; then
-  # Observability gate, part one: the retention/SLO/cost suites.
+  # Observability gate, part one: the retention/SLO/cost suites, and the
+  # monitor suite whose tick samples the series store and publishes alerts.
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \
-    -R 'timeseries|slo'
+    -R 'timeseries|slo|monitor'
   # Part two: the sampling-overhead bench. It exits nonzero unless dispatch
   # throughput with the sampler on stays within 5% of sampler-off and the
   # cost aggregator resolves >= 2 tenants' shares under mixed load, and

@@ -158,19 +158,18 @@ void TelemetryHandler::handle(PipelineContext& ctx, Next next) {
   // provisional spans on this thread (this one, and the enclosing
   // http.receive if the request came through a server) are re-rooted onto
   // the caller's trace.
-  telemetry::SpanScope span("container.dispatch", "container");
+  const ContainerMetrics& m = ctx.container.metrics();
+  telemetry::SpanScope span("container.dispatch", "container",
+                            &telemetry::TraceLog::global(), m.dispatch_us);
   if (auto remote = telemetry::read_trace_header(*ctx.request)) {
     telemetry::adopt_remote(*remote);
   }
-  const ContainerMetrics& m = ctx.container.metrics();
   m.requests->add();
-  auto dispatch_started = std::chrono::steady_clock::now();
 
   next(ctx);
 
   // Echo the server-side trace context (the signature does not cover it).
   telemetry::write_trace_header(ctx.response, span.context());
-  m.dispatch_us->record(elapsed_us(dispatch_started));
 }
 
 // --- lifetime sweep ---------------------------------------------------------
@@ -250,10 +249,10 @@ void SecurityHandler::handle(PipelineContext& ctx, Next next) {
 void DispatchHandler::handle(PipelineContext& ctx, Next next) {
   const ContainerMetrics& m = ctx.container.metrics();
   {
-    telemetry::SpanScope handler_span("container.handler", "container");
-    auto handler_started = std::chrono::steady_clock::now();
+    telemetry::SpanScope handler_span("container.handler", "container",
+                                      &telemetry::TraceLog::global(),
+                                      m.handler_us);
     ctx.response = ctx.service->dispatch(ctx.rpc);
-    m.handler_us->record(elapsed_us(handler_started));
   }
   if (ctx.response.is_fault()) {
     m.faults->add();

@@ -1,7 +1,5 @@
 #include "net/virtual_network.hpp"
 
-#include <chrono>
-
 #include "common/clock.hpp"
 #include "common/encoding.hpp"
 #include "common/parse.hpp"
@@ -21,17 +19,15 @@ HttpResponse dispatch(Endpoint& endpoint, const HttpRequest& request) {
       telemetry::MetricsRegistry::global().counter("net.http.requests");
   static telemetry::Histogram& request_us =
       telemetry::MetricsRegistry::global().histogram("net.http.request_us");
-  auto started = std::chrono::steady_clock::now();
   HttpResponse response;
   {
     // Scoped to handle() only: once the endpoint re-roots the span onto the
     // caller's trace it must be recorded before the client reads the log.
-    telemetry::SpanScope span("http.receive", "net");
+    telemetry::SpanScope span("http.receive", "net",
+                              &telemetry::TraceLog::global(), &request_us);
     response = endpoint.handle(request);
   }
   requests.add();
-  request_us.record(static_cast<std::uint64_t>(
-      (std::chrono::steady_clock::now() - started) / std::chrono::microseconds(1)));
   return response;
 }
 

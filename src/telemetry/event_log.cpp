@@ -1,22 +1,11 @@
 #include "telemetry/event_log.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 
 #include "telemetry/trace.hpp"
 
 namespace gs::telemetry {
-
-namespace {
-
-std::int64_t steady_now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 const char* level_name(Level level) {
   switch (level) {
@@ -49,24 +38,16 @@ std::string format_event(const Event& event) {
 }
 
 EventLog::EventLog(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity), start_us_(steady_now_us()) {
-  ring_.reserve(capacity_);
-}
+    : ring_(capacity), start_us_(steady_now_us()) {}
 
 void EventLog::log(Event event) {
   level_counts_[static_cast<std::size_t>(event.level)].fetch_add(
       1, std::memory_order_relaxed);
-  if (event.level < min_level_.load(std::memory_order_relaxed)) return;
   std::lock_guard lock(mu_);
   event.seq = ++last_seq_;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(event));
-  } else {
-    ring_[next_] = std::move(event);
-    wrapped_ = true;
+  if (ring_.push(std::move(event))) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
   }
-  next_ = (next_ + 1) % capacity_;
 }
 
 void EventLog::emit(Level level, std::string component, std::string message,
@@ -83,33 +64,25 @@ void EventLog::emit(Level level, std::string component, std::string message,
 
 std::vector<Event> EventLog::snapshot() const {
   std::lock_guard lock(mu_);
-  std::vector<Event> out;
-  out.reserve(ring_.size());
-  std::size_t start = wrapped_ ? next_ : 0;
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
-  return out;
+  return ring_.ordered();
 }
 
 std::vector<Event> EventLog::recent(std::size_t n, Level min_level) const {
-  std::vector<Event> all = snapshot();
+  std::lock_guard lock(mu_);
   std::vector<Event> out;
   // Walk newest-to-oldest collecting matches, then restore oldest-first.
-  for (auto it = all.rbegin(); it != all.rend() && out.size() < n; ++it) {
-    if (it->level >= min_level) out.push_back(std::move(*it));
+  for (std::size_t i = ring_.size(); i-- > 0 && out.size() < n;) {
+    if (ring_[i].level >= min_level) out.push_back(ring_[i]);
   }
   std::reverse(out.begin(), out.end());
   return out;
 }
 
 std::vector<Event> EventLog::events_since(std::uint64_t seq) const {
-  std::vector<Event> all = snapshot();
+  std::lock_guard lock(mu_);
   std::vector<Event> out;
-  // The ring is seq-ordered (log() assigns monotonically under mu_), so
-  // everything after the first match qualifies.
-  for (Event& event : all) {
-    if (event.seq > seq) out.push_back(std::move(event));
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    if (ring_[i].seq > seq) out.push_back(ring_[i]);
   }
   return out;
 }
@@ -133,15 +106,9 @@ std::size_t EventLog::size() const {
   return ring_.size();
 }
 
-void EventLog::set_min_level(Level level) {
-  min_level_.store(level, std::memory_order_relaxed);
-}
-
 void EventLog::clear() {
   std::lock_guard lock(mu_);
   ring_.clear();
-  next_ = 0;
-  wrapped_ = false;
 }
 
 std::string EventLog::to_text() const {

@@ -8,7 +8,7 @@
 // leveled event carrying the trace id that was active when it happened, so
 // a post-mortem can join events back to the request trees in the TraceLog.
 //
-// Bounded ring, same discipline as TraceLog: oldest evicted first, per-level
+// Bounded Ring, shared with TraceLog: oldest evicted first, per-level
 // totals survive eviction. Writers are failure paths — rare by construction
 // — so one mutex is fine; readers (the telemetry document, bench dumps)
 // pay the copy.
@@ -21,6 +21,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "telemetry/ring.hpp"
 
 namespace gs::telemetry {
 
@@ -49,8 +51,7 @@ class EventLog {
  public:
   explicit EventLog(std::size_t capacity = 2048);
 
-  /// Records `event` verbatim (caller stamps ts/trace). Events below the
-  /// minimum level are counted but not retained.
+  /// Records `event` verbatim (caller stamps ts/trace).
   void log(Event event);
 
   /// Builds and records an event: stamps the current steady-clock time and
@@ -78,10 +79,6 @@ class EventLog {
   /// Steady-clock microseconds at construction — the uptime origin.
   std::int64_t start_us() const noexcept { return start_us_; }
 
-  /// Events below this level are counted but not retained (default kDebug:
-  /// keep everything).
-  void set_min_level(Level level);
-
   void clear();
 
   /// One-line-per-event dump of everything retained.
@@ -92,13 +89,9 @@ class EventLog {
 
  private:
   mutable std::mutex mu_;
-  std::size_t capacity_;
-  std::size_t next_ = 0;
-  bool wrapped_ = false;
   std::uint64_t last_seq_ = 0;
-  std::vector<Event> ring_;
+  Ring<Event> ring_;
   std::int64_t start_us_;
-  std::atomic<Level> min_level_{Level::kDebug};
   std::array<std::atomic<std::uint64_t>, 4> level_counts_{};
   std::atomic<std::uint64_t> dropped_{0};
 };

@@ -1,6 +1,5 @@
 #include "telemetry/export.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <sstream>
@@ -27,8 +26,21 @@ int pid_for_layer(const std::string& layer,
   return next;
 }
 
-void append_json_string(std::string& out, const std::string& raw) {
-  out += '"';
+std::string quoted(std::string_view raw) {
+  return '"' + json_escape(raw) + '"';
+}
+
+std::string hex_id(std::uint64_t id) {
+  std::ostringstream out;
+  out << std::hex << id;
+  return out.str();
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size());
   for (char c : raw) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -46,44 +58,7 @@ void append_json_string(std::string& out, const std::string& raw) {
         }
     }
   }
-  out += '"';
-}
-
-std::string hex_id(std::uint64_t id) {
-  std::ostringstream out;
-  out << std::hex << id;
-  return out.str();
-}
-
-}  // namespace
-
-std::vector<TraceTree> assemble_traces(const std::vector<SpanRecord>& spans) {
-  std::vector<TraceTree> trees;
-  std::map<std::uint64_t, std::size_t> tree_index;  // trace_id -> trees slot
-  for (const SpanRecord& span : spans) {
-    auto [it, fresh] = tree_index.try_emplace(span.trace_id, trees.size());
-    if (fresh) {
-      trees.emplace_back();
-      trees.back().trace_id = span.trace_id;
-    }
-    trees[it->second].spans.push_back(span);
-  }
-  for (TraceTree& tree : trees) {
-    tree.children.resize(tree.spans.size());
-    std::map<std::uint64_t, std::size_t> by_span_id;
-    for (std::size_t i = 0; i < tree.spans.size(); ++i) {
-      by_span_id[tree.spans[i].span_id] = i;
-    }
-    for (std::size_t i = 0; i < tree.spans.size(); ++i) {
-      auto parent = by_span_id.find(tree.spans[i].parent_span_id);
-      if (tree.spans[i].parent_span_id != 0 && parent != by_span_id.end()) {
-        tree.children[parent->second].push_back(i);
-      } else {
-        tree.roots.push_back(i);
-      }
-    }
-  }
-  return trees;
+  return out;
 }
 
 std::string export_chrome_trace(const std::vector<SpanRecord>& spans) {
@@ -100,10 +75,8 @@ std::string export_chrome_trace(const std::vector<SpanRecord>& spans) {
                                static_cast<int>(trace_tids.size()) + 1)
             .first->second;
     if (!events.empty()) events += ",\n";
-    events += R"({"ph":"X","name":)";
-    append_json_string(events, span.name);
-    events += R"(,"cat":)";
-    append_json_string(events, span.layer);
+    events += R"({"ph":"X","name":)" + quoted(span.name);
+    events += R"(,"cat":)" + quoted(span.layer);
     events += ",\"ts\":" + std::to_string(span.start_us);
     events += ",\"dur\":" + std::to_string(span.duration_us);
     events += ",\"pid\":" + std::to_string(pid);
@@ -118,48 +91,10 @@ std::string export_chrome_trace(const std::vector<SpanRecord>& spans) {
   for (const auto& [pid, layer] : process_names) {
     if (!events.empty()) events += ",\n";
     events += R"({"ph":"M","name":"process_name","pid":)" +
-              std::to_string(pid) + R"(,"tid":0,"args":{"name":)";
-    append_json_string(events, layer);
-    events += "}}";
+              std::to_string(pid) + R"(,"tid":0,"args":{"name":)" +
+              quoted(layer) + "}}";
   }
   return "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n" + events + "\n]}\n";
-}
-
-std::string critical_path_summary(const TraceTree& tree) {
-  std::ostringstream out;
-  for (std::size_t root : tree.roots) {
-    std::size_t node = root;
-    for (;;) {
-      const SpanRecord& span = tree.spans[node];
-      // Self time: the span's duration minus time covered by children.
-      std::int64_t child_time = 0;
-      for (std::size_t child : tree.children[node]) {
-        child_time += tree.spans[child].duration_us;
-      }
-      std::int64_t self = std::max<std::int64_t>(0, span.duration_us - child_time);
-      out << "  " << span.name << " [" << span.layer << "] "
-          << span.duration_us << "us (self " << self << "us)\n";
-      // Descend into the child that finished last — the one the parent's
-      // wall time actually waited for.
-      const std::vector<std::size_t>& kids = tree.children[node];
-      if (kids.empty()) break;
-      node = *std::max_element(
-          kids.begin(), kids.end(), [&](std::size_t a, std::size_t b) {
-            return tree.spans[a].start_us + tree.spans[a].duration_us <
-                   tree.spans[b].start_us + tree.spans[b].duration_us;
-          });
-    }
-  }
-  return out.str();
-}
-
-std::string critical_path_report(const std::vector<SpanRecord>& spans) {
-  std::string out;
-  for (const TraceTree& tree : assemble_traces(spans)) {
-    out += "trace " + hex_id(tree.trace_id) + ":\n";
-    out += critical_path_summary(tree);
-  }
-  return out;
 }
 
 }  // namespace gs::telemetry

@@ -1,50 +1,25 @@
-// Trace assembly and export.
-//
-// The TraceLog retains completed spans as a flat ring; this module joins
-// them back into per-trace trees and renders them two ways:
-//   - Chrome trace-event JSON (load in chrome://tracing or Perfetto): one
-//     "X" complete event per span, processes mapped from span layers so a
-//     cross-stack request visually hops client → net → container → ...
-//   - a critical-path text summary per trace: the chain of spans that
-//     bounded the root's wall time, with self-time attribution.
+// Trace export: renders the TraceLog's flat span ring as Chrome
+// trace-event JSON (load in chrome://tracing or Perfetto): one "X" complete
+// event per span, processes mapped from span layers so a cross-stack
+// request visually hops client → net → container → ...
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "telemetry/trace.hpp"
 
 namespace gs::telemetry {
 
-/// One trace reassembled from the flat span log.
-struct TraceTree {
-  std::uint64_t trace_id = 0;
-  /// This trace's spans, in TraceLog retention order (oldest first).
-  std::vector<SpanRecord> spans;
-  /// Indices into `spans` whose parent span is absent (the trace root —
-  /// or several, when the ring evicted ancestors).
-  std::vector<std::size_t> roots;
-  /// children[i] = indices of spans[i]'s child spans.
-  std::vector<std::vector<std::size_t>> children;
-};
-
-/// Groups spans by trace (ordered by each trace's first retained span) and
-/// links parents to children.
-std::vector<TraceTree> assemble_traces(const std::vector<SpanRecord>& spans);
+/// `raw` escaped for use inside a JSON string literal: quotes,
+/// backslashes and every control character.
+std::string json_escape(std::string_view raw);
 
 /// Renders spans as Chrome trace-event JSON. Span layers become process
 /// ids ("client", "net", "container", ... each its own track), traces
 /// become thread ids within them; span/parent identity rides in `args`.
 std::string export_chrome_trace(const std::vector<SpanRecord>& spans);
-
-/// The chain of spans bounding the root's wall time: from each node,
-/// follow the child that finished last. One line per hop:
-///   `container.dispatch [container] 840us (self 120us)`
-std::string critical_path_summary(const TraceTree& tree);
-
-/// Critical-path summaries for every trace in `spans`, separated by
-/// `trace <id>:` headers.
-std::string critical_path_report(const std::vector<SpanRecord>& spans);
 
 }  // namespace gs::telemetry

@@ -1,11 +1,13 @@
 #include "telemetry/monitor.hpp"
 
-#include <cstdio>
-#include <cstdlib>
+#include <cmath>
+#include <type_traits>
 
+#include "common/parse.hpp"
 #include "soap/namespaces.hpp"
 #include "telemetry/event_log.hpp"
 #include "telemetry/propagation.hpp"
+#include "telemetry/service.hpp"
 #include "wse/client.hpp"
 #include "wsn/client.hpp"
 
@@ -16,14 +18,34 @@ namespace {
 xml::QName t(const char* local) { return {kTelemetryNs, local}; }
 xml::QName wsnt(const char* local) { return {soap::ns::kWsnBase, local}; }
 
-std::string format_us(double us) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f", us);
-  return buf;
+// One <t:Alert>. Threshold rules end it with the tick's seq, SLO
+// transitions with whether the objective is firing.
+std::unique_ptr<xml::Element> alert_element(
+    const std::string& producer, const std::string& rule,
+    const std::string& metric, double value, double threshold,
+    const char* last_attr, const std::string& last_value, std::string text) {
+  auto alert = std::make_unique<xml::Element>(t("Alert"));
+  alert->declare_prefix("t", kTelemetryNs);
+  alert->set_attr("producer", producer);
+  alert->set_attr("rule", rule);
+  alert->set_attr("metric", metric);
+  alert->set_attr("value", format_us(value));
+  alert->set_attr("threshold", format_us(threshold));
+  alert->set_attr(last_attr, last_value);
+  alert->set_text(std::move(text));
+  return alert;
 }
 
-std::uint64_t parse_u64(const std::optional<std::string>& raw) {
-  return raw ? std::strtoull(raw->c_str(), nullptr, 10) : 0;
+// A number a remote producer sent: the whole text must parse, and a double
+// must be finite. Absent or malformed is nullopt.
+template <typename T>
+std::optional<T> number(const std::optional<std::string>& raw) {
+  if (!raw) return std::nullopt;
+  std::optional<T> value = common::parse_number<T>(*raw);
+  if constexpr (std::is_floating_point_v<T>) {
+    if (value && !std::isfinite(*value)) return std::nullopt;
+  }
+  return value;
 }
 
 }  // namespace
@@ -84,15 +106,7 @@ void MonitorProducer::tick() {
       el.set_text(std::to_string(value));
     }
     for (const auto& [name, h] : d.histograms) {
-      xml::Element& el = snapshot_el->append_element(t("Histogram"));
-      el.set_attr("name", name);
-      el.set_attr("count", std::to_string(h.count));
-      el.set_attr("sum_us", std::to_string(h.sum_us));
-      el.set_attr("min_us", std::to_string(h.count == 0 ? 0 : h.min_us));
-      el.set_attr("max_us", std::to_string(h.max_us));
-      el.set_attr("p50_us", format_us(h.percentile(50)));
-      el.set_attr("p90_us", format_us(h.percentile(90)));
-      el.set_attr("p99_us", format_us(h.percentile(99)));
+      append_histogram(*snapshot_el, name, h);
     }
 
     // Threshold rules fire edge-triggered: one alert when a rule starts
@@ -118,18 +132,11 @@ void MonitorProducer::tick() {
       }
       bool breached = value > rule.threshold;
       if (breached && !rule_breached_[i]) {
-        auto alert = std::make_unique<xml::Element>(t("Alert"));
-        alert->declare_prefix("t", kTelemetryNs);
-        alert->set_attr("producer", config_.producer_address);
-        alert->set_attr("rule", rule.name);
-        alert->set_attr("metric", rule.metric);
-        alert->set_attr("value", format_us(value));
-        alert->set_attr("threshold", format_us(rule.threshold));
-        alert->set_attr("seq", std::to_string(seq_));
-        alert->set_text("rule '" + rule.name + "' breached: " + rule.metric +
-                        " = " + format_us(value) + " > " +
-                        format_us(rule.threshold));
-        alert_els.push_back(std::move(alert));
+        alert_els.push_back(alert_element(
+            config_.producer_address, rule.name, rule.metric, value,
+            rule.threshold, "seq", std::to_string(seq_),
+            "rule '" + rule.name + "' breached: " + rule.metric + " = " +
+                format_us(value) + " > " + format_us(rule.threshold)));
         ++alerts_fired_;
       }
       rule_breached_[i] = breached;
@@ -142,20 +149,12 @@ void MonitorProducer::tick() {
   // burn, threshold = 1 (burn is already normalized to budget).
   if (config_.slo) {
     for (const SloAlert& slo_alert : config_.slo->evaluate()) {
-      auto alert = std::make_unique<xml::Element>(t("Alert"));
-      alert->declare_prefix("t", kTelemetryNs);
-      alert->set_attr("producer", config_.producer_address);
-      alert->set_attr("rule", "slo:" + slo_alert.objective);
-      alert->set_attr("metric", "slo." + slo_alert.objective + ".burn");
-      alert->set_attr("value", format_us(slo_alert.burn_short));
-      alert->set_attr("threshold", "1.0");
-      alert->set_attr("firing", slo_alert.firing ? "true" : "false");
-      alert->set_text(slo_alert.detail);
-      {
-        std::lock_guard lock(mu_);
-        ++alerts_fired_;
-      }
-      alert_els.push_back(std::move(alert));
+      alert_els.push_back(alert_element(
+          config_.producer_address, "slo:" + slo_alert.objective,
+          "slo." + slo_alert.objective + ".burn", slo_alert.burn_short, 1.0,
+          "firing", slo_alert.firing ? "true" : "false", slo_alert.detail));
+      std::lock_guard lock(mu_);
+      ++alerts_fired_;
     }
   }
 
@@ -240,8 +239,9 @@ void MonitorConsumer::attach_series(TimeSeriesStore* store) { series_ = store; }
 void MonitorConsumer::apply_snapshot(const xml::Element& snapshot,
                                      bool wrapped) {
   std::string producer = snapshot.attr("producer").value_or("");
-  common::TimeMs ts_ms = static_cast<common::TimeMs>(
-      parse_u64(snapshot.attr("ts_ms")));
+  auto seq = number<std::uint64_t>(snapshot.attr("seq"));
+  auto ts_ms = number<common::TimeMs>(snapshot.attr("ts_ms"));
+  if (!seq || !ts_ms) return;  // acknowledged by handle(), but dropped
   struct Ingest {
     std::string series;
     double value;
@@ -251,50 +251,54 @@ void MonitorConsumer::apply_snapshot(const xml::Element& snapshot,
     std::lock_guard lock(mu_);
     ProducerState& state = table_[producer];
     state.producer = producer;
-    state.last_seq = std::max(state.last_seq, parse_u64(snapshot.attr("seq")));
+    state.last_seq = std::max(state.last_seq, *seq);
     ++state.snapshots;
     ++(wrapped ? state.via_wsn : state.via_wse);
     // Counter rates use the producer's own clock: snapshot text is this
     // tick's increments, ts_ms the tick instant, so delta / (ts_ms -
     // previous ts_ms) is exact even when delivery was delayed or retried.
     common::TimeMs elapsed_ms =
-        state.last_ts_ms > 0 && ts_ms > state.last_ts_ms
-            ? ts_ms - state.last_ts_ms
+        state.last_ts_ms > 0 && *ts_ms > state.last_ts_ms
+            ? *ts_ms - state.last_ts_ms
             : 0;
+    // A malformed metric element is skipped; the rest still apply.
     for (const xml::Element* el : snapshot.child_elements()) {
       auto name = el->attr("name");
       if (!name) continue;
       if (el->name() == t("Counter")) {
-        state.counter_totals[*name] = parse_u64(el->attr("total"));
+        auto total = number<std::uint64_t>(el->attr("total"));
+        auto delta = number<std::uint64_t>(el->text());
+        if (!total || !delta) continue;
+        state.counter_totals[*name] = *total;
         if (series_ && elapsed_ms > 0) {
-          double delta =
-              static_cast<double>(std::strtoull(el->text().c_str(), nullptr, 10));
           ingests.push_back({producer + '|' + *name,
-                             delta * 1000.0 / static_cast<double>(elapsed_ms)});
+                             static_cast<double>(*delta) * 1000.0 /
+                                 static_cast<double>(elapsed_ms)});
         }
       } else if (el->name() == t("Gauge")) {
-        state.gauges[*name] = std::strtoll(el->text().c_str(), nullptr, 10);
+        auto level = number<std::int64_t>(el->text());
+        if (!level) continue;
+        state.gauges[*name] = *level;
         if (series_) {
           ingests.push_back({producer + '|' + *name,
-                             static_cast<double>(state.gauges[*name])});
+                             static_cast<double>(*level)});
         }
       } else if (el->name() == t("Histogram")) {
-        if (auto p99 = el->attr("p99_us")) {
-          state.histogram_p99_us[*name] =
-              std::strtod(p99->c_str(), nullptr);
-          if (series_ && parse_u64(el->attr("count")) > 0) {
-            ingests.push_back({producer + '|' + *name + ".p99",
-                               state.histogram_p99_us[*name]});
-          }
+        auto p99 = number<double>(el->attr("p99_us"));
+        auto count = number<std::uint64_t>(el->attr("count"));
+        if (!p99 || !count) continue;
+        state.histogram_p99_us[*name] = *p99;
+        if (series_ && *count > 0) {
+          ingests.push_back({producer + '|' + *name + ".p99", *p99});
         }
       }
     }
-    if (ts_ms > 0) state.last_ts_ms = ts_ms;
+    if (*ts_ms > 0) state.last_ts_ms = *ts_ms;
     ++snapshots_seen_;
   }
   // The store has its own lock; feed it outside mu_.
   for (const Ingest& ingest : ingests) {
-    series_->ingest(ingest.series, ts_ms, ingest.value);
+    series_->ingest(ingest.series, *ts_ms, ingest.value);
   }
   cv_.notify_all();
 }

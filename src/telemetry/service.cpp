@@ -1,6 +1,5 @@
 #include "telemetry/service.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -23,10 +22,11 @@ const std::string kGetResourcePropertyDocument =
     std::string(soap::ns::kWsrfRp) + "/GetResourcePropertyDocument";
 const std::string kTransferGet = std::string(soap::ns::kTransfer) + "/Get";
 
-std::string format_us(double us) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f", us);
-  return buf;
+// `text` without surrounding whitespace.
+std::string trimmed(const std::string& text) {
+  std::size_t b = text.find_first_not_of(" \t\r\n");
+  if (b == std::string::npos) return {};
+  return text.substr(b, text.find_last_not_of(" \t\r\n") - b + 1);
 }
 
 std::string format_ratio(double v) {
@@ -62,13 +62,44 @@ void set_cost_attrs(xml::Element& el, const CostAggregator::Costs& costs) {
   el.set_attr("bytes_out", std::to_string(costs.response_bytes));
 }
 
-std::int64_t steady_now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+// One <t:Event>; the Events/<seq> cursor leads with the event's seq.
+void append_event(xml::Element& parent, const Event& event, bool with_seq) {
+  xml::Element& el = parent.append_element(t("Event"));
+  if (with_seq) el.set_attr("seq", std::to_string(event.seq));
+  el.set_attr("ts_us", std::to_string(event.ts_us));
+  el.set_attr("level", level_name(event.level));
+  el.set_attr("component", event.component);
+  if (event.trace_id != 0) {
+    el.set_attr("trace", std::to_string(event.trace_id));
+  }
+  el.set_text(event.message);
+  for (const auto& [key, value] : event.attrs) {
+    xml::Element& attr_el = el.append_element(t("Attr"));
+    attr_el.set_attr("name", key);
+    attr_el.set_text(value);
+  }
 }
 
 }  // namespace
+
+std::string format_us(double us) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.1f", us);
+  return buf;
+}
+
+void append_histogram(xml::Element& parent, const std::string& name,
+                      const HistogramSnapshot& h) {
+  xml::Element& el = parent.append_element(t("Histogram"));
+  el.set_attr("name", name);
+  el.set_attr("count", std::to_string(h.count));
+  el.set_attr("sum_us", std::to_string(h.sum_us));
+  el.set_attr("min_us", std::to_string(h.count == 0 ? 0 : h.min_us));
+  el.set_attr("max_us", std::to_string(h.max_us));
+  el.set_attr("p50_us", format_us(h.percentile(50)));
+  el.set_attr("p90_us", format_us(h.percentile(90)));
+  el.set_attr("p99_us", format_us(h.percentile(99)));
+}
 
 std::unique_ptr<xml::Element> series_element(
     const std::string& name, const TimeSeriesStore::Window& window) {
@@ -106,15 +137,7 @@ std::unique_ptr<xml::Element> telemetry_document(
     el.set_text(std::to_string(value));
   }
   for (const auto& [name, h] : snap.histograms) {
-    xml::Element& el = root->append_element(t("Histogram"));
-    el.set_attr("name", name);
-    el.set_attr("count", std::to_string(h.count));
-    el.set_attr("sum_us", std::to_string(h.sum_us));
-    el.set_attr("min_us", std::to_string(h.count == 0 ? 0 : h.min_us));
-    el.set_attr("max_us", std::to_string(h.max_us));
-    el.set_attr("p50_us", format_us(h.percentile(50)));
-    el.set_attr("p90_us", format_us(h.percentile(90)));
-    el.set_attr("p99_us", format_us(h.percentile(99)));
+    append_histogram(*root, name, h);
   }
 
   // Spans grouped per trace, oldest trace first.
@@ -138,19 +161,7 @@ std::unique_ptr<xml::Element> telemetry_document(
 
   if (events) {
     for (const Event& event : events->snapshot()) {
-      xml::Element& el = root->append_element(t("Event"));
-      el.set_attr("ts_us", std::to_string(event.ts_us));
-      el.set_attr("level", level_name(event.level));
-      el.set_attr("component", event.component);
-      if (event.trace_id != 0) {
-        el.set_attr("trace", std::to_string(event.trace_id));
-      }
-      el.set_text(event.message);
-      for (const auto& [key, value] : event.attrs) {
-        xml::Element& attr_el = el.append_element(t("Attr"));
-        attr_el.set_attr("name", key);
-        attr_el.set_text(value);
-      }
+      append_event(*root, event, false);
     }
 
     // Health: the at-a-glance summary a monitoring client reads first —
@@ -285,20 +296,7 @@ std::unique_ptr<xml::Element> TelemetryService::query_element(
       el->set_attr("since", tail);
       el->set_attr("last_seq", std::to_string(events_->last_seq()));
       for (const Event& event : events_->events_since(seq)) {
-        xml::Element& ev = el->append_element(t("Event"));
-        ev.set_attr("seq", std::to_string(event.seq));
-        ev.set_attr("ts_us", std::to_string(event.ts_us));
-        ev.set_attr("level", level_name(event.level));
-        ev.set_attr("component", event.component);
-        if (event.trace_id != 0) {
-          ev.set_attr("trace", std::to_string(event.trace_id));
-        }
-        ev.set_text(event.message);
-        for (const auto& [key, value] : event.attrs) {
-          xml::Element& attr_el = ev.append_element(t("Attr"));
-          attr_el.set_attr("name", key);
-          attr_el.set_text(value);
-        }
+        append_event(*el, event, true);
       }
       return el;
     }
@@ -324,14 +322,10 @@ TelemetryService::TelemetryService(std::string address, MetricsRegistry* registr
   // kind ("Counters", "Gauges", "Histograms", "Traces", ...), or by the
   // cursor/window forms ("Series/<metric>[/<start_ms>]", "Events/<seq>").
   register_operation(kGetResourceProperty, [this](container::RequestContext& ctx) {
-    std::string requested = ctx.payload().text();
-    // Trim surrounding whitespace from the property name.
-    size_t b = requested.find_first_not_of(" \t\r\n");
-    size_t e = requested.find_last_not_of(" \t\r\n");
-    if (b == std::string::npos) {
+    std::string requested = trimmed(ctx.payload().text());
+    if (requested.empty()) {
       throw soap::SoapFault("Sender", "empty telemetry property name");
     }
-    requested = requested.substr(b, e - b + 1);
 
     soap::Envelope response =
         container::make_response(ctx, kGetResourceProperty + "Response");
@@ -392,14 +386,9 @@ TelemetryService::TelemetryService(std::string address, MetricsRegistry* registr
     soap::Envelope response =
         container::make_response(ctx, kTransferGet + "Response");
     if (const xml::Element* p = ctx.request->payload()) {
-      std::string requested = p->text();
-      size_t b = requested.find_first_not_of(" \t\r\n");
-      size_t e = requested.find_last_not_of(" \t\r\n");
-      if (b != std::string::npos) {
-        if (auto custom = query_element(requested.substr(b, e - b + 1))) {
-          response.add_payload(std::move(custom));
-          return response;
-        }
+      if (auto custom = query_element(trimmed(p->text()))) {
+        response.add_payload(std::move(custom));
+        return response;
       }
     }
     response.add_payload(document());

@@ -73,6 +73,14 @@ std::unique_ptr<xml::Element> telemetry_document(
     const EventLog* events = nullptr, const TimeSeriesStore* series = nullptr,
     const SloTracker* slo = nullptr, const CostAggregator* costs = nullptr);
 
+/// Microseconds, and series values, as the wire writes them ("%.1f").
+std::string format_us(double us);
+
+/// Appends one `<t:Histogram>` for `h` to `parent` (shared by the document
+/// builder and the monitor's snapshots).
+void append_histogram(xml::Element& parent, const std::string& name,
+                      const HistogramSnapshot& h);
+
 /// One `<t:Series>` element for `window` (helper shared by the document
 /// builder and the windowed Series/<metric> query).
 std::unique_ptr<xml::Element> series_element(

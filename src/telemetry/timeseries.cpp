@@ -23,69 +23,43 @@ TimeSeriesStore::TimeSeriesStore(TimeSeriesConfig config)
   if (config_.rollup_capacity == 0) config_.rollup_capacity = 1;
 }
 
-void TimeSeriesStore::ring_push(Ring& ring, std::size_t capacity,
-                                SeriesPoint p) {
-  if (ring.points.size() < capacity) {
-    ring.points.push_back(p);
-  } else {
-    ring.points[ring.next] = p;
-    ring.wrapped = true;
-  }
-  ring.next = (ring.next + 1) % capacity;
-}
-
-std::vector<SeriesPoint> TimeSeriesStore::ring_ordered(const Ring& ring) {
-  std::vector<SeriesPoint> out;
-  out.reserve(ring.points.size());
-  std::size_t start = ring.wrapped ? ring.next : 0;
-  for (std::size_t i = 0; i < ring.points.size(); ++i) {
-    out.push_back(ring.points[(start + i) % ring.points.size()]);
-  }
-  return out;
-}
-
 void TimeSeriesStore::push_locked(const std::string& name, SeriesPoint p) {
-  Series& s = series_[name];
-  ring_push(s.raw, config_.raw_capacity, p);
+  Series& s = series_.try_emplace(name, config_.raw_capacity,
+                                  config_.rollup_capacity)
+                  .first->second;
+  s.raw.push(p);
 
   // Fold the raw point into both rollup accumulators; emit a rollup point
   // whenever an accumulator reaches its factor. Rollup value is the
   // samples-weighted mean (ingested points carry samples == 1 like local
   // raw points, so the weighting is uniform in practice); min/max are the
   // true extremes across the folded raw points.
-  for (Accum* accum : {&s.mid_accum, &s.coarse_accum}) {
-    if (accum->raw_points == 0) {
-      accum->min = p.min;
-      accum->max = p.max;
+  struct Rollup {
+    Accum& accum;
+    Ring<SeriesPoint>& ring;
+    unsigned factor;
+  };
+  for (Rollup r : {Rollup{s.mid_accum, s.mid, kMidFactor},
+                   Rollup{s.coarse_accum, s.coarse, kCoarseFactor}}) {
+    Accum& accum = r.accum;
+    if (accum.raw_points == 0) {
+      accum.min = p.min;
+      accum.max = p.max;
     } else {
-      accum->min = std::min(accum->min, p.min);
-      accum->max = std::max(accum->max, p.max);
+      accum.min = std::min(accum.min, p.min);
+      accum.max = std::max(accum.max, p.max);
     }
-    accum->weighted_sum += p.value * p.samples;
-    accum->samples += p.samples;
-    ++accum->raw_points;
-  }
-  if (s.mid_accum.raw_points >= kMidFactor) {
+    accum.weighted_sum += p.value * p.samples;
+    accum.samples += p.samples;
+    if (++accum.raw_points < r.factor) continue;
     SeriesPoint rolled;
     rolled.t_ms = p.t_ms;
-    rolled.value = s.mid_accum.weighted_sum /
-                   static_cast<double>(s.mid_accum.samples);
-    rolled.min = s.mid_accum.min;
-    rolled.max = s.mid_accum.max;
-    rolled.samples = static_cast<std::uint32_t>(s.mid_accum.samples);
-    ring_push(s.mid, config_.rollup_capacity, rolled);
-    s.mid_accum = Accum{};
-  }
-  if (s.coarse_accum.raw_points >= kCoarseFactor) {
-    SeriesPoint rolled;
-    rolled.t_ms = p.t_ms;
-    rolled.value = s.coarse_accum.weighted_sum /
-                   static_cast<double>(s.coarse_accum.samples);
-    rolled.min = s.coarse_accum.min;
-    rolled.max = s.coarse_accum.max;
-    rolled.samples = static_cast<std::uint32_t>(s.coarse_accum.samples);
-    ring_push(s.coarse, config_.rollup_capacity, rolled);
-    s.coarse_accum = Accum{};
+    rolled.value = accum.weighted_sum / static_cast<double>(accum.samples);
+    rolled.min = accum.min;
+    rolled.max = accum.max;
+    rolled.samples = static_cast<std::uint32_t>(accum.samples);
+    r.ring.push(rolled);
+    accum = Accum{};
   }
 }
 
@@ -189,7 +163,7 @@ TimeSeriesStore::Window TimeSeriesStore::query(const std::string& series,
 
   struct Candidate {
     Resolution resolution;
-    const Ring* ring;
+    const Ring<SeriesPoint>* ring;
     common::TimeMs interval;
   };
   const Candidate candidates[] = {
@@ -206,21 +180,19 @@ TimeSeriesStore::Window TimeSeriesStore::query(const std::string& series,
   // remains.
   const Candidate* chosen = nullptr;
   for (const Candidate& c : candidates) {
-    if (c.ring->points.empty()) continue;
-    if (!chosen) chosen = &c;
-    std::vector<SeriesPoint> ordered = ring_ordered(*c.ring);
-    if (ordered.front().t_ms <= start_ms) {
-      chosen = &c;
-      break;
-    }
-    chosen = &c;  // deeper history than any finer ring that lost the start
+    if (c.ring->empty()) continue;
+    chosen = &c;
+    if (c.ring->front().t_ms <= start_ms) break;
   }
   if (!chosen) return out;
 
   out.resolution = chosen->resolution;
   out.interval_ms = chosen->interval;
-  for (const SeriesPoint& p : ring_ordered(*chosen->ring)) {
-    if (p.t_ms >= start_ms && p.t_ms <= end_ms) out.points.push_back(p);
+  const Ring<SeriesPoint>& ring = *chosen->ring;
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    if (ring[i].t_ms >= start_ms && ring[i].t_ms <= end_ms) {
+      out.points.push_back(ring[i]);
+    }
   }
   return out;
 }

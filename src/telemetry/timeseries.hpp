@@ -39,6 +39,7 @@
 
 #include "common/clock.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/ring.hpp"
 
 namespace gs::telemetry {
 
@@ -114,12 +115,6 @@ class TimeSeriesStore {
   std::uint64_t samples_taken() const;
 
  private:
-  struct Ring {
-    std::vector<SeriesPoint> points;
-    std::size_t next = 0;
-    bool wrapped = false;
-  };
-
   /// Rollup in progress: raw points folded so far toward the next point.
   struct Accum {
     double weighted_sum = 0.0;
@@ -130,13 +125,13 @@ class TimeSeriesStore {
   };
 
   struct Series {
-    Ring raw, mid, coarse;
+    Series(std::size_t raw_capacity, std::size_t rollup_capacity)
+        : raw(raw_capacity), mid(rollup_capacity), coarse(rollup_capacity) {}
+    Ring<SeriesPoint> raw, mid, coarse;
     Accum mid_accum, coarse_accum;
   };
 
   void push_locked(const std::string& name, SeriesPoint p);
-  static void ring_push(Ring& ring, std::size_t capacity, SeriesPoint p);
-  static std::vector<SeriesPoint> ring_ordered(const Ring& ring);
 
   TimeSeriesConfig config_;
   mutable std::mutex mu_;

@@ -2,9 +2,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <sstream>
 
-#include "telemetry/event_log.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace gs::telemetry {
 
@@ -12,38 +11,13 @@ namespace {
 
 thread_local SpanScope* tl_top = nullptr;
 
-// One warn event per slow trace: the root's identity plus a compact
-// per-span dump, so the EventLog alone is enough to reconstruct where the
-// time went after the span ring has moved on.
-void emit_slow_trace(EventLog& sink, const SpanRecord& root,
-                     const std::vector<SpanRecord>& spans) {
-  std::ostringstream dump;
-  for (const SpanRecord& span : spans) {
-    if (dump.tellp() > 0) dump << "; ";
-    dump << span.name << '[' << span.layer << "] +"
-         << (span.start_us - root.start_us) << "us " << span.duration_us
-         << "us";
-  }
-  Event event;
-  event.ts_us = root.start_us + root.duration_us;
-  event.level = Level::kWarn;
-  event.component = "telemetry.trace";
-  event.message = "slow request captured";
-  event.trace_id = root.trace_id;
-  event.attrs = {{"root", root.name},
-                 {"duration_us", std::to_string(root.duration_us)},
-                 {"spans", std::to_string(spans.size())},
-                 {"detail", dump.str()}};
-  sink.log(std::move(event));
-}
+}  // namespace
 
 std::int64_t steady_now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-}  // namespace
 
 std::uint64_t new_trace_id() {
   static std::atomic<std::uint64_t> next{1};
@@ -60,10 +34,12 @@ TraceContext current_context() {
   return tl_top ? tl_top->context() : TraceContext{};
 }
 
-SpanScope::SpanScope(std::string name, std::string layer, TraceLog* log)
+SpanScope::SpanScope(std::string name, std::string layer, TraceLog* log,
+                     Histogram* histogram)
     : name_(std::move(name)),
       layer_(std::move(layer)),
       log_(log),
+      histogram_(histogram),
       span_id_(new_trace_id()),
       start_us_(steady_now_us()),
       prev_(tl_top) {
@@ -79,6 +55,8 @@ SpanScope::SpanScope(std::string name, std::string layer, TraceLog* log)
 
 SpanScope::~SpanScope() {
   tl_top = prev_;
+  std::int64_t duration_us = steady_now_us() - start_us_;
+  if (histogram_) histogram_->record(static_cast<std::uint64_t>(duration_us));
   if (!log_) return;
   SpanRecord record;
   record.trace_id = trace_id_;
@@ -87,7 +65,7 @@ SpanScope::~SpanScope() {
   record.name = std::move(name_);
   record.layer = std::move(layer_);
   record.start_us = start_us_;
-  record.duration_us = steady_now_us() - start_us_;
+  record.duration_us = duration_us;
   log_->record(std::move(record));
 }
 
@@ -103,70 +81,23 @@ void adopt_remote(const TraceContext& remote) {
   }
 }
 
-TraceLog::TraceLog(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  ring_.reserve(capacity_);
-}
+TraceLog::TraceLog(std::size_t capacity) : ring_(capacity) {}
 
 void TraceLog::record(SpanRecord span) {
-  EventLog* slow_sink = nullptr;
-  std::vector<SpanRecord> captured;
-  SpanRecord root;
-  {
-    std::lock_guard lock(mu_);
-    bool is_slow_root = slow_sink_ && slow_threshold_us_ > 0 &&
-                        span.parent_span_id == 0 &&
-                        span.duration_us >= slow_threshold_us_;
-    if (is_slow_root) root = span;
-    if (ring_.size() < capacity_) {
-      ring_.push_back(std::move(span));
-    } else {
-      ring_[next_] = std::move(span);
-      wrapped_ = true;
-    }
-    next_ = (next_ + 1) % capacity_;
-    if (is_slow_root) {
-      slow_sink = slow_sink_;
-      captured = spans_for_locked(root.trace_id);
-    }
-  }
-  // Emit outside mu_: the sink takes its own lock, and formatting a whole
-  // trace shouldn't stall concurrent span completion.
-  if (slow_sink) emit_slow_trace(*slow_sink, root, captured);
-}
-
-std::vector<SpanRecord> TraceLog::spans_for_locked(
-    std::uint64_t trace_id) const {
-  std::vector<SpanRecord> out;
-  std::size_t start = wrapped_ ? next_ : 0;
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    const SpanRecord& span = ring_[(start + i) % ring_.size()];
-    if (span.trace_id == trace_id) out.push_back(span);
-  }
-  return out;
-}
-
-void TraceLog::set_slow_capture(std::int64_t threshold_us, EventLog* sink) {
   std::lock_guard lock(mu_);
-  slow_threshold_us_ = threshold_us;
-  slow_sink_ = sink;
+  ring_.push(std::move(span));
 }
 
 std::vector<SpanRecord> TraceLog::snapshot() const {
   std::lock_guard lock(mu_);
-  std::vector<SpanRecord> out;
-  out.reserve(ring_.size());
-  std::size_t start = wrapped_ ? next_ : 0;
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
-  return out;
+  return ring_.ordered();
 }
 
 std::vector<SpanRecord> TraceLog::spans_for(std::uint64_t trace_id) const {
+  std::lock_guard lock(mu_);
   std::vector<SpanRecord> out;
-  for (SpanRecord& span : snapshot()) {
-    if (span.trace_id == trace_id) out.push_back(std::move(span));
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    if (ring_[i].trace_id == trace_id) out.push_back(ring_[i]);
   }
   return out;
 }
@@ -179,8 +110,6 @@ std::size_t TraceLog::size() const {
 void TraceLog::clear() {
   std::lock_guard lock(mu_);
   ring_.clear();
-  next_ = 0;
-  wrapped_ = false;
 }
 
 TraceLog& TraceLog::global() {

@@ -15,9 +15,11 @@
 #include <string>
 #include <vector>
 
+#include "telemetry/ring.hpp"
+
 namespace gs::telemetry {
 
-class EventLog;
+class Histogram;
 
 /// Identity of the currently-executing span within its trace.
 struct TraceContext {
@@ -56,23 +58,13 @@ class TraceLog {
   /// Process-wide log the built-in instrumentation records into.
   static TraceLog& global();
 
-  /// Slow-request capture: whenever a trace ROOT span completes with
-  /// duration >= `threshold_us`, the trace's retained spans are copied
-  /// into `sink` as one warn event (root name, duration, per-span dump).
-  /// `sink` nullptr or threshold 0 disables. The sink must outlive the log.
-  void set_slow_capture(std::int64_t threshold_us, EventLog* sink);
-
  private:
-  std::vector<SpanRecord> spans_for_locked(std::uint64_t trace_id) const;
-
   mutable std::mutex mu_;
-  std::size_t capacity_;
-  std::size_t next_ = 0;
-  bool wrapped_ = false;
-  std::vector<SpanRecord> ring_;
-  std::int64_t slow_threshold_us_ = 0;
-  EventLog* slow_sink_ = nullptr;
+  Ring<SpanRecord> ring_;
 };
+
+/// Steady-clock microseconds: the time base of spans and events.
+std::int64_t steady_now_us();
 
 /// Fresh nonzero trace/span id.
 std::uint64_t new_trace_id();
@@ -82,9 +74,12 @@ TraceContext current_context();
 
 /// RAII span: derives identity from the innermost open span on this thread
 /// (or starts a new trace), and records itself into `log` on destruction.
+/// A pipeline stage passes its latency `histogram` too: the span's duration
+/// is then that stage's sample, so one clock pair times both.
 class SpanScope {
  public:
-  SpanScope(std::string name, std::string layer, TraceLog* log = &TraceLog::global());
+  SpanScope(std::string name, std::string layer,
+            TraceLog* log = &TraceLog::global(), Histogram* histogram = nullptr);
   ~SpanScope();
 
   SpanScope(const SpanScope&) = delete;
@@ -100,6 +95,7 @@ class SpanScope {
   std::string name_;
   std::string layer_;
   TraceLog* log_;
+  Histogram* histogram_;
   std::uint64_t trace_id_;
   std::uint64_t span_id_;
   std::uint64_t parent_span_id_;

@@ -1,7 +1,5 @@
 #include "xmldb/database.hpp"
 
-#include <chrono>
-
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "xml/parser.hpp"
@@ -11,26 +9,25 @@ namespace gs::xmldb {
 
 namespace {
 
-// RAII: span for the trace plus a latency histogram sample on exit.
-class StorageOp {
- public:
-  StorageOp(const char* span_name, const char* histogram_name)
-      : span_(span_name, "storage"),
-        histogram_(
-            telemetry::MetricsRegistry::global().histogram(histogram_name)),
-        started_(std::chrono::steady_clock::now()) {}
-  ~StorageOp() {
-    histogram_.record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - started_)
-            .count()));
-  }
-
- private:
-  telemetry::SpanScope span_;
-  telemetry::Histogram& histogram_;
-  std::chrono::steady_clock::time_point started_;
+// Per-operation latency histograms, resolved once. Each storage op opens
+// a span that records its duration into one of them.
+struct OpHistograms {
+  telemetry::Histogram* store;
+  telemetry::Histogram* load;
+  telemetry::Histogram* remove;
+  telemetry::Histogram* query;
 };
+
+const OpHistograms& op_us() {
+  static const OpHistograms histograms = [] {
+    telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::global();
+    return OpHistograms{&registry.histogram("xmldb.store_us"),
+                        &registry.histogram("xmldb.load_us"),
+                        &registry.histogram("xmldb.remove_us"),
+                        &registry.histogram("xmldb.query_us")};
+  }();
+  return histograms;
+}
 
 }  // namespace
 
@@ -44,7 +41,8 @@ std::string XmlDatabase::cache_key(const std::string& collection,
 
 void XmlDatabase::store(const std::string& collection, const std::string& id,
                         const xml::Element& document) {
-  StorageOp op("xmldb.store", "xmldb.store_us");
+  telemetry::SpanScope span("xmldb.store", "storage",
+                            &telemetry::TraceLog::global(), op_us().store);
   std::string octets = xml::write(document);
   std::uint64_t epoch;
   {
@@ -80,7 +78,8 @@ void XmlDatabase::store(const std::string& collection, const std::string& id,
 
 std::unique_ptr<xml::Element> XmlDatabase::load(const std::string& collection,
                                                 const std::string& id) {
-  StorageOp op("xmldb.load", "xmldb.load_us");
+  telemetry::SpanScope span("xmldb.load", "storage",
+                            &telemetry::TraceLog::global(), op_us().load);
   std::uint64_t epoch;
   {
     std::lock_guard lock(mu_);
@@ -117,7 +116,8 @@ std::unique_ptr<xml::Element> XmlDatabase::load(const std::string& collection,
 
 std::shared_ptr<const std::string> XmlDatabase::load_octets(
     const std::string& collection, const std::string& id) {
-  StorageOp op("xmldb.load", "xmldb.load_us");
+  telemetry::SpanScope span("xmldb.load", "storage",
+                            &telemetry::TraceLog::global(), op_us().load);
   std::uint64_t epoch;
   {
     std::lock_guard lock(mu_);
@@ -146,7 +146,8 @@ std::shared_ptr<const std::string> XmlDatabase::load_octets(
 }
 
 bool XmlDatabase::remove(const std::string& collection, const std::string& id) {
-  StorageOp op("xmldb.remove", "xmldb.remove_us");
+  telemetry::SpanScope span("xmldb.remove", "storage",
+                            &telemetry::TraceLog::global(), op_us().remove);
   bool removed = backend_->remove(collection, id);
   std::lock_guard lock(mu_);
   ++stats_.removes;
@@ -178,7 +179,8 @@ std::vector<std::string> XmlDatabase::ids(const std::string& collection) {
 
 std::vector<QueryMatch> XmlDatabase::query(const std::string& collection,
                                            const xml::XPathExpr& expr) {
-  StorageOp op("xmldb.query", "xmldb.query_us");
+  telemetry::SpanScope span("xmldb.query", "storage",
+                            &telemetry::TraceLog::global(), op_us().query);
   std::vector<QueryMatch> out;
   for (const std::string& id : backend_->list(collection)) {
     std::unique_ptr<xml::Element> doc = load(collection, id);

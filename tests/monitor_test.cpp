@@ -21,12 +21,15 @@
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/monitor.hpp"
+#include "telemetry/slo.hpp"
+#include "telemetry/timeseries.hpp"
 #include "telemetry/trace.hpp"
 #include "wsn/broker.hpp"
 #include "wsn/client.hpp"
 #include "wsn/consumer.hpp"
 #include "wsn/producer.hpp"
 #include "wse/service.hpp"
+#include "xml/writer.hpp"
 
 namespace gs::telemetry {
 namespace {
@@ -207,6 +210,132 @@ TEST(Monitor, PollHonorsIntervalAndStatesListsProducers) {
   EXPECT_EQ(fx.wsn_monitor.states()[0].producer, "http://p/Source");
   EXPECT_EQ(fx.wsn_monitor.snapshot_count(), 2u);
   EXPECT_EQ(fx.wse_monitor.snapshot_count(), 2u);
+}
+
+// Records the octets of every delivered payload, then hands the message to
+// a real consumer.
+class CapturingConsumer final : public net::Endpoint {
+ public:
+  MonitorConsumer consumer;
+  std::vector<std::string> payloads;
+
+  net::HttpResponse handle(const net::HttpRequest& request) override {
+    soap::Envelope env = soap::Envelope::from_xml(request.body);
+    if (const xml::Element* payload = env.payload()) {
+      payloads.push_back(xml::write(*payload));
+    }
+    return consumer.handle(request);
+  }
+};
+
+// One ManualClock tick publishes a snapshot, a threshold alert and an SLO
+// alert; their octets are wire contract for every consumer.
+TEST(Monitor, SnapshotAndAlertOctetsArePinned) {
+  MonitorFixture fx;
+  CapturingConsumer cap;
+  fx.net.bind("cap", cap);
+  cap.consumer.subscribe_wse(*fx.caller, "http://s/Events", "http://cap/sink");
+
+  TimeSeriesConfig series_config;
+  series_config.registry = &fx.registry;
+  series_config.clock = &fx.clock;
+  TimeSeriesStore series(series_config);
+  SloTracker slo(&series, &fx.clock);
+  SloObjective availability;
+  availability.name = "availability";
+  availability.good_metric = "svc.ok";
+  availability.bad_metrics = {"svc.err"};
+  availability.target = 0.9;
+  availability.short_window_ms = 3000;
+  availability.long_window_ms = 10'000;
+  slo.add_objective(availability);
+  for (int s = 1; s <= 10; ++s) {
+    series.ingest("svc.ok", s * 1000, 10.0);
+    series.ingest("svc.err", s * 1000, 10.0);
+  }
+  fx.clock.set(10'000);
+
+  fx.registry.counter("app.requests").add(20);
+  fx.registry.gauge("app.depth").set(4);
+  for (std::uint64_t us : {1, 5, 100}) {
+    fx.registry.histogram("app.latency_us").record(us);
+  }
+  MonitorProducer producer({.registry = &fx.registry,
+                            .producer_address = "http://p/Source",
+                            .wse = fx.notifier.get(),
+                            .clock = &fx.clock,
+                            .series = &series,
+                            .slo = &slo});
+  producer.add_rule({.name = "high-request-rate",
+                     .metric = "app.requests",
+                     .kind = AlertRule::Kind::kCounterRate,
+                     .threshold = 10.0});
+  producer.tick();
+
+  ASSERT_EQ(cap.payloads.size(), 3u);
+  EXPECT_EQ(cap.payloads[0],
+            R"(<t:TelemetrySnapshot xmlns:t="http://gridstacks.dev/telemetry")"
+            R"( producer="http://p/Source" seq="1" ts_ms="10000">)"
+            R"(<t:Counter name="app.requests" total="20">20</t:Counter>)"
+            R"(<t:Gauge name="app.depth">4</t:Gauge>)"
+            R"(<t:Histogram name="app.latency_us" count="3" sum_us="106")"
+            R"( min_us="1" max_us="100" p50_us="8.0" p90_us="128.0")"
+            R"( p99_us="128.0"/></t:TelemetrySnapshot>)");
+  EXPECT_EQ(cap.payloads[1],
+            R"(<t:Alert xmlns:t="http://gridstacks.dev/telemetry")"
+            R"( producer="http://p/Source" rule="high-request-rate")"
+            R"( metric="app.requests" value="20.0" threshold="10.0" seq="1">)"
+            R"(rule 'high-request-rate' breached: app.requests = 20.0 &gt; 10.0)"
+            R"(</t:Alert>)");
+  EXPECT_EQ(cap.payloads[2],
+            R"(<t:Alert xmlns:t="http://gridstacks.dev/telemetry")"
+            R"( producer="http://p/Source" rule="slo:availability")"
+            R"( metric="slo.availability.burn" value="5.0" threshold="1.0")"
+            R"( firing="true">slo 'availability' burning: burn short=5.00)"
+            R"( long=5.00 threshold=1.00</t:Alert>)");
+  EXPECT_EQ(cap.consumer.snapshot_count(), 1u);
+  EXPECT_EQ(cap.consumer.alert_count(), 2u);
+}
+
+// The consumer is a network endpoint: numbers in a posted snapshot are read
+// strictly. A snapshot with a malformed seq or ts_ms is acknowledged and
+// dropped; a malformed metric element is skipped.
+TEST(Monitor, ConsumerRejectsMalformedNumbers) {
+  MonitorConsumer consumer;
+  auto post = [&](const std::string& snapshot) {
+    net::HttpRequest request;
+    request.method = "POST";
+    request.path = "/sink";
+    request.body = "<s:Envelope xmlns:s=\"http://www.w3.org/2003/05/soap-envelope\">"
+                   "<s:Body>" + snapshot + "</s:Body></s:Envelope>";
+    return consumer.handle(request).status;
+  };
+  const std::string open =
+      "<t:TelemetrySnapshot xmlns:t=\"http://gridstacks.dev/telemetry\" "
+      "producer=\"p\" ";
+  ASSERT_EQ(post(open + "seq=\"1\" ts_ms=\"1000\">"
+                 "<t:Counter name=\"c\" total=\"5\">5</t:Counter>"
+                 "<t:Gauge name=\"g\">3</t:Gauge>"
+                 "<t:Histogram name=\"h\" count=\"1\" p99_us=\"2.0\"/>"
+                 "</t:TelemetrySnapshot>"),
+            200);
+
+  EXPECT_EQ(post(open + "seq=\"7junk\" ts_ms=\"2000\"/>"), 200);
+  EXPECT_EQ(post(open + "seq=\"2\" ts_ms=\"2000\">"
+                 "<t:Counter name=\"c\" total=\"-1\">1</t:Counter>"
+                 "<t:Gauge name=\"g\">12abc</t:Gauge>"
+                 "<t:Histogram name=\"h\" count=\"1\" p99_us=\"1e999\"/>"
+                 "</t:TelemetrySnapshot>"),
+            200);
+
+  auto state = consumer.state_for("p");
+  ASSERT_TRUE(state.has_value());
+  EXPECT_EQ(state->last_seq, 2u);
+  EXPECT_EQ(state->snapshots, 2u);
+  EXPECT_EQ(state->counter_totals.at("c"), 5u);
+  EXPECT_EQ(state->gauges.at("g"), 3);
+  EXPECT_EQ(state->histogram_p99_us.at("h"), 2.0);
+  EXPECT_EQ(consumer.snapshot_count(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -445,13 +574,17 @@ TEST(Monitor, ChromeTraceOfDistributedGridboxRequestMatchesTraceLog) {
     EXPECT_EQ(it->second, hex_id(span.parent_span_id)) << span.name;
   }
 
-  // And the assembled tree nests: spans with a retained parent are not
-  // roots, and the root is the test span itself.
-  auto trees = assemble_traces(spans);
-  ASSERT_EQ(trees.size(), 1u);
-  ASSERT_EQ(trees[0].roots.size(), 1u);
-  EXPECT_EQ(trees[0].spans[trees[0].roots[0]].name, "test.gridbox");
-  EXPECT_FALSE(critical_path_summary(trees[0]).empty());
+  // And the spans form one tree: every span but one has its parent among
+  // the retained spans, and that one is the test span itself, a root.
+  std::set<std::uint64_t> span_ids;
+  for (const SpanRecord& span : spans) span_ids.insert(span.span_id);
+  std::vector<const SpanRecord*> roots;
+  for (const SpanRecord& span : spans) {
+    if (!span_ids.contains(span.parent_span_id)) roots.push_back(&span);
+  }
+  ASSERT_EQ(roots.size(), 1u);
+  EXPECT_EQ(roots[0]->name, "test.gridbox");
+  EXPECT_EQ(roots[0]->parent_span_id, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <map>
 #include <random>
 #include <set>
 #include <thread>
@@ -153,6 +155,42 @@ TEST(Trace, SpansNestOnOneThread) {
   EXPECT_EQ(spans[1].parent_span_id, 0u);  // trace root
 }
 
+// Capacity 3, five spans from two interleaved traces: the ring evicts the
+// two oldest, and every reader sees the survivors oldest first across the
+// wrap point.
+TEST(Trace, LogEvictsOldestAcrossWraparound) {
+  TraceLog log(3);
+  for (int i = 1; i <= 5; ++i) {
+    SpanRecord span;
+    span.trace_id = i % 2 == 1 ? 1 : 2;
+    span.span_id = static_cast<std::uint64_t>(i);
+    span.name = "s" + std::to_string(i);
+    log.record(std::move(span));
+  }
+  EXPECT_EQ(log.size(), 3u);
+
+  std::vector<SpanRecord> all = log.snapshot();
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all[0].name, "s3");
+  EXPECT_EQ(all[1].name, "s4");
+  EXPECT_EQ(all[2].name, "s5");
+
+  // s3 sits in the last slot and s5 in the second: the filter must walk
+  // from the oldest slot, not from index 0.
+  std::vector<SpanRecord> odd = log.spans_for(1);
+  ASSERT_EQ(odd.size(), 2u);
+  EXPECT_EQ(odd[0].name, "s3");
+  EXPECT_EQ(odd[1].name, "s5");
+  std::vector<SpanRecord> even = log.spans_for(2);
+  ASSERT_EQ(even.size(), 1u);
+  EXPECT_EQ(even[0].name, "s4");
+
+  log.clear();
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_TRUE(log.snapshot().empty());
+  EXPECT_TRUE(log.spans_for(1).empty());
+}
+
 TEST(Trace, AdoptRemoteRerootsAnotherThreadsSpans) {
   TraceLog log(64);
   SpanScope root("client.call", "test", &log);
@@ -267,6 +305,71 @@ TEST(Propagation, ColocatedCallsShareOneTraceOnBothStacks) {
         EXPECT_TRUE(invoke_ids.contains(s.parent_span_id));
       }
     }
+  }
+}
+
+// A stage span's duration is its histogram's sample: one sample per span,
+// recorded whether or not the span is logged.
+TEST(Trace, SpanRecordsItsDurationIntoItsHistogram) {
+  TraceLog log(8);
+  Histogram stage;
+  {
+    SpanScope span("stage", "test", &log, &stage);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(stage.count(), 1u);
+  EXPECT_EQ(stage.sum_us(),
+            static_cast<std::uint64_t>(log.snapshot()[0].duration_us));
+  EXPECT_GE(stage.sum_us(), 2000u);
+
+  { SpanScope unlogged("stage", "test", nullptr, &stage); }
+  EXPECT_EQ(stage.count(), 2u);
+  EXPECT_EQ(log.size(), 1u);
+}
+
+// Every instrumented stage of a real request path records exactly one
+// histogram sample per span it opens.
+TEST(Trace, StageHistogramsCountOneSamplePerStageSpan) {
+  net::VirtualNetwork net{net::NetworkProfile::colocated()};
+  net::VirtualCaller caller(net, {});
+  net::VirtualCaller wsn_sink(net, {.keep_alive = false});
+  counter::WsrfCounterDeployment wsrf({
+      .backend = std::make_unique<xmldb::MemoryBackend>(),
+      .write_through_cache = true,
+      .container = {},
+      .notification_sink = &wsn_sink,
+      .address_base = "http://wsrf.example",
+  });
+  net.bind("wsrf.example", wsrf.container());
+
+  MetricsSnapshot before = MetricsRegistry::global().snapshot();
+  std::uint64_t trace_id;
+  {
+    SpanScope root("test.root", "test");
+    trace_id = root.context().trace_id;
+    counter::WsrfCounterClient client(caller, wsrf.counter_address());
+    client.create();
+    client.set(5);
+    EXPECT_EQ(client.get(), 5);
+  }
+  MetricsSnapshot d = delta(before, MetricsRegistry::global().snapshot());
+  std::map<std::string, std::uint64_t> spans;
+  for (const SpanRecord& s : TraceLog::global().spans_for(trace_id)) {
+    ++spans[s.name];
+  }
+
+  EXPECT_EQ(spans["container.dispatch"], 3u);
+  EXPECT_EQ(d.counters["container.requests"], 3u);
+  EXPECT_EQ(d.histograms["container.dispatch_us"].count, 3u);
+  EXPECT_EQ(d.histograms["container.handler_us"].count,
+            spans["container.handler"]);
+  EXPECT_EQ(d.counters["net.http.requests"], spans["http.receive"]);
+  EXPECT_EQ(d.histograms["net.http.request_us"].count, spans["http.receive"]);
+  EXPECT_GT(spans["xmldb.store"], 0u);
+  for (const std::string op : {"store", "load", "remove", "query"}) {
+    EXPECT_EQ(d.histograms["xmldb." + op + "_us"].count, spans["xmldb." + op])
+        << op;
   }
 }
 

@@ -17,14 +17,17 @@
 #include "container/admission.hpp"
 #include "container/container.hpp"
 #include "net/http.hpp"
+#include "soap/namespaces.hpp"
 #include "telemetry/cost.hpp"
 #include "telemetry/event_log.hpp"
 #include "telemetry/exposition.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/propagation.hpp"
 #include "telemetry/service.hpp"
 #include "telemetry/slo.hpp"
 #include "telemetry/timeseries.hpp"
 #include "telemetry/trace.hpp"
+#include "xml/writer.hpp"
 
 namespace gs::telemetry {
 namespace {
@@ -556,6 +559,77 @@ TEST(Health, RollupSectionsAbsentWhenSubsystemsAreSilent) {
   EXPECT_FALSE(health->attr("shed_total").has_value());
   EXPECT_EQ(find_child(*health, "Breaker"), nullptr);
   EXPECT_EQ(find_child(*health, "Scheduler"), nullptr);
+}
+
+// --- pinned wire octets ------------------------------------------------------
+
+// A fixed registry renders to fixed octets: the element order, attribute
+// set and number formatting of Counter/Gauge/Histogram are wire contract.
+TEST(TelemetryDocument, OctetsArePinned) {
+  MetricsRegistry reg;
+  reg.counter("app.requests").add(3);
+  reg.gauge("app.depth").set(-2);
+  Histogram& latency = reg.histogram("app.latency_us");
+  for (std::uint64_t us : {1, 5, 100}) latency.record(us);
+  TraceLog empty;
+
+  auto doc = telemetry_document(reg, empty);
+  EXPECT_EQ(xml::write(*doc),
+            R"(<t:Telemetry xmlns:t="http://gridstacks.dev/telemetry">)"
+            R"(<t:Counter name="app.requests">3</t:Counter>)"
+            R"(<t:Gauge name="app.depth">-2</t:Gauge>)"
+            R"(<t:Histogram name="app.latency_us" count="3" sum_us="106")"
+            R"( min_us="1" max_us="100" p50_us="8.0" p90_us="128.0")"
+            R"( p99_us="128.0"/></t:Telemetry>)");
+}
+
+// The same logged event renders to the same <t:Event> in the document and
+// in the Events/<seq> cursor, which adds only its seq.
+TEST(TelemetryDocument, EventOctetsArePinnedInDocumentAndCursor) {
+  MetricsRegistry reg;
+  TraceLog empty;
+  EventLog events;
+  Event event;
+  event.ts_us = 1234;
+  event.level = Level::kWarn;
+  event.component = "net.retry";
+  event.message = "retry <budget> exhausted";
+  event.trace_id = 42;
+  event.attrs = {{"address", "http://node1/a?b&c"}, {"attempts", "3"}};
+  events.log(std::move(event));
+
+  auto doc = telemetry_document(reg, empty, &events);
+  const xml::Element* in_doc = find_child(*doc, "Event");
+  ASSERT_NE(in_doc, nullptr);
+  EXPECT_EQ(xml::write(*in_doc),
+            R"(<n1:Event xmlns:n1="http://gridstacks.dev/telemetry")"
+            R"( ts_us="1234" level="WARN" component="net.retry" trace="42">)"
+            R"(retry &lt;budget&gt; exhausted)"
+            R"(<n1:Attr name="address">http://node1/a?b&amp;c</n1:Attr>)"
+            R"(<n1:Attr name="attempts">3</n1:Attr></n1:Event>)");
+
+  container::Container app({});
+  TelemetryService telemetry("http://app/Telemetry", &reg, &empty, &events);
+  app.deploy("/Telemetry", telemetry);
+  soap::Envelope request;
+  soap::MessageInfo info;
+  info.action = std::string(soap::ns::kWsrfRp) + "/GetResourceProperty";
+  info.message_id = "urn:uuid:pin-1";
+  request.write_addressing(info);
+  request.add_payload({soap::ns::kWsrfRp, "GetResourceProperty"})
+      .set_text("Events/0");
+  soap::Envelope response = app.process(request, "/Telemetry");
+  ASSERT_FALSE(response.is_fault());
+  const xml::Element* cursor = response.payload()->child(
+      xml::QName{kTelemetryNs, "Events"});
+  ASSERT_NE(cursor, nullptr);
+  EXPECT_EQ(xml::write(*cursor),
+            R"(<t:Events xmlns:t="http://gridstacks.dev/telemetry")"
+            R"( since="0" last_seq="1">)"
+            R"(<t:Event seq="1" ts_us="1234" level="WARN" component="net.retry")"
+            R"( trace="42">retry &lt;budget&gt; exhausted)"
+            R"(<t:Attr name="address">http://node1/a?b&amp;c</t:Attr>)"
+            R"(<t:Attr name="attempts">3</t:Attr></t:Event></t:Events>)");
 }
 
 // --- the series window element the wire queries serialize ------------------
