@@ -13,12 +13,35 @@
 // one multi-threaded trial, not one op). Writes BENCH_concurrent_dispatch.json
 // with an ops_per_sec record per thread count; exits nonzero when the
 // 8-thread speedup misses 3x, so the scaling claim is machine-checked.
+//
+// The zero-backend wire trial also records, ungated: DOM nodes and heap
+// allocations per request, and the parser's speed on a captured WSRF Get
+// response envelope.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <thread>
 #include <vector>
 
 #include "harness.hpp"
+#include "xml/pull.hpp"
+
+// Counting global operator new: heap allocations made on the calling
+// thread. The virtual fabric serves a request on the caller's thread, so a
+// client thread's count covers its requests end to end.
+namespace {
+thread_local std::uint64_t tl_heap_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++tl_heap_allocations;
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -96,13 +119,16 @@ Trial run_trial(net::VirtualNetwork& net, counter::WstCounterDeployment& wst,
 struct WireTrial {
   double ops_per_sec;
   double nodes_per_request;
+  double allocations_per_request;
 };
 
 WireTrial run_wire_trial(net::VirtualNetwork& net,
-                         counter::WstCounterDeployment& wst, int thread_count) {
+                         counter::WstCounterDeployment& wst, int thread_count,
+                         std::map<std::string, double> extras) {
   struct Worker {
     std::unique_ptr<net::VirtualCaller> caller;
     std::unique_ptr<counter::WstCounterClient> client;
+    std::uint64_t allocations = 0;
   };
   std::vector<Worker> workers;
   for (int t = 0; t < thread_count; ++t) {
@@ -123,6 +149,7 @@ WireTrial run_wire_trial(net::VirtualNetwork& net,
       // Read-heavy mix (one write per ten ops): the Get path is the one
       // the zero-copy pipeline carries end to end; Put's read-modify-write
       // hook necessarily builds a DOM to edit the stored document.
+      std::uint64_t allocations_before = tl_heap_allocations;
       for (int i = 0; i < kOpsPerThread; ++i) {
         if (i % 10 == 0) {
           w.client->set(i);
@@ -130,6 +157,7 @@ WireTrial run_wire_trial(net::VirtualNetwork& net,
           w.client->get();
         }
       }
+      w.allocations = tl_heap_allocations - allocations_before;
     });
   }
   for (auto& t : threads) t.join();
@@ -147,12 +175,75 @@ WireTrial run_wire_trial(net::VirtualNetwork& net,
       interval.histograms["xml.nodes_per_request"];
   double nodes_per_request =
       nodes.count ? static_cast<double>(nodes.sum_us) / nodes.count : 0.0;
+  std::uint64_t allocations = 0;
+  for (const Worker& w : workers) allocations += w.allocations;
+  double allocations_per_request =
+      static_cast<double>(allocations) / static_cast<double>(total_ops);
 
+  extras["nodes_per_request"] = nodes_per_request;
+  extras["allocations_per_request"] = allocations_per_request;
   // The record keeps its ":fast" name so runs compare against earlier JSON.
   bench::BenchTelemetry::instance().add(
       "concurrent_dispatch/wire_path:fast/threads:" + std::to_string(thread_count),
-      total_ops, std::move(interval), ops_per_sec);
-  return {ops_per_sec, nodes_per_request};
+      total_ops, std::move(interval), ops_per_sec, std::move(extras));
+  return {ops_per_sec, nodes_per_request, allocations_per_request};
+}
+
+/// Forwards to a container, keeping the last response body it served.
+class CapturingEndpoint final : public net::Endpoint {
+ public:
+  explicit CapturingEndpoint(net::Endpoint& inner) : inner_(inner) {}
+  net::HttpResponse handle(const net::HttpRequest& request) override {
+    net::HttpResponse response = inner_.handle(request);
+    response_ = response.body_str();
+    return response;
+  }
+  const std::string& response() const { return response_; }
+
+ private:
+  net::Endpoint& inner_;
+  std::string response_;
+};
+
+/// The WSRF GetResourceProperty response a counter Get receives, as sent.
+std::string capture_wsrf_get_response(net::VirtualNetwork& net) {
+  net::VirtualCaller sink(net, net::VirtualCaller::Options{});
+  counter::WsrfCounterDeployment wsrf(counter::WsrfCounterDeployment::Params{
+      .backend = std::make_unique<xmldb::MemoryBackend>(),
+      .write_through_cache = true,
+      .container = {},
+      .notification_sink = &sink,
+      .address_base = "http://wsrf-wire.example",
+  });
+  CapturingEndpoint wire(wsrf.container());
+  net.bind("wsrf-wire.example", wire);
+  net::VirtualCaller caller(net, net::VirtualCaller::Options{});
+  counter::WsrfCounterClient client(caller, wsrf.counter_address());
+  client.create();
+  client.set(41);
+  client.get();
+  net.unbind("wsrf-wire.example");
+  return wire.response();
+}
+
+/// ArenaDocument::parse throughput on `envelope`, in MB/s (single thread):
+/// the best of a few rounds, so a scheduler hiccup does not set the figure.
+double parse_mb_per_s(const std::string& envelope) {
+  constexpr int kRounds = 5;
+  constexpr int kParses = 20000;
+  double best = 0.0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::size_t nodes = 0;
+    auto started = std::chrono::steady_clock::now();
+    for (int i = 0; i < kParses; ++i) {
+      nodes += xml::ArenaDocument::parse(envelope).node_count();
+    }
+    double seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - started).count();
+    if (nodes == 0) return 0.0;
+    best = std::max(best, static_cast<double>(envelope.size()) * kParses / seconds / 1e6);
+  }
+  return best;
 }
 
 }  // namespace
@@ -206,11 +297,20 @@ int main() {
   });
   net.bind("wire.example", wire.container());
 
+  const std::string envelope = capture_wsrf_get_response(net);
+  const double parse_speed = parse_mb_per_s(envelope);
+
   constexpr int kWireThreads = 4;
   std::printf("wire path (no backend stage, %d threads):\n", kWireThreads);
-  WireTrial wire_trial = run_wire_trial(net, wire, kWireThreads);
-  std::printf("  ops/sec=%.1f  dom_nodes/request=%.1f\n", wire_trial.ops_per_sec,
-              wire_trial.nodes_per_request);
+  WireTrial wire_trial = run_wire_trial(
+      net, wire, kWireThreads,
+      {{"parse_mb_per_s", parse_speed},
+       {"parse_envelope_bytes", static_cast<double>(envelope.size())}});
+  std::printf("  ops/sec=%.1f  dom_nodes/request=%.1f  allocations/request=%.1f\n",
+              wire_trial.ops_per_sec, wire_trial.nodes_per_request,
+              wire_trial.allocations_per_request);
+  std::printf("  parse: %.0f MB/s on the %zu-byte WSRF Get response\n", parse_speed,
+              envelope.size());
 
   bench::BenchTelemetry::instance().write("concurrent_dispatch");
 

@@ -30,7 +30,7 @@ soap::Envelope ProxyBase::do_invoke(const std::string& action,
   info.action = action;
   info.message_id = common::new_urn_uuid();
   if (reply_to) info.reply_to = *reply_to;
-  request.write_addressing(info);
+  request.write_addressing(std::move(info));
   telemetry::write_trace_header(request, span.context());
   if (payload) request.add_payload(std::move(payload));
 

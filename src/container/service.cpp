@@ -56,7 +56,7 @@ soap::Envelope make_response(const RequestContext& ctx, const std::string& actio
   info.action = action;
   info.message_id = common::new_urn_uuid();
   info.relates_to = ctx.info.message_id;
-  env.write_addressing(info);
+  env.write_addressing(std::move(info));
   return env;
 }
 

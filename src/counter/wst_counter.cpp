@@ -91,14 +91,17 @@ void WstCounterClient::attach(soap::EndpointReference epr) {
 }
 
 int WstCounterClient::get() {
-  std::unique_ptr<xml::Element> doc = resource_.get();
-  // The schema is hard-coded client-side: <Counter><cv>N</cv></Counter>.
-  const xml::Element* cv = doc->child(cv_qname());
+  soap::Envelope response = resource_.get_response();
+  // The schema is hard-coded client-side: <Counter><cv>N</cv></Counter>,
+  // read in place from the response's wire view.
+  static const xml::QName cv_name = cv_qname();
+  const xml::ArenaNode* cv = wst::TransferProxy::representation(response).child(
+      cv_name.ns(), cv_name.local());
   if (!cv) throw soap::SoapFault("Receiver", "counter document has no cv");
-  auto value = common::parse_number<int>(cv->text());
+  std::string text = cv->text();
+  auto value = common::parse_number<int>(text);
   if (!value) {
-    throw soap::SoapFault("Receiver",
-                          "malformed counter value '" + cv->text() + "'");
+    throw soap::SoapFault("Receiver", "malformed counter value '" + text + "'");
   }
   return *value;
 }

@@ -1,6 +1,7 @@
 #include "net/http.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 
 #include "common/parse.hpp"
 
@@ -21,21 +22,33 @@ std::string_view trim_ows(std::string_view s) noexcept {
   return s.substr(b, s.find_last_not_of(" \t") - b + 1);
 }
 
-// The one head writer: `head` holds the start line (and a request's Host
-// field); the caller's fields follow, then Content-Length. Framing is the
-// writer's, so caller-set Content-Length or Transfer-Encoding is skipped.
-std::string write_head(std::string head, const HeaderMap& headers,
-                       size_t body_size) {
+// The one head writer: the `start` pieces are the start line (and a
+// request's Host field); the caller's fields follow, then Content-Length.
+// Framing is the writer's, so caller-set Content-Length or Transfer-Encoding
+// is skipped. The head is built in one allocation with `room` more octets
+// of capacity for a body the caller appends.
+std::string write_head(std::initializer_list<std::string_view> start,
+                       const HeaderMap& headers, size_t body_size, size_t room) {
+  std::string length = std::to_string(body_size);
+  size_t size = room + length.size() + sizeof("Content-Length: \r\n\r\n");
+  for (std::string_view piece : start) size += piece.size();
+  for (const auto& [name, value] : headers) size += name.size() + value.size() + 4;
+  std::string head;
+  head.reserve(size);
+  for (std::string_view piece : start) head += piece;
   for (const auto& [name, value] : headers) {
     if (iequals(name, "Content-Length") || iequals(name, "Transfer-Encoding")) continue;
     head.append(name).append(": ").append(value).append("\r\n");
   }
-  head.append("Content-Length: ").append(std::to_string(body_size)).append("\r\n\r\n");
+  head.append("Content-Length: ").append(length).append("\r\n\r\n");
   return head;
 }
 
-std::string status_line(int status, const std::string& reason) {
-  return "HTTP/1.1 " + std::to_string(status) + " " + reason + "\r\n";
+std::string write_response_head(int status, std::string_view reason,
+                                const HeaderMap& headers, size_t body_size,
+                                size_t room) {
+  return write_head({"HTTP/1.1 ", std::to_string(status), " ", reason, "\r\n"},
+                    headers, body_size, room);
 }
 
 }  // namespace
@@ -76,10 +89,15 @@ bool HeaderNameLess::operator()(std::string_view a, std::string_view b) const no
   return std::ranges::lexicographical_compare(a, b, {}, ascii_lower, ascii_lower);
 }
 
+std::string write_request_head(std::string_view method, std::string_view path,
+                               std::string_view host, const HeaderMap& headers,
+                               size_t body_size) {
+  return write_head({method, " ", path, " HTTP/1.1\r\nHost: ", host, "\r\n"},
+                    headers, body_size, body_size);
+}
+
 std::string HttpRequest::serialize() const {
-  std::string out = write_head(
-      method + " " + path + " HTTP/1.1\r\nHost: " + host + "\r\n", headers,
-      body.size());
+  std::string out = write_request_head(method, path, host, headers, body.size());
   out += body;
   return out;
 }
@@ -107,14 +125,14 @@ std::optional<HttpRequest> HttpRequest::parse(std::string_view wire) {
 }
 
 std::string HttpResponse::serialize() const {
-  std::string out = write_head(status_line(status, reason), headers, body_size());
-  out.reserve(out.size() + body_size());
+  std::string out =
+      write_response_head(status, reason, headers, body_size(), body_size());
   append_body(out);
   return out;
 }
 
 void HttpResponse::serialize_to(common::BufferChain& out) const {
-  out.append(write_head(status_line(status, reason), headers, body_size()));
+  out.append(write_response_head(status, reason, headers, body_size(), 0));
   if (body_chain.empty()) {
     out.append_static(body);  // views *this; see header contract
   } else {
@@ -122,9 +140,9 @@ void HttpResponse::serialize_to(common::BufferChain& out) const {
   }
 }
 
-std::optional<HttpResponse> HttpResponse::parse(std::string_view wire) {
-  HttpResponse resp;
-  HttpFrame frame = frame_http(wire, &resp.headers);
+std::optional<HttpResponseHead> parse_response_head(std::string_view wire,
+                                                    HeaderMap* headers) {
+  HttpFrame frame = frame_http(wire, headers);
   std::string_view line = wire.substr(0, wire.find("\r\n"));
   if (frame.status != Framing::kComplete || !line.starts_with("HTTP/1.1 ")) {
     return std::nullopt;
@@ -135,9 +153,17 @@ std::optional<HttpResponse> HttpResponse::parse(std::string_view wire) {
   if (!code || *code < 100 || (rest.size() > 3 && rest[3] != ' ')) {
     return std::nullopt;
   }
-  resp.status = *code;
-  resp.reason = rest.size() > 3 ? std::string(rest.substr(4)) : std::string();
-  resp.body = std::string(wire.substr(frame.head, frame.size - frame.head));
+  return HttpResponseHead{*code, rest.size() > 3 ? rest.substr(4) : std::string_view{},
+                          wire.substr(frame.head, frame.size - frame.head)};
+}
+
+std::optional<HttpResponse> HttpResponse::parse(std::string_view wire) {
+  HttpResponse resp;
+  auto head = parse_response_head(wire, &resp.headers);
+  if (!head) return std::nullopt;
+  resp.status = head->status;
+  resp.reason = std::string(head->reason);
+  resp.body = std::string(head->body);
   return resp;
 }
 

@@ -17,6 +17,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/buffer_chain.hpp"
 
@@ -50,6 +51,12 @@ struct HttpFrame {
 };
 /// The one framer; fills `headers` (all but Content-Length) when given.
 HttpFrame frame_http(std::string_view buffer, HeaderMap* headers = nullptr);
+
+/// The head of a request with a `body_size`-octet body, as
+/// HttpRequest::serialize writes it, with capacity reserved for the body.
+std::string write_request_head(std::string_view method, std::string_view path,
+                               std::string_view host, const HeaderMap& headers,
+                               std::size_t body_size);
 
 struct HttpRequest {
   std::string method = "POST";
@@ -100,6 +107,18 @@ struct HttpResponse {
   static HttpResponse ok(std::string body, std::string content_type = "application/soap+xml");
   static HttpResponse error(int status, std::string reason, std::string body = "");
 };
+
+/// A response's status line and body, read in place: views into the octets
+/// parse_response_head was given.
+struct HttpResponseHead {
+  int status = 0;
+  std::string_view reason;
+  std::string_view body;
+};
+/// Parses the response at the front of `wire` without copying its body;
+/// nullopt unless complete. Fills `headers` when given.
+std::optional<HttpResponseHead> parse_response_head(std::string_view wire,
+                                                    HeaderMap* headers = nullptr);
 
 /// URL split into scheme/host/port/path.
 struct Url {

@@ -1,8 +1,9 @@
 #include "net/virtual_network.hpp"
 
+#include <algorithm>
+
 #include "common/clock.hpp"
 #include "common/encoding.hpp"
-#include "common/parse.hpp"
 #include "security/cert.hpp"
 #include "telemetry/event_log.hpp"
 #include "telemetry/metrics.hpp"
@@ -73,30 +74,50 @@ HttpResponse serve_http(Endpoint& endpoint, std::string_view octets,
 }
 
 std::string soap_http_request(const Url& url, const soap::Envelope& request) {
-  return HttpRequest{.path = url.path,
-                     .host = url.authority(),
-                     .headers = {{"Content-Type", "application/soap+xml"}},
-                     .body = request.to_xml()}
-      .serialize();
+  // The envelope is written into a per-thread buffer whose capacity survives
+  // across requests, then copied once behind its head.
+  thread_local std::shared_ptr<std::string> scratch;
+  static const HeaderMap kSoapHeaders{{"Content-Type", "application/soap+xml"}};
+  common::BufferChain body;
+  request.wire_chain(body, &scratch);
+  std::string out =
+      write_request_head("POST", url.path, url.authority(), kSoapHeaders, body.size());
+  body.join_into(out);
+  return out;
+}
+
+common::TimeMs retry_after_ms(std::string_view value) {
+  // delay-seconds = 1*DIGIT (RFC 9110 §10.2.3); an HTTP-date, a sign, an
+  // exponent or blanks make the hint absent.
+  if (value.empty() || value.find_first_not_of("0123456789") != std::string_view::npos) {
+    return 0;
+  }
+  constexpr common::TimeMs kMaxSeconds = kMaxRetryAfterMs / 1000;
+  common::TimeMs seconds = 0;
+  for (char digit : value) {
+    seconds = std::min(kMaxSeconds, seconds * 10 + (digit - '0'));
+  }
+  return seconds * 1000;
 }
 
 soap::Envelope soap_http_response(std::string_view octets,
                                   const std::string& address) {
-  auto response = HttpResponse::parse(octets);
+  auto response = parse_response_head(octets);
   if (!response) throw NetworkError("malformed HTTP response from " + address);
   if (response->status == 503) {
     // Admission shed: surface the server's Retry-After so the retry layer
     // backs off on the server's schedule and breakers count it.
-    auto it = response->headers.find("Retry-After");
-    auto secs = it == response->headers.end()
-                    ? std::nullopt
-                    : common::parse_number<common::TimeMs>(it->second);
+    HeaderMap headers;
+    frame_http(octets, &headers);
+    auto it = headers.find("Retry-After");
     throw OverloadError("HTTP 503 Service Unavailable from " + address,
-                        secs.value_or(0) * 1000);
+                        it == headers.end() ? 0 : retry_after_ms(it->second));
   }
-  if (response->status != 200 && response->body.empty()) {
+  // SOAP 1.2 HTTP binding: a reply envelope rides a 200, a fault a 500.
+  // Any other status is a transport failure whatever its body holds.
+  if (response->status != 200 && (response->status != 500 || response->body.empty())) {
     throw NetworkError("HTTP " + std::to_string(response->status) + " " +
-                       response->reason + " from " + address);
+                       std::string(response->reason) + " from " + address);
   }
   return soap::Envelope::from_xml(response->body);
 }

@@ -58,6 +58,15 @@ class NetworkError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// The longest Retry-After a client honours: a larger hint saturates here,
+/// so a server cannot park a caller indefinitely.
+inline constexpr common::TimeMs kMaxRetryAfterMs = 300'000;
+
+/// A Retry-After field value in milliseconds: non-negative delta-seconds,
+/// saturated at kMaxRetryAfterMs; anything else (an HTTP-date, a sign, an
+/// exponent) is no hint and yields 0.
+common::TimeMs retry_after_ms(std::string_view value);
+
 /// The server explicitly refused work (HTTP 503 Service Unavailable from
 /// an overloaded container's admission handler). A transport failure for
 /// retry purposes, but it carries the server's Retry-After hint so clients
@@ -144,9 +153,10 @@ class SoapCaller {
                               const soap::Envelope& request) = 0;
 };
 
-/// The client side of a SOAP-over-HTTP exchange, for every caller. A 503
-/// reply throws OverloadError with its Retry-After; a malformed reply or an
-/// empty non-200 throws NetworkError naming `address`.
+/// The client side of a SOAP-over-HTTP exchange, for every caller. A 200
+/// (reply) or non-empty 500 (fault) body is parsed as the envelope; a 503
+/// throws OverloadError with its Retry-After; a malformed reply or any other
+/// status throws NetworkError naming `address`.
 std::string soap_http_request(const Url& url, const soap::Envelope& request);
 soap::Envelope soap_http_response(std::string_view octets,
                                   const std::string& address);

@@ -78,11 +78,15 @@ MessageInfo& MessageInfo::operator=(const MessageInfo& other) {
   for (const auto& h : other.reference_headers) {
     reference_headers.push_back(h->clone_element());
   }
+  received_header = other.received_header;
+  received = other.received;
   return *this;
 }
 
 void MessageInfo::target(const EndpointReference& epr) {
   to = epr.address();
+  received_header = nullptr;
+  received.reset();
   reference_headers.clear();
   for (const auto& p : epr.reference_properties()) {
     reference_headers.push_back(p->clone_element());
@@ -93,6 +97,12 @@ std::optional<std::string> MessageInfo::reference_header(
     const xml::QName& name) const {
   for (const auto& h : reference_headers) {
     if (h->name() == name) return h->text();
+  }
+  // Addressing and security headers are not reference headers.
+  if (received_header && name.ns() != ns::kAddressing &&
+      name.ns() != ns::kSecurity && name.ns() != ns::kDsig) {
+    if (const xml::ArenaNode* h = received_header->child(name.ns(), name.local()))
+      return h->text();
   }
   return std::nullopt;
 }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "xml/node.hpp"
+#include "xml/pull.hpp"
 #include "xml/qname.hpp"
 
 namespace gs::soap {
@@ -67,7 +68,13 @@ struct MessageInfo {
   EndpointReference reply_to;  // wsa:ReplyTo — async reply sink
   /// Reference properties of the target EPR, echoed as raw headers
   /// (this is how a WS-Resource / WS-Transfer resource is identified).
+  /// Holds the headers to send, and those read from an envelope built
+  /// in-process.
   std::vector<std::unique_ptr<xml::Element>> reference_headers;
+  /// A received envelope's Header element, read in place: its reference
+  /// headers stay in the wire view (no DOM), which `received` keeps alive.
+  const xml::ArenaNode* received_header = nullptr;
+  std::shared_ptr<const void> received;
 
   MessageInfo() = default;
   MessageInfo(const MessageInfo& other) { *this = other; }
@@ -79,7 +86,8 @@ struct MessageInfo {
   /// into `reference_headers` — addressing a message *to a resource*.
   void target(const EndpointReference& epr);
 
-  /// Text of the first reference header with this name, or nullopt.
+  /// Text of the first reference header with this name, or nullopt;
+  /// answers from `reference_headers`, then from the received view.
   std::optional<std::string> reference_header(const xml::QName& name) const;
 };
 

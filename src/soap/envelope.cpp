@@ -15,11 +15,13 @@ xml::QName wsa_name(const char* local) { return {ns::kAddressing, local}; }
 
 }  // namespace
 
-Envelope::Envelope() : root_(std::make_unique<xml::Element>(env_name("Envelope"))) {
-  root_->declare_prefix("soap", ns::kEnvelope);
-  root_->declare_prefix("wsa", ns::kAddressing);
-  root_->append_element(env_name("Header"));
-  root_->append_element(env_name("Body"));
+std::unique_ptr<xml::Element> Envelope::skeleton() {
+  auto root = std::make_unique<xml::Element>(env_name("Envelope"));
+  root->declare_prefix("soap", ns::kEnvelope);
+  root->declare_prefix("wsa", ns::kAddressing);
+  root->append_element(env_name("Header"));
+  root->append_element(env_name("Body"));
+  return root;
 }
 
 Envelope& Envelope::operator=(const Envelope& other) {
@@ -46,13 +48,13 @@ Envelope& Envelope::operator=(const Envelope& other) {
 }
 
 Envelope Envelope::make_pending(std::shared_ptr<PendingResponse> pending) {
-  Envelope env(std::unique_ptr<xml::Element>(nullptr));
+  Envelope env;
   env.pending_ = std::move(pending);
   return env;
 }
 
 bool Envelope::set_pending_trace(std::string trace_id, std::string span_id) {
-  if (!pending_ || root_) return false;
+  if (!pending_ || root_ || view_) return false;
   pending_->trace_id = std::move(trace_id);
   pending_->span_id = std::move(span_id);
   return true;
@@ -65,7 +67,7 @@ xml::Element& Envelope::mut() {
     } else if (pending_) {
       root_ = xml::parse_element(pending_->render_string());
     } else {
-      root_ = std::make_unique<xml::Element>(env_name("Envelope"));
+      root_ = skeleton();
     }
   }
   view_.reset();
@@ -88,8 +90,7 @@ const xml::Element& Envelope::dom() const {
       // returns false once root_ exists).
       root_ = xml::parse_element(pending_->render_string());
     } else {
-      // Unreachable in practice; mirror the default-constructed shape.
-      root_ = std::make_unique<xml::Element>(env_name("Envelope"));
+      root_ = skeleton();  // a default-constructed envelope's first read
     }
   }
   return *root_;
@@ -148,6 +149,15 @@ const xml::Element* Envelope::payload() const {
   return kids.empty() ? nullptr : kids.front();
 }
 
+const xml::ArenaNode* Envelope::payload_view() const {
+  if (!view_) {
+    view_ = std::make_shared<const xml::ArenaDocument>(
+        xml::ArenaDocument::parse(to_xml()));
+  }
+  const xml::ArenaNode* b = view_->root().child(ns::kEnvelope, "Body");
+  return b ? b->first_element() : nullptr;
+}
+
 xml::Element* Envelope::payload() {
   auto kids = body().child_elements();
   return kids.empty() ? nullptr : kids.front();
@@ -161,24 +171,25 @@ void Envelope::add_payload(std::unique_ptr<xml::Element> el) {
   body().append(std::move(el));
 }
 
-void Envelope::write_addressing(const MessageInfo& info) {
+void Envelope::write_addressing(MessageInfo info) {
   xml::Element& h = header();
-  if (!info.to.empty()) h.append_element(wsa_name("To")).set_text(info.to);
-  if (!info.action.empty()) h.append_element(wsa_name("Action")).set_text(info.action);
+  if (!info.to.empty()) h.append_element(wsa_name("To")).set_text(std::move(info.to));
+  if (!info.action.empty())
+    h.append_element(wsa_name("Action")).set_text(std::move(info.action));
   if (!info.message_id.empty())
-    h.append_element(wsa_name("MessageID")).set_text(info.message_id);
+    h.append_element(wsa_name("MessageID")).set_text(std::move(info.message_id));
   if (!info.relates_to.empty())
-    h.append_element(wsa_name("RelatesTo")).set_text(info.relates_to);
+    h.append_element(wsa_name("RelatesTo")).set_text(std::move(info.relates_to));
   if (!info.reply_to.empty()) h.append(info.reply_to.to_xml(wsa_name("ReplyTo")));
-  for (const auto& rh : info.reference_headers) h.append(rh->clone());
+  for (auto& rh : info.reference_headers) h.append(std::move(rh));
 }
 
 MessageInfo Envelope::read_addressing() const {
   MessageInfo info;
   if (const xml::ArenaNode* h = view_header()) {
     // One pass over the header view: the four text headers bind to their
-    // first occurrence (Element::child semantics); ReplyTo and reference
-    // headers materialize only their own subtrees.
+    // first occurrence (Element::child semantics); ReplyTo materializes only
+    // its own subtree, and reference headers are read in place.
     bool have_to = false, have_action = false, have_mid = false,
          have_rel = false, have_reply = false;
     for (const xml::ArenaNode* e = h->first_child; e; e = e->next) {
@@ -201,13 +212,10 @@ MessageInfo Envelope::read_addressing() const {
               EndpointReference::from_xml(*xml::ArenaDocument::to_dom(*e));
           have_reply = true;
         }
-        continue;
       }
-      if (e->ns == ns::kSecurity || e->ns == ns::kDsig) {
-        continue;  // addressing and security headers are not reference headers
-      }
-      info.reference_headers.push_back(xml::ArenaDocument::to_dom(*e));
     }
+    info.received_header = h;
+    info.received = view_;
     return info;
   }
   const xml::Element& h = header();
@@ -309,7 +317,7 @@ void Envelope::throw_if_fault() const {
 }
 
 std::string Envelope::to_xml() const {
-  if (view_ && !root_) return view_->buffer();
+  if (view_ && !root_) return std::string(view_->buffer());
   if (pending_ && !root_) return pending_->render_string();
   return xml::write(dom());
 }
@@ -368,7 +376,7 @@ const std::string& Envelope::canonical_signed_content() const {
 
 Envelope Envelope::from_xml(std::string_view wire) {
   auto doc = std::make_shared<const xml::ArenaDocument>(
-      xml::ArenaDocument::parse(std::string(wire)));
+      xml::ArenaDocument::parse(wire));
   const xml::ArenaNode& root = doc->root();
   if (root.ns != ns::kEnvelope || root.local != "Envelope") {
     throw std::runtime_error("not a SOAP envelope: " + root.clark());

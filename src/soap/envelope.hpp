@@ -64,8 +64,9 @@ class SoapFault : public std::runtime_error {
 /// tree API, one envelope must not be accessed from two threads at once.
 class Envelope {
  public:
-  /// An empty envelope with Header and Body (DOM-backed).
-  Envelope();
+  /// An empty envelope with Header and Body (DOM-backed). The tree is built
+  /// on first use, so an envelope that is only assigned over costs nothing.
+  Envelope() = default;
   Envelope(Envelope&&) noexcept = default;
   Envelope& operator=(Envelope&&) noexcept = default;
   Envelope(const Envelope& other) { *this = other; }
@@ -82,6 +83,12 @@ class Envelope {
   /// The const overload answers from the wire view when possible,
   /// materializing only the payload subtree.
   const xml::Element* payload() const;
+  /// The payload as a read-only view of the envelope's octets, or nullptr
+  /// when the Body is empty: no DOM is built. A received envelope answers
+  /// from its wire view; one built in-process is serialized and parsed once
+  /// (after which it no longer takes a pending trace stamp). The view lives
+  /// until the envelope is mutated or destroyed.
+  const xml::ArenaNode* payload_view() const;
   xml::Element* payload();
   /// Appends a payload element to the Body and returns it.
   xml::Element& add_payload(xml::QName name);
@@ -90,9 +97,11 @@ class Envelope {
   // --- WS-Addressing ---------------------------------------------------------
 
   /// Writes To/Action/MessageID/RelatesTo/ReplyTo headers plus the raw
-  /// reference headers from `info`.
-  void write_addressing(const MessageInfo& info);
+  /// reference headers from `info` (moved in when the caller is done with it).
+  void write_addressing(MessageInfo info);
   /// Reads the addressing headers back out (inverse of write_addressing).
+  /// From a received envelope the reference headers stay in its wire view
+  /// (see MessageInfo::reference_header).
   MessageInfo read_addressing() const;
 
   /// First header child with this QName, or nullptr; from the wire view
@@ -144,9 +153,11 @@ class Envelope {
   bool set_pending_trace(std::string trace_id, std::string span_id);
 
  private:
-  explicit Envelope(std::unique_ptr<xml::Element> root) : root_(std::move(root)) {}
   explicit Envelope(std::shared_ptr<const xml::ArenaDocument> view)
       : view_(std::move(view)) {}
+
+  /// The default envelope's tree: Envelope with Header and Body.
+  static std::unique_ptr<xml::Element> skeleton();
 
   /// Mutable DOM root: materializes if needed, drops the view/pending
   /// backing and every derived cache (they describe the pre-mutation doc).
@@ -157,11 +168,13 @@ class Envelope {
   const xml::ArenaNode* view_body() const;
   const xml::ArenaNode* view_header() const;
 
-  // Exactly one of root_/view_/pending_ is the source of truth; root_ is
-  // also set lazily (const reads) next to a live view_, in which case both
-  // describe the same bytes.
+  // Exactly one of root_/view_/pending_ is the source of truth (none: a
+  // default envelope whose skeleton is not built yet); root_ is
+  // also set lazily (const reads) next to a live view_, and view_ next to a
+  // live root_ or pending_ (payload_view), in which case both describe the
+  // same bytes.
   mutable std::unique_ptr<xml::Element> root_;
-  std::shared_ptr<const xml::ArenaDocument> view_;
+  mutable std::shared_ptr<const xml::ArenaDocument> view_;
   mutable std::shared_ptr<PendingResponse> pending_;
 
   mutable std::unique_ptr<xml::Element> payload_dom_;  // lazy payload subtree

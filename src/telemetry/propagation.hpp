@@ -25,8 +25,9 @@ namespace gs::telemetry {
 
 inline constexpr const char* kTelemetryNs = "http://gridstacks.dev/telemetry";
 
-inline xml::QName trace_header_qname() {
-  return {kTelemetryNs, "TraceContext"};
+inline const xml::QName& trace_header_qname() {
+  static const xml::QName name{kTelemetryNs, "TraceContext"};
+  return name;
 }
 
 /// Stamps (or restamps) the envelope with the sender's trace context:

@@ -15,12 +15,16 @@ std::unique_ptr<xml::Element> name_element(xml::QName wrapper,
   return el;
 }
 
-std::vector<std::unique_ptr<xml::Element>> clone_payload_children(
+// The payload's child elements, materialized straight from the response's
+// wire view.
+std::vector<std::unique_ptr<xml::Element>> payload_children(
     const soap::Envelope& response) {
   std::vector<std::unique_ptr<xml::Element>> out;
-  if (const xml::Element* payload = response.payload()) {
-    for (const xml::Element* el : payload->child_elements()) {
-      out.push_back(el->clone_element());
+  if (const xml::ArenaNode* payload = response.payload_view()) {
+    for (const xml::ArenaNode* c = payload->first_child; c; c = c->next) {
+      if (c->kind == xml::NodeKind::kElement) {
+        out.push_back(xml::ArenaDocument::to_dom(*c));
+      }
     }
   }
   return out;
@@ -32,12 +36,16 @@ std::vector<std::unique_ptr<xml::Element>> WsResourceProxy::get_property(
     const xml::QName& name) {
   soap::Envelope response = invoke(
       actions::kGetResourceProperty, name_element(rp("GetResourceProperty"), name));
-  return clone_payload_children(response);
+  return payload_children(response);
 }
 
 std::string WsResourceProxy::get_property_text(const xml::QName& name) {
-  auto values = get_property(name);
-  return values.empty() ? std::string() : values.front()->text();
+  soap::Envelope response = invoke(
+      actions::kGetResourceProperty, name_element(rp("GetResourceProperty"), name));
+  // Read in place: the scalar case needs no DOM.
+  const xml::ArenaNode* payload = response.payload_view();
+  const xml::ArenaNode* value = payload ? payload->first_element() : nullptr;
+  return value ? value->text() : std::string();
 }
 
 std::vector<std::unique_ptr<xml::Element>> WsResourceProxy::get_properties(
@@ -49,14 +57,14 @@ std::vector<std::unique_ptr<xml::Element>> WsResourceProxy::get_properties(
   }
   soap::Envelope response =
       invoke(actions::kGetMultipleResourceProperties, std::move(request));
-  return clone_payload_children(response);
+  return payload_children(response);
 }
 
 std::unique_ptr<xml::Element> WsResourceProxy::get_property_document() {
   soap::Envelope response =
       invoke(actions::kGetResourcePropertyDocument,
              std::make_unique<xml::Element>(rp("GetResourcePropertyDocument")));
-  auto children = clone_payload_children(response);
+  auto children = payload_children(response);
   return children.empty() ? nullptr : std::move(children.front());
 }
 
@@ -100,7 +108,7 @@ std::vector<std::unique_ptr<xml::Element>> WsResourceProxy::query(
   expr.set_text(xpath);
   soap::Envelope response =
       invoke(actions::kQueryResourceProperties, std::move(request));
-  return clone_payload_children(response);
+  return payload_children(response);
 }
 
 std::vector<WsResourceProxy::ResourceMatch> WsResourceProxy::query_resources(

@@ -29,10 +29,17 @@ TransferProxy::CreateResult TransferProxy::create(
 }
 
 std::unique_ptr<xml::Element> TransferProxy::get() {
-  soap::Envelope response = invoke(actions::kGet);
-  const xml::Element* payload = response.payload();
+  soap::Envelope response = get_response();
+  return xml::ArenaDocument::to_dom(representation(response));
+}
+
+soap::Envelope TransferProxy::get_response() { return invoke(actions::kGet); }
+
+const xml::ArenaNode& TransferProxy::representation(
+    const soap::Envelope& response) {
+  const xml::ArenaNode* payload = response.payload_view();
   if (!payload) throw soap::SoapFault("Receiver", "empty Get response");
-  return payload->clone_element();
+  return *payload;
 }
 
 std::unique_ptr<xml::Element> TransferProxy::put(

@@ -29,6 +29,12 @@ class TransferProxy : public container::ProxyBase {
 
   /// Get on the targeted resource EPR.
   std::unique_ptr<xml::Element> get();
+  /// Get, returning the response; read the representation in place (no
+  /// DOM) with representation().
+  soap::Envelope get_response();
+  /// The representation a Get response carries, as a view of its wire
+  /// octets; throws SoapFault when the response has none.
+  static const xml::ArenaNode& representation(const soap::Envelope& response);
 
   /// Put; returns the echoed representation when the service modified it.
   std::unique_ptr<xml::Element> put(std::unique_ptr<xml::Element> replacement);

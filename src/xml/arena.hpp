@@ -7,14 +7,20 @@
 // when the document — or, for parse_element, the parse — ends. Types placed
 // here must be trivially destructible — the arena never runs destructors.
 // Blocks are not zero-filled: every byte is written before it is read.
+//
+// Blocks form an intrusive list (header + payload in one allocation), so an
+// arena whose first block is sized for the job costs exactly one heap
+// allocation: ArenaDocument sizes it from the input and copies the input
+// octets to its front.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <new>
 #include <string_view>
 #include <type_traits>
-#include <vector>
+#include <utility>
 
 #include "xml/probe.hpp"
 
@@ -22,24 +28,45 @@ namespace gs::xml {
 
 class Arena {
  public:
-  static constexpr std::size_t kDefaultBlockBytes = 8 * 1024;
+  static constexpr std::size_t kDefaultBlockBytes = 4 * 1024;
 
-  explicit Arena(std::size_t block_bytes = kDefaultBlockBytes)
-      : block_bytes_(block_bytes) {}
+  /// `first_block_bytes` sizes the first block (allocated on first use);
+  /// later blocks take kDefaultBlockBytes or the request, whichever is larger.
+  explicit Arena(std::size_t first_block_bytes = kDefaultBlockBytes)
+      : next_block_bytes_(first_block_bytes) {}
+  ~Arena() { release(); }
 
-  Arena(Arena&&) noexcept = default;
-  Arena& operator=(Arena&&) noexcept = default;
+  Arena(Arena&& other) noexcept
+      : head_(std::exchange(other.head_, nullptr)),
+        cur_(std::exchange(other.cur_, nullptr)),
+        end_(std::exchange(other.end_, nullptr)),
+        used_(std::exchange(other.used_, 0)),
+        next_block_bytes_(other.next_block_bytes_) {}
+  Arena& operator=(Arena&& other) noexcept {
+    if (this != &other) {
+      release();
+      head_ = std::exchange(other.head_, nullptr);
+      cur_ = std::exchange(other.cur_, nullptr);
+      end_ = std::exchange(other.end_, nullptr);
+      used_ = std::exchange(other.used_, 0);
+      next_block_bytes_ = other.next_block_bytes_;
+    }
+    return *this;
+  }
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
   void* alloc(std::size_t n, std::size_t align) {
-    if (blocks_.empty() || !fits(blocks_.back(), n, align)) grow(n + align);
-    Block& b = blocks_.back();
-    std::size_t at = (b.used + align - 1) & ~(align - 1);
-    b.used = at + n;
+    char* at = aligned(cur_, align);
+    if (!cur_ || static_cast<std::size_t>(at - cur_) + n >
+                     static_cast<std::size_t>(end_ - cur_)) {
+      grow(n + align);
+      at = aligned(cur_, align);
+    }
+    cur_ = at + n;
     used_ += n;
     probe::add_arena_bytes(n);
-    return b.data.get() + at;
+    return at;
   }
 
   template <typename T, typename... Args>
@@ -69,29 +96,35 @@ class Arena {
 
   /// Payload bytes handed out (excludes block slack).
   std::size_t bytes_used() const noexcept { return used_; }
-  std::size_t blocks() const noexcept { return blocks_.size(); }
 
  private:
+  // Block header; the payload follows it in the same allocation.
   struct Block {
-    std::unique_ptr<char[]> data;
-    std::size_t size = 0;
-    std::size_t used = 0;
+    Block* prev;
   };
 
-  static bool fits(const Block& b, std::size_t n, std::size_t align) {
-    std::size_t at = (b.used + align - 1) & ~(align - 1);
-    return at + n <= b.size;
+  static char* aligned(char* p, std::size_t align) noexcept {
+    auto v = reinterpret_cast<std::uintptr_t>(p);
+    return reinterpret_cast<char*>((v + align - 1) & ~(std::uintptr_t{align} - 1));
   }
 
   void grow(std::size_t at_least) {
-    std::size_t size = std::max(block_bytes_, at_least);
-    blocks_.push_back(
-        Block{std::make_unique_for_overwrite<char[]>(size), size, 0});
+    std::size_t size = std::max(next_block_bytes_, at_least);
+    next_block_bytes_ = kDefaultBlockBytes;
+    head_ = new (::operator new(sizeof(Block) + size)) Block{head_};
+    cur_ = reinterpret_cast<char*>(head_ + 1);
+    end_ = cur_ + size;
   }
 
-  std::size_t block_bytes_;
+  void release() noexcept {
+    while (head_) ::operator delete(std::exchange(head_, head_->prev));
+  }
+
+  Block* head_ = nullptr;
+  char* cur_ = nullptr;
+  char* end_ = nullptr;
   std::size_t used_ = 0;
-  std::vector<Block> blocks_;
+  std::size_t next_block_bytes_;
 };
 
 }  // namespace gs::xml

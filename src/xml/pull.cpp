@@ -1,8 +1,9 @@
 #include "xml/pull.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
 #include <charconv>
+#include <cstring>
 #include <map>
 #include <tuple>
 #include <utility>
@@ -13,14 +14,27 @@
 namespace gs::xml {
 namespace {
 
-bool is_name_start(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':' ||
-         static_cast<unsigned char>(c) >= 0x80;
-}
+// Byte classes for the scanner: one table lookup per name or blank byte.
+// Name bytes are ASCII letters, digits and "_:-." plus every non-ASCII byte
+// (UTF-8 sequences are taken whole); blanks are the C locale's isspace set.
+enum : unsigned char { kNameStart = 1, kNameChar = 2, kBlank = 4 };
 
-bool is_name_char(char c) {
-  return is_name_start(c) || std::isdigit(static_cast<unsigned char>(c)) ||
-         c == '-' || c == '.';
+constexpr std::array<unsigned char, 256> kByteClass = [] {
+  std::array<unsigned char, 256> table{};
+  for (int c = 0; c < 256; ++c) {
+    bool start = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
+                 c == ':' || c >= 0x80;
+    bool name = start || (c >= '0' && c <= '9') || c == '-' || c == '.';
+    bool blank = c == ' ' || (c >= '\t' && c <= '\r');
+    table[c] = static_cast<unsigned char>((start ? kNameStart : 0) |
+                                          (name ? kNameChar : 0) |
+                                          (blank ? kBlank : 0));
+  }
+  return table;
+}();
+
+bool has_class(char c, unsigned char cls) {
+  return (kByteClass[static_cast<unsigned char>(c)] & cls) != 0;
 }
 
 void append_utf8(std::string& out, unsigned long cp) {
@@ -43,35 +57,43 @@ void append_utf8(std::string& out, unsigned long cp) {
 
 constexpr std::string_view kXmlNsUri = "http://www.w3.org/XML/1998/namespace";
 
-// In-scope prefix bindings over views (buffer- or arena-backed).
-class ViewNsScope {
- public:
-  ViewNsScope() { bind("xml", kXmlNsUri); }
+// Working storage one parse needs beyond the arena. It lives per thread and
+// is reused by every element of every parse on that thread, so steady-state
+// parsing allocates nothing here. Each element consumes its attributes and
+// declarations before its children start, so one set of vectors serves
+// every level; the namespace scope is a stack restored on element exit.
+struct Scratch {
+  struct RawAttr {
+    std::string_view name;
+    std::string_view value;
+  };
+  std::vector<RawAttr> raw_attrs;
+  std::vector<ArenaNsDecl> decls;
+  std::vector<ArenaAttr> attrs;
+  // In-scope prefix bindings, innermost last (buffer- or arena-backed views).
+  std::vector<std::pair<std::string_view, std::string_view>> scope;
+  std::string decoded;  // the entity-decoded run being assembled
 
-  void push() { marks_.push_back(bindings_.size()); }
-  void pop() {
-    bindings_.resize(marks_.back());
-    marks_.pop_back();
+  void reset() {
+    // A pathological document may have grown these; do not keep that
+    // memory on the thread for good.
+    constexpr std::size_t kKeep = 1024;
+    if (raw_attrs.capacity() > kKeep) raw_attrs = {};
+    if (decls.capacity() > kKeep) decls = {};
+    if (attrs.capacity() > kKeep) attrs = {};
+    if (scope.capacity() > kKeep) scope = {};
+    if (decoded.capacity() > 64 * kKeep) decoded = {};
+    scope.clear();
+    scope.emplace_back("xml", kXmlNsUri);
   }
-  void bind(std::string_view prefix, std::string_view uri) {
-    bindings_.emplace_back(prefix, uri);
-  }
-  const std::string_view* resolve(std::string_view prefix) const {
-    for (auto it = bindings_.rbegin(); it != bindings_.rend(); ++it) {
-      if (it->first == prefix) return &it->second;
-    }
-    return nullptr;
-  }
-
- private:
-  std::vector<std::pair<std::string_view, std::string_view>> bindings_;
-  std::vector<size_t> marks_;
 };
 
 class PullParser {
  public:
   PullParser(std::string_view input, Arena& arena, std::size_t& nodes)
-      : in_(input), arena_(arena), nodes_(nodes) {}
+      : in_(input), arena_(arena), nodes_(nodes), s_(scratch()) {
+    s_.reset();
+  }
 
   ArenaNode* parse_document() {
     skip_prolog();
@@ -82,8 +104,19 @@ class PullParser {
   }
 
  private:
+  static Scratch& scratch() {
+    thread_local Scratch s;
+    return s;
+  }
+
+  // The position is derived from the consumed prefix only when a parse
+  // fails, so the scanning loops never count lines.
   [[noreturn]] void fail(const std::string& msg) const {
-    throw ParseError(msg, line_, static_cast<int>(pos_ - line_start_) + 1);
+    std::string_view seen = in_.substr(0, pos_);
+    auto line = static_cast<int>(std::count(seen.begin(), seen.end(), '\n')) + 1;
+    size_t nl = seen.rfind('\n');
+    size_t line_start = nl == std::string_view::npos ? 0 : nl + 1;
+    throw ParseError(msg, line, static_cast<int>(pos_ - line_start) + 1);
   }
 
   bool at_end() const noexcept { return pos_ >= in_.size(); }
@@ -92,36 +125,45 @@ class PullParser {
     return in_.compare(pos_, s.size(), s) == 0;
   }
 
-  char advance() {
-    if (at_end()) fail("unexpected end of input");
-    char c = in_[pos_++];
-    if (c == '\n') {
-      ++line_;
-      line_start_ = pos_;
-    }
-    return c;
+  // Index of the first `c` at or after `from` and before `to`, or `to`.
+  size_t find_byte(char c, size_t from, size_t to) const {
+    const void* hit = std::memchr(in_.data() + from, c, to - from);
+    return hit ? static_cast<size_t>(static_cast<const char*>(hit) - in_.data())
+               : to;
+  }
+  // Index of the first `a` or `b` in [from, to), or `to`.
+  size_t find_either(char a, char b, size_t from, size_t to) const {
+    return find_byte(b, from, find_byte(a, from, to));
   }
 
   void expect(char c) {
     if (peek() != c) fail(std::string("expected '") + c + "'");
-    advance();
+    ++pos_;
   }
 
   void expect_str(std::string_view s) {
     if (!starts_with(s)) fail("expected '" + std::string(s) + "'");
-    for (size_t i = 0; i < s.size(); ++i) advance();
+    pos_ += s.size();
+  }
+
+  // Moves past `terminator`, searching from the current position; at the
+  // end of input without one, fails with `msg` there.
+  void skip_past(std::string_view terminator, const std::string& msg) {
+    size_t at = in_.find(terminator, pos_);
+    if (at == std::string_view::npos) {
+      pos_ = in_.size();
+      fail(msg);
+    }
+    pos_ = at + terminator.size();
   }
 
   void skip_ws() {
-    while (!at_end() && std::isspace(static_cast<unsigned char>(peek()))) advance();
+    while (pos_ < in_.size() && has_class(in_[pos_], kBlank)) ++pos_;
   }
 
   void skip_prolog() {
     skip_ws();
-    if (starts_with("<?xml")) {
-      while (!at_end() && !starts_with("?>")) advance();
-      expect_str("?>");
-    }
+    if (starts_with("<?xml")) skip_past("?>", "expected '?>'");
     skip_misc();
     if (starts_with("<!DOCTYPE")) fail("DTDs are not supported");
   }
@@ -140,21 +182,19 @@ class PullParser {
   }
 
   void skip_comment() {
-    expect_str("<!--");
-    while (!at_end() && !starts_with("-->")) advance();
-    expect_str("-->");
+    pos_ += 4;  // "<!--"
+    skip_past("-->", "expected '-->'");
   }
 
   void skip_pi() {
-    expect_str("<?");
-    while (!at_end() && !starts_with("?>")) advance();
-    expect_str("?>");
+    pos_ += 2;  // "<?"
+    skip_past("?>", "expected '?>'");
   }
 
   std::string_view read_name() {
-    if (!is_name_start(peek())) fail("expected a name");
-    size_t start = pos_;
-    while (!at_end() && is_name_char(peek())) advance();
+    if (!has_class(peek(), kNameStart)) fail("expected a name");
+    size_t start = pos_++;
+    while (pos_ < in_.size() && has_class(in_[pos_], kNameChar)) ++pos_;
     return in_.substr(start, pos_ - start);
   }
 
@@ -170,62 +210,76 @@ class PullParser {
   std::string_view read_attr_value() {
     char quote = peek();
     if (quote != '"' && quote != '\'') fail("expected quoted attribute value");
-    advance();
-    size_t start = pos_;
-    std::string decoded;
+    size_t start = ++pos_;
+    size_t close = find_byte(quote, pos_, in_.size());
     bool decoding = false;
-    while (peek() != quote) {
-      if (at_end()) fail("unexpected end of input");
-      char c = peek();
-      if (c == '&') {
-        if (!decoding) {
-          decoded.assign(in_.substr(start, pos_ - start));
-          decoding = true;
-        }
-        advance();
-        decoded += read_entity();
-      } else if (c == '<') {
-        advance();
-        fail("'<' in attribute value");
-      } else {
-        advance();
-        if (decoding) decoded += c;
+    for (;;) {
+      size_t stop = find_either('<', '&', pos_, close);
+      if (decoding) s_.decoded.append(in_.substr(pos_, stop - pos_));
+      if (stop == close) {
+        pos_ = close;
+        if (at_end()) fail("unexpected end of input");
+        break;
       }
+      pos_ = stop + 1;
+      if (in_[stop] == '<') fail("'<' in attribute value");
+      if (!decoding) {
+        s_.decoded.assign(in_.substr(start, stop - start));
+        decoding = true;
+      }
+      read_entity(s_.decoded);
+      // An entity never contains the quote, but it may have run past a
+      // quote that only looked like the closing one ("&x'...;").
+      if (pos_ > close) close = find_byte(quote, pos_, in_.size());
     }
-    std::string_view out = decoding ? arena_.copy(decoded)
+    std::string_view out = decoding ? arena_.copy(s_.decoded)
                                     : in_.substr(start, pos_ - start);
-    advance();  // closing quote
+    ++pos_;  // closing quote
     return out;
   }
 
-  // Called just after the '&'; returns the replacement text.
-  std::string read_entity() {
-    std::string name;
-    while (peek() != ';') {
-      name += advance();
-      if (name.size() > 10) fail("malformed entity reference");
+  // Called just after the '&'; appends the replacement text to `out`.
+  void read_entity(std::string& out) {
+    size_t start = pos_;
+    size_t end = start;
+    for (;;) {
+      if (end == in_.size()) {
+        pos_ = end;
+        fail("unexpected end of input");
+      }
+      if (in_[end] == ';') break;
+      if (++end - start > 10) {
+        pos_ = end;
+        fail("malformed entity reference");
+      }
     }
-    advance();  // ';'
-    if (name == "lt") return "<";
-    if (name == "gt") return ">";
-    if (name == "amp") return "&";
-    if (name == "quot") return "\"";
-    if (name == "apos") return "'";
-    if (!name.empty() && name[0] == '#') {
+    std::string_view name = in_.substr(start, end - start);
+    pos_ = end + 1;  // past ';'
+    if (name == "lt") {
+      out += '<';
+    } else if (name == "gt") {
+      out += '>';
+    } else if (name == "amp") {
+      out += '&';
+    } else if (name == "quot") {
+      out += '"';
+    } else if (name == "apos") {
+      out += '\'';
+    } else if (!name.empty() && name[0] == '#') {
       // A bare digit run: no sign, blanks or trailing junk.
       bool hex = name.size() > 1 && (name[1] == 'x' || name[1] == 'X');
-      std::string_view digits = std::string_view(name).substr(hex ? 2 : 1);
-      const char* end = digits.data() + digits.size();
+      std::string_view digits = name.substr(hex ? 2 : 1);
+      const char* digits_end = digits.data() + digits.size();
       unsigned long cp = 0;
-      auto [stop, ec] = std::from_chars(digits.data(), end, cp, hex ? 16 : 10);
-      if (ec != std::errc() || stop != end)
-        fail("malformed character reference &" + name + ";");
+      auto [stop, ec] =
+          std::from_chars(digits.data(), digits_end, cp, hex ? 16 : 10);
+      if (ec != std::errc() || stop != digits_end)
+        fail("malformed character reference &" + std::string(name) + ";");
       if (cp == 0 || cp > 0x10FFFF) fail("character reference out of range");
-      std::string out;
       append_utf8(out, cp);
-      return out;
+    } else {
+      fail("unknown entity &" + std::string(name) + ";");
     }
-    fail("unknown entity &" + name + ";");
   }
 
   ArenaNode* make_node(NodeKind kind) {
@@ -233,6 +287,16 @@ class PullParser {
     ArenaNode* n = arena_.make<ArenaNode>();
     n->kind = kind;
     return n;
+  }
+
+  ArenaNode* make_chars(NodeKind kind, std::string_view text) {
+    ArenaNode* n = make_node(kind);
+    n->text_data = text;
+    return n;
+  }
+
+  static bool is_xmlns(std::string_view name) {
+    return name.starts_with("xmlns") && (name.size() == 5 || name[5] == ':');
   }
 
   ArenaNode* parse_element() {
@@ -245,11 +309,7 @@ class PullParser {
     expect('<');
     std::string_view raw_name = read_name();
 
-    struct RawAttr {
-      std::string_view name;
-      std::string_view value;
-    };
-    std::vector<RawAttr> raw_attrs;
+    s_.raw_attrs.clear();
     for (;;) {
       skip_ws();
       char c = peek();
@@ -258,82 +318,83 @@ class PullParser {
       skip_ws();
       expect('=');
       skip_ws();
-      raw_attrs.push_back({aname, read_attr_value()});
+      s_.raw_attrs.push_back({aname, read_attr_value()});
     }
 
-    ns_.push();
-    struct ScopeGuard {
-      ViewNsScope& ns;
-      ~ScopeGuard() { ns.pop(); }
-    } guard{ns_};
-
-    // Register namespace declarations before resolving any names.
-    std::vector<ArenaNsDecl> decls;
-    for (const auto& a : raw_attrs) {
-      if (a.name == "xmlns") {
-        ns_.bind({}, a.value);
-        decls.push_back({std::string_view{}, a.value});
-      } else if (a.name.starts_with("xmlns:")) {
-        std::string_view prefix = a.name.substr(6);
-        if (prefix.empty()) fail("empty namespace prefix");
-        ns_.bind(prefix, a.value);
-        decls.push_back({prefix, a.value});
-      }
+    // Register namespace declarations before resolving any names; the
+    // bindings are dropped again when this element ends.
+    const size_t scope_mark = s_.scope.size();
+    s_.decls.clear();
+    for (const auto& a : s_.raw_attrs) {
+      if (!is_xmlns(a.name)) continue;
+      std::string_view prefix = a.name.size() == 5 ? std::string_view{}
+                                                   : a.name.substr(6);
+      if (a.name.size() > 5 && prefix.empty()) fail("empty namespace prefix");
+      s_.scope.emplace_back(prefix, a.value);
+      s_.decls.push_back({prefix, a.value});
     }
 
     auto [prefix, local] = split_name(raw_name);
     ArenaNode* el = make_node(NodeKind::kElement);
     el->ns = resolve_element_ns(prefix);
     el->local = local;
-    if (!decls.empty()) {
-      el->decls = arena_.make_array<ArenaNsDecl>(decls.size());
-      std::copy(decls.begin(), decls.end(), el->decls);
-      el->ndecls = static_cast<std::uint32_t>(decls.size());
-    }
+    el->decls = copy_out(s_.decls, el->ndecls);
 
     // Attributes in document order, xmlns pseudo-attributes excluded and
     // duplicate QNames collapsing onto the first occurrence (set_attr-style).
-    std::vector<ArenaAttr> attrs;
-    for (const auto& a : raw_attrs) {
-      if (a.name == "xmlns" || a.name.starts_with("xmlns:")) continue;
+    s_.attrs.clear();
+    for (const auto& a : s_.raw_attrs) {
+      if (is_xmlns(a.name)) continue;
       auto [ap, al] = split_name(a.name);
       std::string_view ans = resolve_attr_ns(ap);
-      auto dup = std::find_if(attrs.begin(), attrs.end(), [&](const ArenaAttr& x) {
-        return x.ns == ans && x.local == al;
-      });
-      if (dup != attrs.end()) {
+      auto dup = std::find_if(s_.attrs.begin(), s_.attrs.end(),
+                              [&](const ArenaAttr& x) {
+                                return x.ns == ans && x.local == al;
+                              });
+      if (dup != s_.attrs.end()) {
         dup->value = a.value;
       } else {
-        attrs.push_back({ans, al, a.value});
+        s_.attrs.push_back({ans, al, a.value});
       }
     }
-    if (!attrs.empty()) {
-      el->attrs = arena_.make_array<ArenaAttr>(attrs.size());
-      std::copy(attrs.begin(), attrs.end(), el->attrs);
-      el->nattrs = static_cast<std::uint32_t>(attrs.size());
-    }
+    el->attrs = copy_out(s_.attrs, el->nattrs);
 
     if (peek() == '/') {
-      advance();
+      ++pos_;
       expect('>');
-      return el;
+    } else {
+      expect('>');
+      parse_content(*el);
+      pos_ += 2;  // "</", found by parse_content
+      std::string_view close = read_name();
+      if (close != raw_name)
+        fail("mismatched closing tag </" + std::string(close) + "> for <" +
+             std::string(raw_name) + ">");
+      skip_ws();
+      expect('>');
     }
-    expect('>');
-
-    parse_content(*el);
-
-    expect_str("</");
-    std::string_view close = read_name();
-    if (close != raw_name)
-      fail("mismatched closing tag </" + std::string(close) + "> for <" +
-           std::string(raw_name) + ">");
-    skip_ws();
-    expect('>');
+    s_.scope.resize(scope_mark);
     return el;
   }
 
+  template <typename T>
+  T* copy_out(const std::vector<T>& items, std::uint32_t& count) {
+    count = static_cast<std::uint32_t>(items.size());
+    if (items.empty()) return nullptr;
+    T* out = arena_.make_array<T>(items.size());
+    std::copy(items.begin(), items.end(), out);
+    return out;
+  }
+
+  const std::string_view* resolve(std::string_view prefix) const {
+    for (auto it = s_.scope.rbegin(); it != s_.scope.rend(); ++it) {
+      if (it->first == prefix) return &it->second;
+    }
+    return nullptr;
+  }
+
   std::string_view resolve_element_ns(std::string_view prefix) {
-    const std::string_view* uri = ns_.resolve(prefix);
+    const std::string_view* uri = resolve(prefix);
     if (!uri) {
       if (prefix.empty()) return {};
       fail("unbound namespace prefix '" + std::string(prefix) + "'");
@@ -343,98 +404,60 @@ class PullParser {
 
   std::string_view resolve_attr_ns(std::string_view prefix) {
     if (prefix.empty()) return {};  // unprefixed attrs: no namespace
-    const std::string_view* uri = ns_.resolve(prefix);
+    const std::string_view* uri = resolve(prefix);
     if (!uri || uri->empty())
       fail("unbound namespace prefix '" + std::string(prefix) + "'");
     return *uri;
   }
 
+  // Reads children up to the parent's closing tag, leaving the position on
+  // its "</".
   void parse_content(ArenaNode& parent) {
     ArenaNode* tail = nullptr;
     auto append = [&](ArenaNode* n) {
-      if (tail) {
-        tail->next = n;
-      } else {
-        parent.first_child = n;
-      }
+      (tail ? tail->next : parent.first_child) = n;
       tail = n;
     };
 
-    // Text runs accumulate until the next markup; runs that needed entity
-    // decoding are copied into the arena, plain runs stay buffer views.
-    size_t text_start = pos_;
-    std::string decoded;
-    bool decoding = false;
-    bool have_text = false;
-    auto flush_text = [&] {
-      std::string_view run = decoding ? arena_.copy(decoded)
-                                      : in_.substr(text_start, pos_ - text_start);
-      if (have_text && !run.empty()) {
-        ArenaNode* t = make_node(NodeKind::kText);
-        t->text_data = run;
-        append(t);
-      }
-      decoded.clear();
-      decoding = false;
-      have_text = false;
-    };
-
     for (;;) {
-      if (at_end()) fail("unexpected end of input inside element");
-      if (starts_with("</")) {
-        flush_text();
-        return;
-      }
-      if (starts_with("<!--")) {
-        flush_text();
-        size_t start = pos_ + 4;
-        skip_comment();
-        ArenaNode* c = make_node(NodeKind::kComment);
-        c->text_data = in_.substr(start, pos_ - 3 - start);
-        append(c);
-        text_start = pos_;
-        continue;
-      }
-      if (starts_with("<![CDATA[")) {
-        flush_text();
-        expect_str("<![CDATA[");
-        size_t start = pos_;
-        while (!starts_with("]]>")) {
-          if (at_end()) fail("unterminated CDATA section");
-          advance();
-        }
-        ArenaNode* c = make_node(NodeKind::kCData);
-        c->text_data = in_.substr(start, pos_ - start);
-        expect_str("]]>");
-        append(c);
-        text_start = pos_;
-        continue;
-      }
-      if (starts_with("<?")) {
-        flush_text();
-        skip_pi();
-        text_start = pos_;
-        continue;
-      }
-      if (peek() == '<') {
-        flush_text();
-        append(parse_element());
-        text_start = pos_;
-        continue;
-      }
-      char c = peek();
-      if (c == '&') {
-        if (!decoding) {
-          decoded.assign(in_.substr(text_start, pos_ - text_start));
-          decoding = true;
-        }
-        advance();
-        decoded += read_entity();
-        have_text = true;
+      // A text run up to the next markup: a buffer view when plain, an
+      // arena copy when it held entity references.
+      size_t start = pos_;
+      size_t lt = find_byte('<', pos_, in_.size());
+      size_t amp = find_byte('&', pos_, lt);
+      if (amp == lt) {
+        pos_ = lt;
+        if (lt > start) append(make_chars(NodeKind::kText, in_.substr(start, lt - start)));
       } else {
-        advance();
-        if (decoding) decoded += c;
-        have_text = true;
+        s_.decoded.assign(in_.substr(start, amp - start));
+        while (amp < lt) {
+          pos_ = amp + 1;
+          read_entity(s_.decoded);
+          // Entity names hold no '<', so `lt` still ends the run.
+          amp = find_byte('&', pos_, lt);
+          s_.decoded.append(in_.substr(pos_, amp - pos_));
+        }
+        pos_ = lt;
+        append(make_chars(NodeKind::kText, arena_.copy(s_.decoded)));
+      }
+
+      if (at_end()) fail("unexpected end of input inside element");
+      // On a '<': the byte after it tells the markup kinds apart.
+      char kind = pos_ + 1 < in_.size() ? in_[pos_ + 1] : '\0';
+      if (kind == '/') return;
+      if (kind == '!' && starts_with("<!--")) {
+        size_t body = pos_ + 4;
+        skip_comment();
+        append(make_chars(NodeKind::kComment, in_.substr(body, pos_ - 3 - body)));
+      } else if (kind == '!' && starts_with("<![CDATA[")) {
+        size_t body = pos_ + 9;
+        pos_ = body;
+        skip_past("]]>", "unterminated CDATA section");
+        append(make_chars(NodeKind::kCData, in_.substr(body, pos_ - 3 - body)));
+      } else if (kind == '?') {
+        skip_pi();
+      } else {
+        append(parse_element());
       }
     }
   }
@@ -444,11 +467,9 @@ class PullParser {
   std::string_view in_;
   Arena& arena_;
   std::size_t& nodes_;
+  Scratch& s_;
   size_t pos_ = 0;
-  int line_ = 1;
-  size_t line_start_ = 0;
   int depth_ = 0;
-  ViewNsScope ns_;
 };
 
 }  // namespace
@@ -507,17 +528,25 @@ std::string ArenaNode::clark() const {
   return "{" + std::string(ns) + "}" + std::string(local);
 }
 
-ArenaDocument ArenaDocument::parse(std::string input) {
-  ArenaDocument doc;
-  doc.buffer_ = std::make_unique<const std::string>(std::move(input));
-  doc.root_ = PullParser(*doc.buffer_, doc.arena_, doc.nodes_).parse_document();
+// Arena bytes reserved per input byte in a document's first block. SOAP
+// envelopes need about 2.3 (a node per element or text run, declarations,
+// attributes); markup-dense input spills into further blocks.
+constexpr std::size_t kArenaBytesPerInputByte = 3;
+
+ArenaDocument::ArenaDocument(std::size_t input_bytes)
+    : arena_(input_bytes * (1 + kArenaBytesPerInputByte) + 256) {}
+
+ArenaDocument ArenaDocument::parse(std::string_view input) {
+  ArenaDocument doc(input.size());
+  doc.buffer_ = doc.arena_.copy(input);
+  doc.root_ = PullParser(doc.buffer_, doc.arena_, doc.nodes_).parse_document();
   return doc;
 }
 
 std::unique_ptr<Element> parse_element(std::string_view input) {
   // The view tree only lives until to_dom has copied it out, so it can point
   // straight into the caller's buffer.
-  Arena arena;
+  Arena arena(input.size() * kArenaBytesPerInputByte + 256);
   std::size_t nodes = 0;
   return ArenaDocument::to_dom(*PullParser(input, arena, nodes).parse_document());
 }

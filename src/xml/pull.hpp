@@ -5,11 +5,19 @@
 // most of container.parse_us. The pull parser here scans the input once and
 // builds a tree of trivially-destructible ArenaNodes whose names, attribute
 // values and text are string_views into the input (entity-decoded runs are
-// the only copies, placed in the arena). ArenaDocument owns its input buffer
-// and the resulting immutable view; handlers that need to mutate convert the
-// relevant subtree to the classic DOM with to_dom(), which keeps
-// namespace-prefix hints so a materialized tree serializes like the input.
-// xml::parse_element (parser.hpp) is the same parse followed by to_dom().
+// the only copies, placed in the arena). ArenaDocument owns a copy of its
+// input and the resulting immutable view, both in one allocation; handlers
+// that need to mutate convert the relevant subtree to the classic DOM with
+// to_dom(), which keeps namespace-prefix hints so a materialized tree
+// serializes like the input. xml::parse_element (parser.hpp) is the same
+// parse followed by to_dom().
+//
+// The scanner works a run at a time: text, attribute values, comments, CDATA
+// and PIs are found with memchr-style searches, names with a constant
+// character table, and per-element scratch (attributes, namespace
+// declarations, the namespace scope) is reused across elements and parses
+// on a thread. Nothing tracks lines while scanning; a ParseError counts them
+// over the consumed prefix when it is thrown.
 //
 // Limits and diagnostics: 256-level depth limit, DTDs rejected, ParseError
 // with a 1-based line/column on malformed input (pinned by tests/xml_test.cpp).
@@ -73,20 +81,23 @@ struct ArenaNode {
   std::string clark() const;
 };
 
-/// An immutable parsed document: owns the input buffer and the arena the
-/// node tree lives in. Movable, not copyable; share via shared_ptr when a
-/// view must outlive its producer (soap::Envelope does this).
+/// An immutable parsed document: a copy of the input octets and the node
+/// tree, sharing one arena whose first block is sized from the input — one
+/// heap allocation for a typical envelope. Movable, not copyable; share via
+/// shared_ptr when a view must outlive its producer (soap::Envelope does
+/// this).
 class ArenaDocument {
  public:
-  /// Parses `input`, taking ownership of the buffer. Throws ParseError on
+  /// Copies `input` into the document and parses it. Throws ParseError on
   /// malformed input.
-  static ArenaDocument parse(std::string input);
+  static ArenaDocument parse(std::string_view input);
 
   ArenaDocument(ArenaDocument&&) noexcept = default;
   ArenaDocument& operator=(ArenaDocument&&) noexcept = default;
 
   const ArenaNode& root() const noexcept { return *root_; }
-  const std::string& buffer() const noexcept { return *buffer_; }
+  /// The document's own copy of the parsed octets.
+  std::string_view buffer() const noexcept { return buffer_; }
 
   /// Elements + character-data nodes in the tree.
   std::size_t node_count() const noexcept { return nodes_; }
@@ -98,13 +109,12 @@ class ArenaDocument {
   std::unique_ptr<Element> to_dom() const { return to_dom(*root_); }
 
  private:
-  ArenaDocument() = default;
+  explicit ArenaDocument(std::size_t input_bytes);
 
-  // Heap indirection keeps the octets at a stable address across moves; a
-  // short buffer held by value would relocate with the small-string
-  // optimization and dangle every view in the tree.
-  std::unique_ptr<const std::string> buffer_;
+  // The octets sit at the front of the arena's first block, so views into
+  // them stay put when the document moves.
   Arena arena_;
+  std::string_view buffer_;
   ArenaNode* root_ = nullptr;
   std::size_t nodes_ = 0;
 };

@@ -1,24 +1,44 @@
 #include "xml/writer.hpp"
 
+#include <array>
+#include <forward_list>
 #include <vector>
 
 namespace gs::xml {
 namespace {
 
-// Tracks in-scope prefix->URI bindings during serialization.
+// Generated prefix names ("n1", "n2", ...) the writer binds by view. The
+// first kNamedPrefixes come from a shared table; a document needing more
+// keeps the rest in its writer.
+constexpr int kNamedPrefixes = 256;
+
+const std::array<std::string, kNamedPrefixes>& generated_prefixes() {
+  static const auto table = [] {
+    std::array<std::string, kNamedPrefixes> t;
+    for (int i = 0; i < kNamedPrefixes; ++i) t[i] = "n" + std::to_string(i);
+    return t;
+  }();
+  return table;
+}
+
+// Tracks in-scope prefix->URI bindings during serialization. Bindings are
+// views: of the tree's own strings, of generated prefix names, or of the
+// caller's PrefixBindings — all outlive the write. The bindings an element
+// made are exactly those past the mark taken when it opened, in order.
 class PrefixScope {
  public:
-  void push() { marks_.push_back(bindings_.size()); }
-  void pop() {
-    bindings_.resize(marks_.back());
-    marks_.pop_back();
-  }
-  void bind(std::string prefix, std::string uri) {
-    bindings_.emplace_back(std::move(prefix), std::move(uri));
+  using Binding = std::pair<std::string_view, std::string_view>;
+
+  std::size_t mark() const noexcept { return bindings_.size(); }
+  void pop_to(std::size_t mark) { bindings_.resize(mark); }
+  const Binding& at(std::size_t i) const { return bindings_[i]; }
+
+  void bind(std::string_view prefix, std::string_view uri) {
+    bindings_.emplace_back(prefix, uri);
   }
   // Innermost prefix bound to this URI, or nullptr. `allow_default` is false
   // for attributes, which cannot use the default namespace.
-  const std::string* prefix_for(const std::string& uri, bool allow_default) const {
+  const std::string_view* prefix_for(std::string_view uri, bool allow_default) const {
     for (auto it = bindings_.rbegin(); it != bindings_.rend(); ++it) {
       if (it->second != uri) continue;
       if (!allow_default && it->first.empty()) continue;
@@ -27,21 +47,23 @@ class PrefixScope {
     }
     return nullptr;
   }
-  const std::string* resolve(const std::string& prefix) const {
+  const std::string_view* resolve(std::string_view prefix) const {
     for (auto it = bindings_.rbegin(); it != bindings_.rend(); ++it) {
       if (it->first == prefix) return &it->second;
     }
     return nullptr;
   }
-  bool prefix_taken(const std::string& prefix) const {
-    return resolve(prefix) != nullptr;
+  /// Owned copy of the current bindings, outermost first (template-
+  /// compilation probe capture).
+  PrefixBindings snapshot() const {
+    PrefixBindings out;
+    out.reserve(bindings_.size());
+    for (const auto& [prefix, uri] : bindings_) out.emplace_back(prefix, uri);
+    return out;
   }
-  /// Current bindings, outermost first (template-compilation probe capture).
-  const PrefixBindings& bindings() const noexcept { return bindings_; }
 
  private:
-  PrefixBindings bindings_;
-  std::vector<size_t> marks_;
+  std::vector<Binding> bindings_;
 };
 
 class Writer {
@@ -85,53 +107,58 @@ class Writer {
     out_.append(static_cast<size_t>(depth) * 2, ' ');
   }
 
+  void write_qname(std::string_view prefix, const std::string& local) {
+    if (!prefix.empty()) {
+      out_ += prefix;
+      out_ += ':';
+    }
+    out_ += local;
+  }
+
   void write_element(const Element& el, int depth) {
     if (probes_ && el.name().ns().empty() && el.name().local() == probe_local_) {
-      probes_->push_back({out_.size(), scope_.bindings(), gen_counter_});
+      probes_->push_back({out_.size(), scope_.snapshot(), gen_counter_});
       return;
     }
-    scope_.push();
+    const std::size_t mark = scope_.mark();
 
-    // Declarations explicitly hinted on this element.
-    std::vector<std::pair<std::string, std::string>> new_decls;
+    // Bind everything this element declares before writing a byte: its
+    // hinted declarations, then whatever its name and attribute names need.
     for (const auto& [prefix, uri] : el.ns_decls()) {
-      if (const std::string* bound = scope_.resolve(prefix);
+      if (const std::string_view* bound = scope_.resolve(prefix);
           bound && *bound == uri) {
         continue;  // already in scope
       }
       scope_.bind(prefix, uri);
-      new_decls.emplace_back(prefix, uri);
     }
-
-    std::string tag = qualify(el.name(), /*is_attribute=*/false, new_decls);
+    const std::string_view tag_prefix = qualify(el.name(), /*is_attribute=*/false);
+    for (const auto& a : el.attributes()) qualify(a.name, /*is_attribute=*/true);
 
     out_ += '<';
-    out_ += tag;
-
-    // Attribute names may force additional declarations.
-    std::vector<std::pair<std::string, std::string>> attr_text;
-    for (const auto& a : el.attributes()) {
-      attr_text.emplace_back(qualify(a.name, /*is_attribute=*/true, new_decls),
-                             a.value);
-    }
-    for (const auto& [prefix, uri] : new_decls) {
-      out_ += ' ';
-      out_ += prefix.empty() ? "xmlns" : "xmlns:" + prefix;
+    write_qname(tag_prefix, el.name().local());
+    for (std::size_t i = mark; i < scope_.mark(); ++i) {
+      const auto& [prefix, uri] = scope_.at(i);
+      out_ += prefix.empty() ? " xmlns" : " xmlns:";
+      out_ += prefix;
       out_ += "=\"";
-      out_ += escape_text(uri, true);
+      escape_into(out_, uri, true);
       out_ += '"';
     }
-    for (const auto& [name, value] : attr_text) {
+    for (const auto& a : el.attributes()) {
       out_ += ' ';
-      out_ += name;
+      // Pass one bound a prefix for every namespaced attribute, so this
+      // lookup finds the prefix qualify() chose.
+      write_qname(a.name.ns().empty() ? std::string_view{}
+                                      : *scope_.prefix_for(a.name.ns(), false),
+                  a.name.local());
       out_ += "=\"";
-      out_ += escape_text(value, true);
+      escape_into(out_, a.value, true);
       out_ += '"';
     }
 
     if (!el.has_children()) {
       out_ += "/>";
-      scope_.pop();
+      scope_.pop_to(mark);
       return;
     }
     out_ += '>';
@@ -152,7 +179,7 @@ class Writer {
           write_element(static_cast<const Element&>(*c), depth + 1);
           break;
         case NodeKind::kText:
-          out_ += escape_text(static_cast<const CharData&>(*c).text());
+          escape_into(out_, static_cast<const CharData&>(*c).text());
           break;
         case NodeKind::kCData:
           out_ += "<![CDATA[";
@@ -169,87 +196,96 @@ class Writer {
     }
     if (pretty_here) indent(depth);
     out_ += "</";
-    out_ += tag;
+    write_qname(tag_prefix, el.name().local());
     out_ += '>';
-    scope_.pop();
+    scope_.pop_to(mark);
   }
 
-  // Returns the serialized (possibly prefixed) name, creating a namespace
-  // declaration in `new_decls` if the URI is not yet reachable.
-  std::string qualify(const QName& name, bool is_attribute,
-                      std::vector<std::pair<std::string, std::string>>& new_decls) {
+  // Returns the prefix to write `name` with ("" = none), binding a new
+  // declaration in this element's scope if the URI is not yet reachable.
+  std::string_view qualify(const QName& name, bool is_attribute) {
     if (name.ns().empty()) {
       // For elements, a no-namespace name requires the default namespace to
       // be unset in scope. We only undeclare if a default namespace applies.
       if (!is_attribute) {
-        if (const std::string* dflt = scope_.resolve(""); dflt && !dflt->empty()) {
+        if (const std::string_view* dflt = scope_.resolve("");
+            dflt && !dflt->empty()) {
           scope_.bind("", "");
-          new_decls.emplace_back("", "");
         }
       }
-      return name.local();
+      return {};
     }
-    if (const std::string* p = scope_.prefix_for(name.ns(), !is_attribute)) {
-      return p->empty() ? name.local() : *p + ":" + name.local();
+    if (const std::string_view* p = scope_.prefix_for(name.ns(), !is_attribute)) {
+      return *p;
     }
     // Invent a prefix.
-    std::string prefix;
+    std::string_view prefix;
     do {
-      prefix = "n" + std::to_string(++gen_counter_);
-    } while (scope_.prefix_taken(prefix));
+      prefix = generated_prefix(++gen_counter_);
+    } while (scope_.resolve(prefix));
     scope_.bind(prefix, name.ns());
-    new_decls.emplace_back(prefix, name.ns());
-    return prefix + ":" + name.local();
+    return prefix;
+  }
+
+  std::string_view generated_prefix(int n) {
+    if (n < kNamedPrefixes) return generated_prefixes()[n];
+    return spilled_prefixes_.emplace_front("n" + std::to_string(n));
   }
 
   const WriteOptions& opts_;
   std::string out_;
   PrefixScope scope_;
   int gen_counter_ = 0;
+  std::forward_list<std::string> spilled_prefixes_;
   std::string_view probe_local_;
   std::vector<ProbePoint>* probes_ = nullptr;
 };
 
+// Bytes escape_into rewrites: markup, the quote (attributes only), and C0
+// controls; 1 = always, 2 = in attributes only.
+constexpr std::array<unsigned char, 256> kEscapeClass = [] {
+  std::array<unsigned char, 256> t{};
+  for (int c = 0; c < 0x20; ++c) t[c] = 1;
+  t['\t'] = t['\n'] = t['\r'] = 2;
+  t['&'] = t['<'] = t['>'] = 1;
+  t['"'] = 2;
+  return t;
+}();
+
 }  // namespace
 
-std::string escape_text(std::string_view raw, bool in_attribute) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
+void escape_into(std::string& out, std::string_view raw, bool in_attribute) {
+  const unsigned char mask = in_attribute ? 3 : 1;
+  std::size_t run = 0;  // start of the pending verbatim run
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    char c = raw[i];
+    if (!(kEscapeClass[static_cast<unsigned char>(c)] & mask)) continue;
+    out.append(raw.substr(run, i - run));
+    run = i + 1;
     switch (c) {
       case '&': out += "&amp;"; break;
       case '<': out += "&lt;"; break;
       case '>': out += "&gt;"; break;
-      case '"':
-        if (in_attribute) {
-          out += "&quot;";
-        } else {
-          out += c;
-        }
-        break;
+      case '"': out += "&quot;"; break;
       // Whitespace in attribute values must ride as character references:
       // a parser normalizes literal tab/CR/LF to spaces, so event messages
       // and fault text would not round-trip. (Our parser decodes &#n;.)
-      case '\t':
-        out += in_attribute ? "&#9;" : "\t";
-        break;
-      case '\n':
-        out += in_attribute ? "&#10;" : "\n";
-        break;
-      case '\r':
-        out += in_attribute ? "&#13;" : "\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          // Remaining C0 controls are not legal XML 1.0 characters at all,
-          // even as references; substitute U+FFFD so arbitrary fault/event
-          // payloads can never produce an unparseable document.
-          out += "\xEF\xBF\xBD";
-        } else {
-          out += c;
-        }
+      case '\t': out += "&#9;"; break;
+      case '\n': out += "&#10;"; break;
+      case '\r': out += "&#13;"; break;
+      // Remaining C0 controls are not legal XML 1.0 characters at all, even
+      // as references; substitute U+FFFD so arbitrary fault/event payloads
+      // can never produce an unparseable document.
+      default: out += "\xEF\xBF\xBD"; break;
     }
   }
+  out.append(raw.substr(run));
+}
+
+std::string escape_text(std::string_view raw, bool in_attribute) {
+  std::string out;
+  out.reserve(raw.size());
+  escape_into(out, raw, in_attribute);
   return out;
 }
 

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,8 @@ void write_into(std::string& out, const Element& root,
 
 /// Escapes `&<>` (and `"` when `in_attribute`) for inclusion in XML text.
 std::string escape_text(std::string_view raw, bool in_attribute = false);
+/// As escape_text, appending to `out` (verbatim runs are copied whole).
+void escape_into(std::string& out, std::string_view raw, bool in_attribute = false);
 
 // --- response-template support ----------------------------------------------
 //

@@ -550,9 +550,18 @@ TEST(VirtualNetwork, HttpsWithoutAnchorFails) {
 }
 
 // The client exchange maps replies the same way on every fabric: a 503
-// carries its Retry-After, an empty non-200 is a transport failure.
+// carries its Retry-After; any other non-200 that is not a 500 fault
+// envelope is a transport failure naming the status, whatever its body.
 HttpResponse empty_not_found(const HttpRequest&) {
   return HttpResponse::error(404, "Not Found");
+}
+HttpResponse text_not_found(const HttpRequest&) {
+  return HttpResponse::error(404, "Not Found", "no service at /svc");
+}
+HttpResponse text_bad_request(const HttpRequest&) {
+  // The plain-text e.what() body ParseHandler and the consumers answer with.
+  return HttpResponse::error(400, "Bad Request",
+                             "expected '<' at line 1, column 1");
 }
 HttpResponse shed(const HttpRequest&) {
   HttpResponse resp = HttpResponse::error(503, "Service Unavailable");
@@ -560,17 +569,34 @@ HttpResponse shed(const HttpRequest&) {
   return resp;
 }
 
-void expect_error_mapping(SoapCaller& caller, const std::string& not_found,
-                          const std::string& overloaded) {
+struct ErrorRoutes {
+  std::string not_found;       // empty 404
+  std::string text_not_found;  // 404 with a text body
+  std::string bad_request;     // 400 with a text body
+  std::string overloaded;      // 503 with Retry-After: 1
+};
+
+void expect_network_error(SoapCaller& caller, const std::string& address,
+                          const std::string& status) {
   try {
-    caller.call(not_found, make_request("x"));
-    ADD_FAILURE() << "empty 404 did not throw";
+    caller.call(address, make_request("x"));
+    ADD_FAILURE() << status << " did not throw";
   } catch (const OverloadError&) {
-    ADD_FAILURE() << "empty 404 mapped to OverloadError";
-  } catch (const NetworkError&) {
+    ADD_FAILURE() << status << " mapped to OverloadError";
+  } catch (const NetworkError& err) {
+    EXPECT_NE(std::string(err.what()).find("HTTP " + status), std::string::npos)
+        << err.what();
+  } catch (const std::exception& err) {
+    ADD_FAILURE() << status << " threw a non-network error: " << err.what();
   }
+}
+
+void expect_error_mapping(SoapCaller& caller, const ErrorRoutes& routes) {
+  expect_network_error(caller, routes.not_found, "404 Not Found");
+  expect_network_error(caller, routes.text_not_found, "404 Not Found");
+  expect_network_error(caller, routes.bad_request, "400 Bad Request");
   try {
-    caller.call(overloaded, make_request("x"));
+    caller.call(routes.overloaded, make_request("x"));
     ADD_FAILURE() << "503 did not throw";
   } catch (const OverloadError& err) {
     EXPECT_EQ(err.retry_after_ms(), 1000);
@@ -579,11 +605,42 @@ void expect_error_mapping(SoapCaller& caller, const std::string& not_found,
 
 TEST(VirtualNetwork, ErrorStatusesMapToTypedErrors) {
   VirtualNetwork net;
-  LambdaEndpoint missing(empty_not_found), busy(shed);
+  LambdaEndpoint missing(empty_not_found), missing_text(text_not_found),
+      bad(text_bad_request), busy(shed);
   net.bind("missing", missing);
+  net.bind("missing-text", missing_text);
+  net.bind("bad", bad);
   net.bind("busy", busy);
   VirtualCaller caller(net, {});
-  expect_error_mapping(caller, "http://missing/svc", "http://busy/svc");
+  expect_error_mapping(caller, {"http://missing/svc", "http://missing-text/svc",
+                                "http://bad/svc", "http://busy/svc"});
+}
+
+// A Retry-After hint counts only as delta-seconds, and only up to the cap:
+// a negative, exponent or overflowing value cannot stall a retrying client.
+TEST(VirtualNetwork, RetryAfterIsBoundedDeltaSeconds) {
+  struct Case {
+    const char* value;
+    common::TimeMs ms;
+  };
+  for (const Case& c : {Case{"120", 120'000}, Case{"-5", 0}, Case{"1e3", 0},
+                        Case{"9223372036854775807", kMaxRetryAfterMs}}) {
+    EXPECT_EQ(retry_after_ms(c.value), c.ms) << c.value;
+    VirtualNetwork net;
+    LambdaEndpoint busy([&c](const HttpRequest&) {
+      HttpResponse resp = HttpResponse::error(503, "Service Unavailable");
+      resp.headers["Retry-After"] = c.value;
+      return resp;
+    });
+    net.bind("busy", busy);
+    VirtualCaller caller(net, {});
+    try {
+      caller.call("http://busy/svc", make_request("x"));
+      ADD_FAILURE() << "503 did not throw";
+    } catch (const OverloadError& err) {
+      EXPECT_EQ(err.retry_after_ms(), c.ms) << c.value;
+    }
+  }
 }
 
 // A request the framer rejects is answered with a typed status on the
@@ -751,11 +808,15 @@ TEST(TcpServer, IdleConnectionTimesOutAndFreesWorker) {
 }
 
 TEST(TcpServer, ErrorStatusesMapToTypedErrors) {
-  LambdaEndpoint missing(empty_not_found), busy(shed);
-  HttpServer missing_server(missing, 0, 1), busy_server(busy, 0, 1);
+  LambdaEndpoint missing(empty_not_found), missing_text(text_not_found),
+      bad(text_bad_request), busy(shed);
+  HttpServer missing_server(missing, 0, 1), missing_text_server(missing_text, 0, 1),
+      bad_server(bad, 0, 1), busy_server(busy, 0, 1);
   TcpSoapCaller caller;
-  expect_error_mapping(caller, missing_server.base_url() + "/svc",
-                       busy_server.base_url() + "/svc");
+  expect_error_mapping(caller, {missing_server.base_url() + "/svc",
+                                missing_text_server.base_url() + "/svc",
+                                bad_server.base_url() + "/svc",
+                                busy_server.base_url() + "/svc"});
 }
 
 TEST(TcpServer, StopIsIdempotent) {
