@@ -79,7 +79,7 @@ elif [[ "$TSAN_ONLY" == "1" ]]; then
   # scratch buffers, refcounted buffer-chain segments) with its xml
   # substrate, the observability layer (sampler vs request threads,
   # SLO evaluation against a concurrently-fed store), and the durable
-  # storage engine (group-commit thread vs writers, drain barriers, the
+  # storage engine (leader vs followers, drain barriers, the
   # load/store/remove cache hammer), and the network substrate (the
   # HttpServer worker pool and its request-deadline path on real sockets).
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \

@@ -56,10 +56,10 @@ bool read_u64(std::string_view in, std::size_t& pos, std::uint64_t& out) {
   return true;
 }
 
-bool read_bytes(std::string_view in, std::size_t& pos, std::uint64_t len,
-                std::string& out) {
-  if (pos + len > in.size()) return false;
-  out.assign(in.substr(pos, len));
+bool read_view(std::string_view in, std::size_t& pos, std::uint64_t len,
+               std::string_view& out) {
+  if (len > in.size() - pos) return false;
+  out = in.substr(pos, len);
   pos += len;
   return true;
 }
@@ -144,11 +144,12 @@ std::string encode_commit(std::uint32_t record_count) {
   return encode_frame(payload);
 }
 
+// A decoded record: views into the bytes it was decoded from.
 struct DecodedRecord {
   std::uint8_t op = 0;
-  std::string collection;
-  std::string id;
-  std::string octets;
+  std::string_view collection;
+  std::string_view id;
+  std::string_view octets;
   std::uint32_t commit_count = 0;
 };
 
@@ -158,59 +159,61 @@ enum class FrameResult {
   kCorrupt,    // CRC or structure failure on a complete-looking frame
 };
 
+// Parses a record payload (the bytes after a frame's [len][crc] header).
+bool decode_payload(std::string_view payload, DecodedRecord& rec) {
+  if (payload.empty()) return false;
+  std::size_t p = 1;
+  rec.op = static_cast<std::uint8_t>(payload[0]);
+  std::uint32_t clen = 0, ilen = 0;
+  std::uint64_t olen = 0;
+  switch (rec.op) {
+    case kOpPut:
+      return read_u32(payload, p, clen) &&
+             read_view(payload, p, clen, rec.collection) &&
+             read_u32(payload, p, ilen) &&
+             read_view(payload, p, ilen, rec.id) &&
+             read_u64(payload, p, olen) &&
+             read_view(payload, p, olen, rec.octets) && p == payload.size();
+    case kOpRemove:
+      return read_u32(payload, p, clen) &&
+             read_view(payload, p, clen, rec.collection) &&
+             read_u32(payload, p, ilen) &&
+             read_view(payload, p, ilen, rec.id) && p == payload.size();
+    case kOpCommit:
+      return read_u32(payload, p, rec.commit_count) && p == payload.size();
+    default:
+      return false;
+  }
+}
+
 FrameResult decode_frame(std::string_view log, std::size_t& pos,
                          DecodedRecord& rec) {
   std::size_t start = pos;
   std::uint32_t len = 0, crc = 0;
-  if (!read_u32(log, pos, len) || !read_u32(log, pos, crc)) {
-    pos = start;
-    return FrameResult::kTorn;
-  }
-  if (pos + len > log.size()) {
+  if (!read_u32(log, pos, len) || !read_u32(log, pos, crc) ||
+      len > log.size() - pos) {
     pos = start;
     return FrameResult::kTorn;
   }
   std::string_view payload = log.substr(pos, len);
   pos += len;
-  if (crc32(payload) != crc || payload.empty()) return FrameResult::kCorrupt;
-  std::size_t p = 0;
-  rec.op = static_cast<std::uint8_t>(payload[0]);
-  ++p;
-  switch (rec.op) {
-    case kOpPut: {
-      std::uint32_t clen = 0, ilen = 0;
-      std::uint64_t olen = 0;
-      if (!read_u32(payload, p, clen) ||
-          !read_bytes(payload, p, clen, rec.collection) ||
-          !read_u32(payload, p, ilen) ||
-          !read_bytes(payload, p, ilen, rec.id) ||
-          !read_u64(payload, p, olen) ||
-          !read_bytes(payload, p, olen, rec.octets) ||
-          p != payload.size()) {
-        return FrameResult::kCorrupt;
-      }
-      return FrameResult::kOk;
-    }
-    case kOpRemove: {
-      std::uint32_t clen = 0, ilen = 0;
-      if (!read_u32(payload, p, clen) ||
-          !read_bytes(payload, p, clen, rec.collection) ||
-          !read_u32(payload, p, ilen) ||
-          !read_bytes(payload, p, ilen, rec.id) ||
-          p != payload.size()) {
-        return FrameResult::kCorrupt;
-      }
-      return FrameResult::kOk;
-    }
-    case kOpCommit: {
-      if (!read_u32(payload, p, rec.commit_count) || p != payload.size())
-        return FrameResult::kCorrupt;
-      return FrameResult::kOk;
-    }
-    default:
-      return FrameResult::kCorrupt;
-  }
+  if (crc32(payload) != crc || !decode_payload(payload, rec))
+    return FrameResult::kCorrupt;
+  return FrameResult::kOk;
 }
+
+// Runs `fn` when the scope exits, by return or by exception.
+template <typename Fn>
+class ScopeExit {
+ public:
+  explicit ScopeExit(Fn fn) : fn_(std::move(fn)) {}
+  ~ScopeExit() { fn_(); }
+  ScopeExit(const ScopeExit&) = delete;
+  ScopeExit& operator=(const ScopeExit&) = delete;
+
+ private:
+  Fn fn_;
+};
 
 telemetry::MetricsRegistry& registry_or_global(telemetry::MetricsRegistry* m) {
   return m ? *m : telemetry::MetricsRegistry::global();
@@ -271,7 +274,8 @@ WalBackend::WalBackend(std::shared_ptr<LogDevice> log,
       snapshot_bytes_gauge_(registry_or_global(options.metrics)
                                 .gauge("xmldb.wal_snapshot_bytes")) {
   recover();
-  commit_thread_ = std::thread([this] { commit_loop(); });
+  queue_.reserve(64);
+  batch_.reserve(64);
 }
 
 std::unique_ptr<WalBackend> WalBackend::open(const std::filesystem::path& dir,
@@ -283,17 +287,17 @@ std::unique_ptr<WalBackend> WalBackend::open(const std::filesystem::path& dir,
 }
 
 WalBackend::~WalBackend() {
-  {
-    std::lock_guard lock(queue_mu_);
-    stop_ = true;
-  }
-  queue_cv_.notify_all();
-  if (commit_thread_.joinable()) commit_thread_.join();
+  // Commit what put_async left queued, paused or not. If the device fails
+  // now, those writes stay unacknowledged — no drain() will ever report it.
+  std::unique_lock lock(queue_mu_);
+  paused_ = false;
+  if (!device_failed_ && !queue_.empty()) lead(lock, /*force_compact=*/false);
 }
 
 void WalBackend::recover() {
   auto t0 = std::chrono::steady_clock::now();
   std::uint64_t applied = 0, corrupt = 0, discarded = 0;
+  std::lock_guard table_lock(table_mu_);
 
   // Phase 1: the snapshot — a versioned header followed by framed puts. A
   // bad header means the snapshot device is not ours (or torn mid-install,
@@ -320,7 +324,7 @@ void WalBackend::recover() {
               "corrupt snapshot record, remainder skipped", {});
           break;
         }
-        table_[rec.collection][rec.id] = std::move(rec.octets);
+        apply_locked(rec.op, rec.collection, rec.id, rec.octets);
         ++applied;
       }
     } else {
@@ -370,15 +374,14 @@ void WalBackend::recover() {
             telemetry::Level::kWarn, "xmldb.wal",
             "discarding batch with corrupt or missing records", {});
       } else {
-        for (auto& b : batch) {
-          apply(b.op, b.collection, b.id, std::move(b.octets));
-          ++applied;
-        }
+        for (const auto& b : batch)
+          apply_locked(b.op, b.collection, b.id, b.octets);
+        applied += batch.size();
       }
       batch.clear();
       batch_poisoned = false;
     } else {
-      batch.push_back(std::move(rec));
+      batch.push_back(rec);
     }
   }
   discarded += batch.size();
@@ -399,56 +402,48 @@ void WalBackend::recover() {
   recovery_us_.record(us);
 }
 
-void WalBackend::enqueue(Pending pending, bool notify) {
-  {
-    std::lock_guard lock(queue_mu_);
-    if (device_failed_)
-      throw LogDeviceError("wal: log device failed, backend is read-only");
-    if (queue_.capacity() == 0) queue_.reserve(64);
-    queue_.push_back(std::move(pending));
-    ++enqueued_records_;
-  }
-  if (notify) queue_cv_.notify_one();
+void WalBackend::enqueue_locked(std::string frame, Ack* ack) {
+  if (device_failed_)
+    throw LogDeviceError("wal: log device failed, backend is read-only");
+  queue_.push_back(Pending{.frame = std::move(frame),
+                           .ack = ack,
+                           .enqueued = std::chrono::steady_clock::now()});
+}
+
+bool WalBackend::write(std::string frame) {
+  Ack ack;
+  std::unique_lock lock(queue_mu_);
+  enqueue_locked(std::move(frame), &ack);
+  // Either a leader commits this record, or this writer takes the turn and
+  // commits it (with whatever else queued meanwhile) itself.
+  turn_cv_.wait(lock, [&] { return ack.done || (!leader_ && !paused_); });
+  if (!ack.done) lead(lock, /*force_compact=*/false);
+  if (ack.failed)
+    throw LogDeviceError("wal: append/sync failed, write not acknowledged");
+  return ack.result;
 }
 
 void WalBackend::put(const std::string& collection, const std::string& id,
                      const std::string& octets) {
-  std::promise<bool> done;
-  std::future<bool> acked = done.get_future();
-  Pending pending;
-  pending.frame = encode_put(collection, id, octets);
-  pending.op = kOpPut;
-  pending.collection = collection;
-  pending.id = id;
-  pending.octets = octets;
-  pending.done = &done;
-  pending.enqueued = std::chrono::steady_clock::now();
-  enqueue(std::move(pending), /*notify=*/true);
-  acked.get();  // rethrows LogDeviceError on failure
+  write(encode_put(collection, id, octets));
 }
 
-void WalBackend::put_async(std::string collection, std::string id,
-                           std::string octets) {
-  Pending pending;
-  pending.frame = encode_put(collection, id, octets);
-  pending.op = kOpPut;
-  pending.collection = std::move(collection);
-  pending.id = std::move(id);
-  pending.octets = std::move(octets);
-  pending.enqueued = std::chrono::steady_clock::now();
-  // No per-record wakeup: durability is deferred until drain(), so the
-  // whole window piles up and commits as ONE batch — one append, one
-  // sync. (A per-record notify would let the commit thread preempt the
-  // writer and shred the window into single-record batches.)
-  enqueue(std::move(pending), /*notify=*/false);
+void WalBackend::put_async(const std::string& collection,
+                           const std::string& id, const std::string& octets) {
+  // No leader is woken: durability is deferred until drain(), so the whole
+  // window piles up and commits as ONE batch — one append, one sync.
+  std::string frame = encode_put(collection, id, octets);
+  std::lock_guard lock(queue_mu_);
+  enqueue_locked(std::move(frame), nullptr);
 }
 
 void WalBackend::drain() {
-  queue_cv_.notify_one();  // flush anything put_async left unannounced
   std::unique_lock lock(queue_mu_);
-  drain_cv_.wait(lock, [this] {
-    return device_failed_ || resolved_records_ == enqueued_records_;
-  });
+  // Once no leader is in flight, every record not in queue_ is resolved;
+  // committing queue_ on this thread resolves the rest.
+  turn_cv_.wait(lock,
+                [this] { return device_failed_ || (!leader_ && !paused_); });
+  if (!device_failed_ && !queue_.empty()) lead(lock, /*force_compact=*/false);
   if (device_failed_)
     throw LogDeviceError("wal: log device failed, writes not acknowledged");
 }
@@ -461,19 +456,9 @@ bool WalBackend::remove(const std::string& collection, const std::string& id) {
     auto coll = table_.find(collection);
     if (coll == table_.end() || !coll->second.count(id)) return false;
   }
-  std::promise<bool> done;
-  std::future<bool> acked = done.get_future();
-  Pending pending;
-  pending.frame = encode_remove(collection, id);
-  pending.op = kOpRemove;
-  pending.collection = collection;
-  pending.id = id;
-  pending.done = &done;
-  pending.enqueued = std::chrono::steady_clock::now();
-  enqueue(std::move(pending), /*notify=*/true);
   // The apply-time result is authoritative: a racing remove of the same id
   // may win, in which case this one reports false just like MemoryBackend.
-  return acked.get();
+  return write(encode_remove(collection, id));
 }
 
 std::optional<std::string> WalBackend::get(const std::string& collection,
@@ -503,88 +488,77 @@ bool WalBackend::contains(const std::string& collection,
   return coll != table_.end() && coll->second.count(id) > 0;
 }
 
-bool WalBackend::apply(std::uint8_t op, const std::string& collection,
-                       const std::string& id, std::string octets) {
-  std::lock_guard lock(table_mu_);
+bool WalBackend::apply_locked(std::uint8_t op, std::string_view collection,
+                              std::string_view id, std::string_view octets) {
+  auto coll = table_.find(collection);
   if (op == kOpPut) {
-    table_[collection][id] = std::move(octets);
+    if (coll == table_.end())
+      coll = table_.emplace(std::string(collection), Docs{}).first;
+    auto doc = coll->second.find(id);
+    if (doc == coll->second.end()) {
+      coll->second.emplace(std::string(id), std::string(octets));
+    } else {
+      doc->second.assign(octets);
+    }
     return true;
   }
-  auto coll = table_.find(collection);
   if (coll == table_.end()) return false;
-  bool erased = coll->second.erase(id) > 0;
+  auto doc = coll->second.find(id);
+  if (doc == coll->second.end()) return false;
+  coll->second.erase(doc);
   if (coll->second.empty()) table_.erase(coll);
-  return erased;
+  return true;
 }
 
-void WalBackend::commit_loop() {
-  for (;;) {
-    std::vector<Pending> batch;
-    bool do_compaction = false;
-    {
-      std::unique_lock lock(queue_mu_);
-      queue_cv_.wait(lock, [this] {
-        return stop_ || compact_requested_ ||
-               (!paused_ && !queue_.empty());
-      });
-      if (stop_ && queue_.empty() && !compact_requested_) return;
-      batch.swap(queue_);
-      if (compact_requested_) do_compaction = true;
+void WalBackend::lead(std::unique_lock<std::mutex>& lock, bool force_compact) {
+  leader_ = true;
+  batch_.swap(queue_);
+  lock.unlock();
+  bool committed = false;
+  // However this turn ends, resolve the batch and hand the turn back. A
+  // failed commit leaves the medium's tail unknown, so the engine goes
+  // read-only: the batch and everything queued behind it fail, and every
+  // later write throws.
+  ScopeExit release([&] {
+    lock.lock();
+    if (!committed) {
+      device_failed_ = true;
+      resolve(queue_, /*failed=*/true);
+      queue_.clear();
     }
-    if (!batch.empty()) {
-      std::size_t batch_size = batch.size();
-      if (!commit_batch(std::move(batch))) {
-        // Device dead: drain and fail everything still queued, forever.
-        std::unique_lock lock(queue_mu_);
-        device_failed_ = true;
-        auto leftovers = std::move(queue_);
-        queue_.clear();
-        resolved_records_ += batch_size + leftovers.size();
-        lock.unlock();
-        for (auto& p : leftovers) {
-          if (p.done) {
-            p.done->set_exception(std::make_exception_ptr(
-                LogDeviceError("wal: log device failed")));
-          }
-        }
-        compact_cv_.notify_all();
-        drain_cv_.notify_all();
-        continue;
-      }
-      {
-        std::lock_guard lock(queue_mu_);
-        resolved_records_ += batch_size;
-      }
-      drain_cv_.notify_all();
-    }
-    bool threshold = log_->size() > options_.compact_threshold_bytes;
-    if (do_compaction || threshold) {
-      do_compact();
-      std::lock_guard lock(queue_mu_);
-      compact_requested_ = false;
-      compact_cv_.notify_all();
-    }
-  }
-}
-
-bool WalBackend::commit_batch(std::vector<Pending> batch) {
-  std::string bytes;
-  std::size_t total = 0;
-  for (const auto& p : batch) total += p.frame.size();
-  bytes.reserve(total + 16);
-  for (const auto& p : batch) bytes += p.frame;
-  bytes += encode_commit(static_cast<std::uint32_t>(batch.size()));
+    resolve(batch_, !committed);
+    batch_.clear();
+    leader_ = false;
+    turn_cv_.notify_all();
+  });
   try {
-    log_->append(bytes);
-    log_->sync();
-  } catch (const LogDeviceError&) {
-    auto err = std::make_exception_ptr(
-        LogDeviceError("wal: append/sync failed, write not acknowledged"));
-    for (auto& p : batch) {
-      if (p.done) p.done->set_exception(err);
-    }
-    return false;
+    if (!batch_.empty()) commit_batch();
+    committed = true;
+  } catch (...) {
+    // Any exception — a device error, or bad_alloc building the batch
+    // buffer — is a device failure; the writers see LogDeviceError.
   }
+  if (committed &&
+      (force_compact || log_->size() > options_.compact_threshold_bytes)) {
+    do_compact();
+  }
+}
+
+void WalBackend::resolve(std::vector<Pending>& records, bool failed) {
+  for (Pending& p : records) {
+    if (!p.ack) continue;
+    p.ack->done = true;
+    p.ack->failed = failed;
+    p.ack->result = p.result;
+  }
+}
+
+void WalBackend::commit_batch() {
+  log_buf_.clear();
+  for (const auto& p : batch_) log_buf_ += p.frame;
+  log_buf_ += encode_commit(static_cast<std::uint32_t>(batch_.size()));
+  log_->append(log_buf_);
+  log_->sync();
 
   auto now = std::chrono::steady_clock::now();
   {
@@ -592,37 +566,27 @@ bool WalBackend::commit_batch(std::vector<Pending> batch) {
     // per-record half of commit cost, and readers only ever see whole
     // batches anyway (they couldn't observe a record before its marker).
     std::lock_guard lock(table_mu_);
-    for (auto& p : batch) {
-      if (p.op == kOpPut) {
-        table_[p.collection][p.id] = std::move(p.octets);
-        if (p.done) p.done->set_value(true);
-        continue;
-      }
-      bool erased = false;
-      auto coll = table_.find(p.collection);
-      if (coll != table_.end()) {
-        erased = coll->second.erase(p.id) > 0;
-        if (coll->second.empty()) table_.erase(coll);
-      }
-      if (p.done) p.done->set_value(erased);
+    for (auto& p : batch_) {
+      DecodedRecord rec;
+      decode_payload(std::string_view(p.frame).substr(8), rec);
+      p.result = apply_locked(rec.op, rec.collection, rec.id, rec.octets);
     }
   }
   // Latency is sampled per batch (the oldest record — it waited longest);
   // a per-record histogram hit would double the apply loop's cost.
   commit_us_.record(std::chrono::duration_cast<std::chrono::microseconds>(
-                        now - batch.front().enqueued)
+                        now - batch_.front().enqueued)
                         .count());
 
   {
     std::lock_guard lock(stats_mu_);
     ++stats_.batches;
-    stats_.records += batch.size();
+    stats_.records += batch_.size();
   }
-  records_logged_.add(static_cast<std::int64_t>(batch.size()));
+  records_logged_.add(static_cast<std::int64_t>(batch_.size()));
   batches_synced_.add(1);
-  batch_size_.record(static_cast<std::int64_t>(batch.size()));
+  batch_size_.record(static_cast<std::int64_t>(batch_.size()));
   log_bytes_gauge_.set(static_cast<std::int64_t>(log_->size()));
-  return true;
 }
 
 void WalBackend::do_compact() {
@@ -630,29 +594,22 @@ void WalBackend::do_compact() {
   // snapshot first, then truncate the log. A crash between the two leaves
   // the old log to replay over the new snapshot — every record in it is a
   // put/remove the snapshot already reflects, and replaying is idempotent.
-  std::string snap;
-  snap.append(kSnapshotMagic, sizeof(kSnapshotMagic));
-  put_u32(snap, kSnapshotVersion);
-  {
-    std::lock_guard lock(table_mu_);
-    for (const auto& [collection, docs] : table_) {
-      for (const auto& [id, octets] : docs) {
-        std::string payload;
-        payload.push_back(static_cast<char>(kOpPut));
-        put_u32(payload, static_cast<std::uint32_t>(collection.size()));
-        payload.append(collection);
-        put_u32(payload, static_cast<std::uint32_t>(id.size()));
-        payload.append(id);
-        put_u64(payload, octets.size());
-        payload.append(octets);
-        snap += encode_frame(payload);
+  // Any failure (a device error, or bad_alloc building the snapshot) keeps
+  // the existing log, which still holds every acknowledged write.
+  try {
+    std::string snap;
+    snap.append(kSnapshotMagic, sizeof(kSnapshotMagic));
+    put_u32(snap, kSnapshotVersion);
+    {
+      std::lock_guard lock(table_mu_);
+      for (const auto& [collection, docs] : table_) {
+        for (const auto& [id, octets] : docs)
+          snap += encode_put(collection, id, octets);
       }
     }
-  }
-  try {
     snapshot_->reset(snap);
     log_->reset("");
-  } catch (const LogDeviceError&) {
+  } catch (...) {
     telemetry::EventLog::global().emit(
         telemetry::Level::kWarn, "xmldb.wal",
         "compaction failed, continuing on existing log", {});
@@ -669,10 +626,9 @@ void WalBackend::do_compact() {
 
 void WalBackend::compact() {
   std::unique_lock lock(queue_mu_);
-  compact_requested_ = true;
-  queue_cv_.notify_one();
-  compact_cv_.wait(lock,
-                   [this] { return !compact_requested_ || device_failed_; });
+  turn_cv_.wait(lock,
+                [this] { return device_failed_ || (!leader_ && !paused_); });
+  if (!device_failed_) lead(lock, /*force_compact=*/true);
 }
 
 void WalBackend::pause_commits() {
@@ -685,7 +641,7 @@ void WalBackend::resume_commits() {
     std::lock_guard lock(queue_mu_);
     paused_ = false;
   }
-  queue_cv_.notify_one();
+  turn_cv_.notify_all();
 }
 
 std::size_t WalBackend::pending() const {

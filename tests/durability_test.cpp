@@ -8,9 +8,14 @@
 // fresh engine over what the crash left durable.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "counter/wsrf_counter.hpp"
@@ -255,13 +260,163 @@ TEST(Wal, ThresholdTriggersCompactionAutomatically) {
   for (int i = 0; i < 60; ++i) {
     wal->put("c", "id" + std::to_string(i % 10), "<v>" + blob + "</v>");
   }
-  // Compaction runs on the commit thread after the triggering batch.
+  // Compaction runs on the leader, right after the triggering batch.
   for (int waited = 0; wal->stats().compactions == 0 && waited < 200; ++waited) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_GE(wal->stats().compactions, 1u);
   EXPECT_EQ(wal->list("c").size(), 10u);
   EXPECT_EQ(wal->get("c", "id3"), "<v>" + blob + "</v>");
+}
+
+// A LogDevice decorator over a MemoryLogDevice: records which thread
+// appends, and can throw a non-device exception from the next append.
+class ProbeLogDevice final : public xmldb::LogDevice {
+ public:
+  void append(std::string_view bytes) override {
+    {
+      std::lock_guard lock(mu_);
+      append_thread_ = std::this_thread::get_id();
+      if (std::exchange(throw_next_, false))
+        throw std::runtime_error("probe: injected non-device failure");
+    }
+    inner_.append(bytes);
+  }
+  void sync() override { inner_.sync(); }
+  std::string contents() const override { return inner_.contents(); }
+  std::uint64_t size() const override { return inner_.size(); }
+  void reset(std::string_view bytes) override { inner_.reset(bytes); }
+
+  std::thread::id append_thread() const {
+    std::lock_guard lock(mu_);
+    return append_thread_;
+  }
+  void throw_on_next_append() {
+    std::lock_guard lock(mu_);
+    throw_next_ = true;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  MemoryLogDevice inner_;
+  std::thread::id append_thread_;
+  bool throw_next_ = false;
+};
+
+TEST(Wal, UncontendedPutCommitsOnCallerThread) {
+  auto log = std::make_shared<ProbeLogDevice>();
+  WalBackend wal(log, std::make_shared<MemoryLogDevice>());
+  std::thread::id writer;
+  std::thread t([&] {
+    writer = std::this_thread::get_id();
+    wal.put("c", "a", "<a/>");
+  });
+  t.join();
+  // No commit thread: the writer led its own batch.
+  EXPECT_EQ(log->append_thread(), writer);
+  EXPECT_EQ(wal.get("c", "a"), "<a/>");
+}
+
+TEST(Wal, FollowersFailWhenDeviceDiesUnderLeader) {
+  Medium medium;
+  auto wal = medium.open();
+  wal->put("c", "acked", "<a/>");
+  wal->pause_commits();
+  std::atomic<int> failed{0};
+  std::vector<std::thread> writers;
+  for (int i = 0; i < 8; ++i) {
+    writers.emplace_back([&, i] {
+      try {
+        wal->put("c", "id" + std::to_string(i), "<v/>");
+      } catch (const LogDeviceError&) {
+        ++failed;
+      }
+    });
+  }
+  while (wal->pending() < 8) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  medium.log->crash_now();
+  wal->resume_commits();
+  for (auto& w : writers) w.join();  // every follower is released
+
+  EXPECT_EQ(failed.load(), 8);
+  EXPECT_EQ(wal->pending(), 0u);
+  EXPECT_THROW(wal->put("c", "later", "<l/>"), LogDeviceError);
+  EXPECT_EQ(wal->get("c", "acked"), "<a/>");
+  EXPECT_FALSE(wal->contains("c", "id0"));
+}
+
+TEST(Wal, ConcurrentAckedWritesSurviveCrash) {
+  constexpr int kThreads = 8;
+  constexpr int kOps = 200;
+  constexpr int kIdsPerThread = 16;
+  Medium medium;
+  auto wal = medium.open();
+  // Each thread owns its ids, so its own acknowledged writes decide their
+  // final state; the models are read only after every thread has joined.
+  std::vector<std::map<std::string, std::string>> models(kThreads);
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      auto& model = models[t];
+      for (int i = 0; i < kOps; ++i) {
+        std::string id =
+            "t" + std::to_string(t) + "-" + std::to_string(i % kIdsPerThread);
+        if (i % 5 == 4 && model.count(id)) {
+          EXPECT_TRUE(wal->remove("c", id));
+          model.erase(id);
+        } else {
+          std::string value = "<v i=\"" + std::to_string(i) + "\"/>";
+          wal->put("c", id, value);
+          model[id] = value;
+        }
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  medium.log->crash_now();
+
+  std::map<std::string, std::string> acked;
+  for (const auto& model : models) acked.insert(model.begin(), model.end());
+  auto rebooted = medium.after_crash().open();
+  std::map<std::string, std::string> recovered;
+  for (const auto& id : rebooted->list("c"))
+    recovered[id] = *rebooted->get("c", id);
+  EXPECT_EQ(recovered, acked);
+}
+
+TEST(Wal, NonDeviceExceptionReleasesTheTurn) {
+  auto log = std::make_shared<ProbeLogDevice>();
+  WalBackend wal(log, std::make_shared<MemoryLogDevice>());
+  wal.put("c", "acked", "<a/>");
+  log->throw_on_next_append();
+  // A std::runtime_error from the device is a failed commit like any
+  // other: the writer sees LogDeviceError, not a crash.
+  EXPECT_THROW(wal.put("c", "b", "<b/>"), LogDeviceError);
+  // The turn was handed back: another thread's write fails fast instead
+  // of waiting forever for a leader that is gone.
+  std::thread second([&] {
+    EXPECT_THROW(wal.put("c", "c", "<c/>"), LogDeviceError);
+  });
+  second.join();
+  EXPECT_EQ(wal.get("c", "acked"), "<a/>");
+  EXPECT_FALSE(wal.contains("c", "b"));
+}
+
+TEST(Wal, DestructorCommitsQueuedAsyncWrites) {
+  Medium medium;
+  {
+    auto wal = medium.open();
+    for (int i = 0; i < 50; ++i) {
+      wal->put_async("c", "id-" + std::to_string(i),
+                     "<v>" + std::to_string(i) + "</v>");
+    }
+    // No drain(): the destructor commits what is still queued.
+  }
+  auto wal = medium.after_crash().open();
+  EXPECT_EQ(wal->list("c").size(), 50u);
+  EXPECT_EQ(wal->get("c", "id-49"), "<v>49</v>");
 }
 
 // --- the DurableStore facade -------------------------------------------------------
