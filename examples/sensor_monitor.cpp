@@ -75,10 +75,9 @@ int main() {
   wsn::NotificationProducer producer(
       {&sink, "http://agent/Device", &manager, &clock}, std::move(topics));
   producer.register_into(service);
-  service.on_property_changed([&](const std::string& id, const xml::QName&) {
-    auto state = devices.try_load(id);
-    if (!state) return;
-    int t = std::stoi(state->child(dev("Temperature"))->text());
+  service.on_property_changed([&](const std::string&, const xml::QName&,
+                                  const xml::Element& state) {
+    int t = std::stoi(state.child(dev("Temperature"))->text());
     if (t >= 70) {
       xml::Element alert(dev("ThresholdAlert"));
       alert.append_element(dev("Temperature")).set_text(std::to_string(t));

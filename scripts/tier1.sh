@@ -80,10 +80,12 @@ elif [[ "$TSAN_ONLY" == "1" ]]; then
   # substrate, the observability layer (sampler vs request threads,
   # SLO evaluation against a concurrently-fed store), and the durable
   # storage engine (leader vs followers, drain barriers, the
-  # load/store/remove cache hammer), and the network substrate (the
-  # HttpServer worker pool and its request-deadline path on real sockets).
+  # load/store/remove cache hammer), the network substrate (the
+  # HttpServer worker pool and its request-deadline path on real sockets),
+  # and both eventing stacks (request threads read the live subscription
+  # tables while Subscribe, Unsubscribe and expiry mutate them).
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \
-    -R 'telemetry|reliability|monitor|concurrency|scheduler|xml|wire|overload|timeseries|slo|durability|net'
+    -R 'telemetry|reliability|monitor|concurrency|scheduler|xml|wire|overload|timeseries|slo|durability|net|wsn|wse'
 elif [[ "${OVERLOAD:-0}" == "1" ]]; then
   # Overload gate, part one: the admission/breaker suite.
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \

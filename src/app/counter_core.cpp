@@ -63,10 +63,9 @@ void CounterCore::apply_put(const std::string& id,
   fire(id, value);
 }
 
-void CounterCore::note_changed(const std::string& id) {
-  auto doc = db_.load(collection_, id);
-  if (!doc) return;
-  const xml::Element* cv = doc->child(value_qname());
+void CounterCore::note_changed(const std::string& id,
+                               const xml::Element& state) {
+  const xml::Element* cv = state.child(value_qname());
   fire(id, cv ? cv->text() : "");
 }
 

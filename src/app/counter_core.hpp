@@ -55,10 +55,10 @@ class CounterCore {
   /// "replacement document has no cv element".
   void apply_put(const std::string& id, const xml::Element& replacement);
 
-  /// Fires the value-changed signal with `id`'s current stored value (the
-  /// WSRF binding calls this after SetResourceProperties persisted the
-  /// new state through the resource home).
-  void note_changed(const std::string& id);
+  /// Fires the value-changed signal with the cv of `state`, the document
+  /// just committed for `id` (the WSRF binding calls this after
+  /// SetResourceProperties persisted it through the resource home).
+  void note_changed(const std::string& id, const xml::Element& state);
 
   /// The CounterValueChanged payload: Value + the counter's EPR so a
   /// client with many counters can tell which fired.

@@ -86,12 +86,13 @@ WsrfCounterDeployment::WsrfCounterDeployment(Params params)
         value, counter_home_->epr_for(id, counter_address()));
     producer_->notify(kValueChangedTopic, *event);
   });
-  service_->on_property_changed(
-      [this](const std::string& id, const xml::QName& prop) {
-        if (prop != cv_qname()) return;
-        if (manager_->count() == 0) return;  // nobody listening: skip
-        core_->note_changed(id);
-      });
+  service_->on_property_changed([this](const std::string& id,
+                                       const xml::QName& prop,
+                                       const xml::Element& state) {
+    if (prop != cv_qname()) return;
+    if (manager_->count() == 0) return;  // nobody listening: skip
+    core_->note_changed(id, state);
+  });
 
   // The telemetry resource reads the registry the container writes to
   // (custom or global) and carries whatever series/SLO/cost wiring the

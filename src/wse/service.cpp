@@ -125,7 +125,7 @@ EventSourceService::EventSourceService(std::string name, SubscriptionStore& stor
       sub.filter = filter->text();
       if (sub.dialect == FilterDialect::kXPath) {
         try {
-          (void)xml::XPathExpr::compile(sub.filter);
+          sub.xpath = compile_filter(sub.filter);  // kept for delivery
         } catch (const xml::XPathError& e) {
           throw soap::SoapFault("Sender", std::string("bad filter: ") + e.what());
         }
@@ -201,7 +201,8 @@ size_t NotificationManager::notify(const std::string& topic,
   }
 
   size_t delivered = 0;
-  for (const WseSubscription& sub : store_.active(clock_.now())) {
+  for (const SubscriptionStore::Entry& entry : store_.active(clock_.now())) {
+    const WseSubscription& sub = *entry;
     if (!sub.accepts(topic, event)) continue;
     soap::Envelope env;
     soap::MessageInfo info;

@@ -15,7 +15,20 @@ xml::QName wse(const char* local) { return {soap::ns::kEventing, local}; }
 
 constexpr const char* kXPathUri = "http://www.w3.org/TR/1999/REC-xpath-19991116";
 constexpr const char* kTopicUri = "http://gridstacks.dev/wse/topic";
+
+/// Null when `text` does not compile: the subscription then matches nothing.
+std::shared_ptr<const xml::XPathExpr> try_compile_filter(const std::string& text) {
+  try {
+    return compile_filter(text);
+  } catch (const xml::XPathError&) {
+    return nullptr;
+  }
+}
 }  // namespace
+
+std::shared_ptr<const xml::XPathExpr> compile_filter(const std::string& text) {
+  return std::make_shared<const xml::XPathExpr>(xml::XPathExpr::compile(text));
+}
 
 const char* dialect_uri(FilterDialect dialect) {
   switch (dialect) {
@@ -42,7 +55,9 @@ bool WseSubscription::accepts(const std::string& topic,
       return filter == topic;
     case FilterDialect::kXPath:
       try {
-        return xml::XPathExpr::compile(filter).matches(event);
+        // A subscription built outside the store carries no compiled form.
+        return xpath ? xpath->matches(event)
+                     : compile_filter(filter)->matches(event);
       } catch (const xml::XPathError&) {
         return false;  // unparsable filter never matches
       }
@@ -62,18 +77,20 @@ SubscriptionStore::SubscriptionStore(xmldb::XmlDatabase& db,
 }
 
 std::string SubscriptionStore::add(WseSubscription sub) {
+  if (sub.dialect == FilterDialect::kXPath && !sub.xpath) {
+    sub.xpath = try_compile_filter(sub.filter);
+  }
   std::lock_guard lock(mu_);
   sub.id = "wse-sub-" + std::to_string(next_id_++);
-  std::string id = sub.id;
-  subs_.push_back(std::move(sub));
-  persist_one_locked(subs_.back());
-  return id;
+  subs_.push_back(std::make_shared<const WseSubscription>(std::move(sub)));
+  persist_one_locked(*subs_.back());
+  return subs_.back()->id;
 }
 
 bool SubscriptionStore::remove(const std::string& id) {
   std::lock_guard lock(mu_);
   for (auto it = subs_.begin(); it != subs_.end(); ++it) {
-    if (it->id == id) {
+    if ((*it)->id == id) {
       subs_.erase(it);
       erase_one_locked(id);
       return true;
@@ -84,29 +101,32 @@ bool SubscriptionStore::remove(const std::string& id) {
 
 std::optional<WseSubscription> SubscriptionStore::get(const std::string& id) const {
   std::lock_guard lock(mu_);
-  for (const auto& sub : subs_) {
-    if (sub.id == id) return sub;
+  for (const Entry& sub : subs_) {
+    if (sub->id == id) return *sub;
   }
   return std::nullopt;
 }
 
 bool SubscriptionStore::renew(const std::string& id, common::TimeMs new_expires) {
   std::lock_guard lock(mu_);
-  for (auto& sub : subs_) {
-    if (sub.id == id) {
-      sub.expires = new_expires;
-      persist_one_locked(sub);
+  for (Entry& sub : subs_) {
+    if (sub->id == id) {
+      auto renewed = std::make_shared<WseSubscription>(*sub);
+      renewed->expires = new_expires;
+      sub = std::move(renewed);
+      persist_one_locked(*sub);
       return true;
     }
   }
   return false;
 }
 
-std::vector<WseSubscription> SubscriptionStore::active(common::TimeMs now) const {
+std::vector<SubscriptionStore::Entry> SubscriptionStore::active(
+    common::TimeMs now) const {
   std::lock_guard lock(mu_);
-  std::vector<WseSubscription> out;
-  for (const auto& sub : subs_) {
-    if (sub.expires == WseSubscription::kNever || sub.expires > now) {
+  std::vector<Entry> out;
+  for (const Entry& sub : subs_) {
+    if (sub->expires == WseSubscription::kNever || sub->expires > now) {
       out.push_back(sub);
     }
   }
@@ -117,8 +137,8 @@ std::vector<WseSubscription> SubscriptionStore::purge_expired(common::TimeMs now
   std::lock_guard lock(mu_);
   std::vector<WseSubscription> expired;
   for (auto it = subs_.begin(); it != subs_.end();) {
-    if (it->expires != WseSubscription::kNever && it->expires <= now) {
-      expired.push_back(std::move(*it));
+    if ((*it)->expires != WseSubscription::kNever && (*it)->expires <= now) {
+      expired.push_back(**it);
       it = subs_.erase(it);
     } else {
       ++it;
@@ -176,6 +196,9 @@ std::optional<WseSubscription> subscription_from_element(
   if (const xml::Element* f = el.child(wse("Filter"))) {
     sub.dialect = dialect_from_uri(f->attr("Dialect").value_or(""));
     sub.filter = f->text();
+    if (sub.dialect == FilterDialect::kXPath) {
+      sub.xpath = try_compile_filter(sub.filter);
+    }
   }
   if (const xml::Element* x = el.child(wse("Expires"))) {
     if (x->text() == "infinite") {
@@ -204,7 +227,7 @@ std::optional<WseSubscription> subscription_from_element(
 void SubscriptionStore::persist_locked() const {
   if (path_.empty()) return;
   xml::Element doc(wse("Subscriptions"));
-  for (const auto& sub : subs_) doc.append(subscription_element(sub)->clone());
+  for (const Entry& sub : subs_) doc.append(subscription_element(*sub));
   std::ofstream out(path_, std::ios::binary | std::ios::trunc);
   out << xml::write(doc, {.pretty = true, .declaration = true});
 }
@@ -247,7 +270,7 @@ void SubscriptionStore::load_locked() {
       if (!el) continue;
       if (auto sub = subscription_from_element(*el)) {
         note_id_locked(sub->id);
-        subs_.push_back(std::move(*sub));
+        subs_.push_back(std::make_shared<const WseSubscription>(std::move(*sub)));
       }
     }
     return;
@@ -261,7 +284,7 @@ void SubscriptionStore::load_locked() {
   for (const xml::Element* el : doc->children_named(wse("Subscription"))) {
     if (auto sub = subscription_from_element(*el)) {
       note_id_locked(sub->id);
-      subs_.push_back(std::move(*sub));
+      subs_.push_back(std::make_shared<const WseSubscription>(std::move(*sub)));
     }
   }
 }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <filesystem>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -38,6 +39,9 @@ struct WseSubscription {
   soap::EndpointReference end_to;             // SubscriptionEnd sink (optional)
   FilterDialect dialect = FilterDialect::kNone;
   std::string filter;                         // expression text
+  /// kXPath: `filter` compiled once by SubscriptionStore::add or load (null
+  /// when it does not compile; such a filter matches nothing).
+  std::shared_ptr<const xml::XPathExpr> xpath;
   common::TimeMs expires = 0;                 // absolute; kNever = no expiry
   std::string delivery_mode;                  // recorded mode URI
 
@@ -47,6 +51,9 @@ struct WseSubscription {
   /// True when the filter admits an event with the given topic/document.
   bool accepts(const std::string& topic, const xml::Element& event) const;
 };
+
+/// Compiles an XPath filter; throws xml::XPathError when malformed.
+std::shared_ptr<const xml::XPathExpr> compile_filter(const std::string& text);
 
 class SubscriptionStore {
  public:
@@ -62,13 +69,18 @@ class SubscriptionStore {
   /// rehydrated.
   SubscriptionStore(xmldb::XmlDatabase& db, std::string collection);
 
-  std::string add(WseSubscription sub);  // assigns and returns the id
+  using Entry = std::shared_ptr<const WseSubscription>;
+
+  /// Assigns and returns the id. A kXPath filter is compiled here unless
+  /// `sub.xpath` already holds it.
+  std::string add(WseSubscription sub);
   bool remove(const std::string& id);
   std::optional<WseSubscription> get(const std::string& id) const;
   bool renew(const std::string& id, common::TimeMs new_expires);
 
   /// Subscriptions live at `now` (expired ones are skipped, not purged).
-  std::vector<WseSubscription> active(common::TimeMs now) const;
+  /// The entries are shared with the store and stay valid while it changes.
+  std::vector<Entry> active(common::TimeMs now) const;
   /// Removes expired subscriptions, returning them (the event source sends
   /// SubscriptionEnd to their EndTo sinks).
   std::vector<WseSubscription> purge_expired(common::TimeMs now);
@@ -92,7 +104,7 @@ class SubscriptionStore {
   void note_id_locked(const std::string& id);
 
   mutable std::mutex mu_;
-  std::vector<WseSubscription> subs_;
+  std::vector<Entry> subs_;  // an entry is replaced, never mutated
   std::filesystem::path path_;            // file mode; empty otherwise
   xmldb::XmlDatabase* db_ = nullptr;      // db mode; null otherwise
   std::string collection_;

@@ -31,12 +31,12 @@ std::unique_ptr<xml::Element> Filter::to_xml(const xml::QName& wrapper) const {
   if (content_) {
     xml::Element& c = el->append_element(wsnt("MessageContent"));
     c.set_attr("Dialect", kXPathDialect);
-    c.set_text(content_xpath_);
+    c.set_text(content_->text());
   }
   if (producer_) {
     xml::Element& p = el->append_element(wsnt("ProducerProperties"));
     p.set_attr("Dialect", kXPathDialect);
-    p.set_text(producer_xpath_);
+    p.set_text(producer_->text());
   }
   return el;
 }

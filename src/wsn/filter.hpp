@@ -23,18 +23,15 @@ class Filter {
   Filter() = default;
 
   void set_topic(TopicExpression expr) { topic_ = std::move(expr); }
-  void set_message_content(const std::string& xpath) {
-    content_xpath_ = xpath;
-    content_ = xml::XPathExpr::compile(xpath);
-  }
+  /// Compiles the expression once; throws xml::XPathError when malformed.
+  void set_message_content(const std::string& xpath) { content_ = compile(xpath); }
   void set_producer_properties(const std::string& xpath) {
-    producer_xpath_ = xpath;
-    producer_ = xml::XPathExpr::compile(xpath);
+    producer_ = compile(xpath);
   }
 
   const std::optional<TopicExpression>& topic() const noexcept { return topic_; }
-  bool has_content_filter() const noexcept { return content_.has_value(); }
-  bool has_producer_filter() const noexcept { return producer_.has_value(); }
+  bool has_content_filter() const noexcept { return content_ != nullptr; }
+  bool has_producer_filter() const noexcept { return producer_ != nullptr; }
 
   /// True when every present component accepts. `producer_properties` may
   /// be null when the producer exposes none (a producer-properties filter
@@ -46,14 +43,19 @@ class Filter {
   /// ProducerProperties children.
   std::unique_ptr<xml::Element> to_xml(const xml::QName& wrapper) const;
   /// Parses the wire form; unknown children are ignored (lenient receive).
+  /// Throws TopicError / xml::XPathError for a malformed component.
   static Filter from_xml(const xml::Element& el);
 
  private:
+  using Compiled = std::shared_ptr<const xml::XPathExpr>;
+  static Compiled compile(const std::string& xpath) {
+    return std::make_shared<const xml::XPathExpr>(xml::XPathExpr::compile(xpath));
+  }
+
+  // Compiled expressions are immutable, so copies of a filter share them.
   std::optional<TopicExpression> topic_;
-  std::optional<xml::XPathExpr> content_;
-  std::optional<xml::XPathExpr> producer_;
-  std::string content_xpath_;
-  std::string producer_xpath_;
+  Compiled content_;
+  Compiled producer_;
 };
 
 }  // namespace gs::wsn

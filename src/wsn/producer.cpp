@@ -163,7 +163,9 @@ size_t NotificationProducer::notify(const std::string& topic,
     current_[topic] = payload.clone_element();
   }
   size_t delivered = 0;
-  for (const Subscription& sub : config_.manager->subscriptions()) {
+  for (const SubscriptionManagerService::Entry& entry :
+       config_.manager->subscriptions()) {
+    const Subscription& sub = *entry;
     if (sub.paused) continue;
     if (!sub.filter.accepts(topic, payload, producer_properties)) continue;
     soap::Envelope env =
@@ -185,9 +187,10 @@ size_t NotificationProducer::notify(const std::string& topic,
 }
 
 bool NotificationProducer::has_active_subscriber(const std::string& topic) const {
-  for (const Subscription& sub : config_.manager->subscriptions()) {
-    if (sub.paused) continue;
-    if (!sub.filter.topic() || sub.filter.topic()->matches(topic)) return true;
+  for (const SubscriptionManagerService::Entry& sub :
+       config_.manager->subscriptions()) {
+    if (sub->paused) continue;
+    if (!sub->filter.topic() || sub->filter.topic()->matches(topic)) return true;
   }
   return false;
 }

@@ -1,5 +1,7 @@
 #include "wsn/subscription_manager.hpp"
 
+#include "common/uuid.hpp"
+#include "telemetry/event_log.hpp"
 #include "wsrf/base_faults.hpp"
 
 namespace gs::wsn {
@@ -20,9 +22,9 @@ std::unique_ptr<xml::Element> subscription_to_xml(const Subscription& sub) {
 Subscription subscription_from_xml(const std::string& id, const xml::Element& el) {
   Subscription sub;
   sub.id = id;
-  if (const xml::Element* c = el.child(wsnt("ConsumerReference"))) {
-    sub.consumer = soap::EndpointReference::from_xml(*c);
-  }
+  const xml::Element* c = el.child(wsnt("ConsumerReference"));
+  if (!c) throw std::runtime_error("subscription has no ConsumerReference");
+  sub.consumer = soap::EndpointReference::from_xml(*c);
   if (const xml::Element* f = el.child(wsnt("Filter"))) {
     sub.filter = Filter::from_xml(*f);
   }
@@ -42,9 +44,15 @@ SubscriptionManagerService::SubscriptionManagerService(wsrf::ResourceHome& home,
   import_resource_properties();
   import_resource_lifetime();  // Destroy == unsubscribe; termination times work
 
-  // Keep the live count in step with unsubscribes and expirations.
-  home.on_destroyed([this](const std::string&) {
-    count_.fetch_sub(1, std::memory_order_relaxed);
+  // Unsubscribe, Destroy and lifetime expiry all end here, after the
+  // document is gone. The entry is freed outside the lock publishers take.
+  home.on_destroyed([this](const std::string& id) {
+    Entry erased;
+    std::lock_guard lock(mu_);
+    if (auto it = table_.find(id); it != table_.end()) {
+      erased = std::move(it->second);
+      table_.erase(it);
+    }
   });
 
   register_operation(actions::kPauseSubscription,
@@ -76,44 +84,73 @@ SubscriptionManagerService::SubscriptionManagerService(wsrf::ResourceHome& home,
 
 soap::EndpointReference SubscriptionManagerService::store(
     Subscription sub, common::TimeMs termination_time) {
-  std::string id = home().create(subscription_to_xml(sub), termination_time);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  return home().epr_for(id, address());
+  sub.id = common::new_uuid();
+  auto entry = std::make_shared<const Subscription>(std::move(sub));
+  {
+    // The stripe orders the table insert before any destroy of the new
+    // document (an already-past termination time expires it at the next
+    // sweep), so the destroy hook always finds the entry to erase.
+    auto stripe = home().lock_resource(entry->id);
+    home().create_with_id(entry->id, subscription_to_xml(*entry),
+                          termination_time);
+    std::lock_guard lock(mu_);
+    table_.emplace(entry->id, entry);
+  }
+  return home().epr_for(entry->id, address());
 }
 
-std::vector<Subscription> SubscriptionManagerService::subscriptions() const {
-  std::vector<Subscription> out;
-  // const_cast-free access: home() is non-const on the base; go through the
-  // stored reference.
-  auto& self = const_cast<SubscriptionManagerService&>(*this);
-  for (const std::string& id : self.home().ids()) {
-    auto state = self.home().try_load(id);
-    if (state) out.push_back(subscription_from_xml(id, *state));
-  }
+std::vector<SubscriptionManagerService::Entry>
+SubscriptionManagerService::subscriptions() const {
+  std::lock_guard lock(mu_);
+  std::vector<Entry> out;
+  out.reserve(table_.size());
+  for (const auto& [id, entry] : table_) out.push_back(entry);
   return out;
 }
 
-std::optional<Subscription> SubscriptionManagerService::find(
-    const std::string& id) const {
-  auto& self = const_cast<SubscriptionManagerService&>(*this);
-  auto state = self.home().try_load(id);
-  if (!state) return std::nullopt;
-  return subscription_from_xml(id, *state);
+size_t SubscriptionManagerService::count() const {
+  std::lock_guard lock(mu_);
+  return table_.size();
 }
 
 std::size_t SubscriptionManagerService::recover() {
   home().recover();
-  std::size_t live = home().ids().size();
-  count_.store(live, std::memory_order_relaxed);
-  return live;
+  std::map<std::string, Entry, std::less<>> table;
+  for (const std::string& id : home().ids()) {
+    auto state = home().try_load(id);
+    if (!state) continue;
+    try {
+      table.emplace(id, std::make_shared<const Subscription>(
+                            subscription_from_xml(id, *state)));
+    } catch (const std::runtime_error& e) {
+      telemetry::EventLog::global().emit(
+          telemetry::Level::kWarn, "wsn.subscriptions",
+          "dropping unreadable subscription", {{"id", id}, {"error", e.what()}});
+    }
+  }
+  std::lock_guard lock(mu_);
+  table_ = std::move(table);
+  return table_.size();
 }
 
 bool SubscriptionManagerService::set_paused(const std::string& id, bool paused) {
-  auto state = home().try_load(id);
-  if (!state) return false;
-  Subscription sub = subscription_from_xml(id, *state);
-  sub.paused = paused;
-  home().save(id, *subscription_to_xml(sub));
+  // Under the stripe a destroy has either not removed the document yet
+  // (and cannot until we release) or already has (exists() is false), so
+  // the save below never writes back a destroyed subscription.
+  auto stripe = home().lock_resource(id);
+  Entry current;
+  {
+    std::lock_guard lock(mu_);
+    auto it = table_.find(id);
+    if (it == table_.end()) return false;
+    current = it->second;
+  }
+  if (!home().exists(id)) return false;
+  auto next = std::make_shared<Subscription>(*current);
+  next->paused = paused;
+  home().save(id, *subscription_to_xml(*next));
+  std::lock_guard lock(mu_);
+  if (auto it = table_.find(id); it != table_.end()) it->second = std::move(next);
   return true;
 }
 

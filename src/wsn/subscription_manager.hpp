@@ -12,9 +12,11 @@
 // Subscribe, an idiosyncratic interface the spec does not pin down.
 #pragma once
 
-#include <atomic>
-#include <optional>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "soap/addressing.hpp"
 #include "wsn/filter.hpp"
@@ -33,7 +35,8 @@ const std::string kGetCurrentMessage =
     std::string(soap::ns::kWsnBase) + "/GetCurrentMessage";
 }  // namespace actions
 
-/// A subscription materialized from its resource document.
+/// A subscription materialized from its resource document: the consumer
+/// EPR and the parsed, compiled filter, ready to evaluate per event.
 struct Subscription {
   std::string id;
   soap::EndpointReference consumer;
@@ -42,41 +45,51 @@ struct Subscription {
   bool use_raw = false;  // "raw" delivery: payload without the Notify wrapper
 };
 
-/// Serializes a subscription to its resource document / back.
+/// Serializes a subscription to its resource document / back. Parsing
+/// throws std::runtime_error (TopicError, xml::XPathError, a malformed
+/// EPR) for a document that cannot be materialized.
 std::unique_ptr<xml::Element> subscription_to_xml(const Subscription& sub);
 Subscription subscription_from_xml(const std::string& id, const xml::Element& el);
 
+/// The subscription documents in the resource home stay the durable
+/// record; beside them the manager keeps a live table of materialized
+/// subscriptions, so publishing reads no document and compiles no filter.
+/// store() and recover() fill the table, set_paused() updates it, and the
+/// home's destroy hook (Unsubscribe/Destroy, lifetime expiry) erases it.
 class SubscriptionManagerService : public wsrf::WsrfService {
  public:
+  using Entry = std::shared_ptr<const Subscription>;
+
   SubscriptionManagerService(wsrf::ResourceHome& home, std::string address);
 
-  /// Stores a new subscription (invoked by producers' Subscribe). Returns
-  /// the subscription EPR.
+  /// Stores a new subscription (invoked by producers' Subscribe) and
+  /// enters it in the live table. Returns the subscription EPR.
   soap::EndpointReference store(Subscription sub, common::TimeMs termination_time);
 
-  /// All live subscriptions (producers iterate this to deliver).
-  std::vector<Subscription> subscriptions() const;
-  std::optional<Subscription> find(const std::string& id) const;
+  /// A snapshot of the live table (producers iterate this to deliver; the
+  /// entries stay valid while the table changes underneath).
+  std::vector<Entry> subscriptions() const;
 
-  /// Flips the paused flag server-side (the wire ops use this too).
+  /// Flips the paused flag, in the document and the table (the wire ops
+  /// use this too). False when the subscription does not exist.
   bool set_paused(const std::string& id, bool paused);
 
-  /// Cheap live-subscription count (maintained, not scanned) — producers
-  /// use it to skip event construction entirely when nobody listens, one
-  /// of the WSRF.NET-side optimizations the paper credits.
-  size_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
+  /// Live-subscription count — producers use it to skip event
+  /// construction entirely when nobody listens, one of the WSRF.NET-side
+  /// optimizations the paper credits.
+  size_t count() const;
 
   /// Rehydrates after a restart: re-registers lifetime handles for every
-  /// persisted subscription (ResourceHome::recover) and resets the live
-  /// count from the collection. Without this, a restarted producer would
-  /// see count() == 0 and silently skip delivering to subscriptions that
-  /// are still on the medium. Returns the number of live subscriptions.
+  /// persisted subscription (ResourceHome::recover) and rebuilds the table
+  /// from the collection, parsing each document once. A document that
+  /// cannot be materialized is left out of the table with a warn event,
+  /// so one corrupt subscription cannot block delivery to the others.
+  /// Run before taking traffic. Returns the number of live subscriptions.
   std::size_t recover();
 
  private:
-  std::atomic<size_t> count_{0};
+  mutable std::mutex mu_;
+  std::map<std::string, Entry, std::less<>> table_;
 };
 
 }  // namespace gs::wsn

@@ -96,8 +96,14 @@ void ResourceHome::register_lifetime(const std::string& id,
   if (!lifetime_) return;
   container::LifetimeManager::Handle handle = lifetime_->schedule(
       termination_time, [this, id] {
-        db_.remove(collection_, id);
-        db_.remove(tt_collection(), id);
+        {
+          // A read-modify-write holding the stripe finishes its save
+          // before the removal, or finds the document gone; it never
+          // writes a destroyed resource back.
+          auto stripe = lock_resource(id);
+          db_.remove(collection_, id);
+          db_.remove(tt_collection(), id);
+        }
         std::vector<std::function<void(const std::string&)>> hooks;
         {
           std::lock_guard lock(mu_);
@@ -162,12 +168,17 @@ bool ResourceHome::destroy(const std::string& id) {
   }
   if (handle != 0 && lifetime_) {
     // destroy() runs the scheduled callback, which removes the document
-    // (and its persisted termination time) and fires the hooks.
+    // (and its persisted termination time) under the stripe and fires the
+    // hooks — so the stripe must not be held here.
     return lifetime_->destroy(handle);
   }
-  bool removed = db_.remove(collection_, id);
+  bool removed;
+  {
+    auto stripe = lock_resource(id);
+    removed = db_.remove(collection_, id);
+    if (removed && lifetime_) db_.remove(tt_collection(), id);
+  }
   if (removed) {
-    if (lifetime_) db_.remove(tt_collection(), id);
     std::vector<std::function<void(const std::string&)>> hooks;
     {
       std::lock_guard lock(mu_);

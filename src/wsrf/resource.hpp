@@ -127,6 +127,10 @@ class ResourceHome {
   /// returned lock across load/mutate/save so concurrent writers to the
   /// same resource cannot interleave (writers to other resources usually
   /// proceed in parallel — ids share a fixed set of lock stripes).
+  /// Destruction removes the document under the same stripe, so a
+  /// sequence that finds the document under the lock saves before the
+  /// destroy and never resurrects it. Never call destroy() while holding
+  /// a stripe.
   std::unique_lock<std::mutex> lock_resource(const std::string& id) const {
     return locks_.lock(id);
   }

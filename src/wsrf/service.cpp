@@ -80,8 +80,9 @@ void WsrfService::on_property_changed(ChangeListener listener) {
 }
 
 void WsrfService::fire_property_changed(const std::string& id,
-                                        const xml::QName& prop) {
-  for (const auto& listener : listeners_) listener(id, prop);
+                                        const xml::QName& prop,
+                                        const xml::Element& state) {
+  for (const auto& listener : listeners_) listener(id, prop, state);
 }
 
 void WsrfService::import_resource_properties() {
@@ -216,7 +217,7 @@ void WsrfService::import_resource_properties() {
 
     home_.save(id, *state);
     resource_lock.unlock();  // listeners may re-enter this resource
-    for (const auto& name : changed) fire_property_changed(id, name);
+    for (const auto& name : changed) fire_property_changed(id, name, *state);
 
     if (auto pr = set_ack_tpl_.start(ctx)) {
       return soap::Envelope::make_pending(std::move(pr));

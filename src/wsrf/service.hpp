@@ -82,9 +82,11 @@ class WsrfService : public container::Service {
   // --- notification hook -------------------------------------------------------
 
   using ChangeListener =
-      std::function<void(const std::string& resource_id, const xml::QName& prop)>;
-  /// Invoked after SetResourceProperties commits a change (the WSN
-  /// producer subscribes here to publish value-changed topics).
+      std::function<void(const std::string& resource_id, const xml::QName& prop,
+                         const xml::Element& state)>;
+  /// Invoked after SetResourceProperties commits a change, with the state
+  /// document it committed (the WSN producer subscribes here to publish
+  /// value-changed topics without reloading the resource).
   void on_property_changed(ChangeListener listener);
 
   // --- service-author helpers --------------------------------------------------
@@ -97,7 +99,8 @@ class WsrfService : public container::Service {
   /// when the reference header is absent or the resource does not exist.
   std::string resolve_resource(const container::RequestContext& ctx) const;
 
-  void fire_property_changed(const std::string& id, const xml::QName& prop);
+  void fire_property_changed(const std::string& id, const xml::QName& prop,
+                             const xml::Element& state);
 
  private:
   ResourceHome& home_;

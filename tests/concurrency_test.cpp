@@ -230,6 +230,90 @@ TEST(Concurrency, EightThreadHammerWithDeployChurn) {
 }
 
 // ---------------------------------------------------------------------------
+// Destroy ordering: a read-modify-write racing a destroy never writes the
+// resource back, and no subscription-table entry outlives its document
+// ---------------------------------------------------------------------------
+
+struct RaceFixture {
+  net::VirtualNetwork net{net::NetworkProfile::colocated()};
+  net::VirtualCaller sink{net, {.keep_alive = false}};
+  wsn::NotificationConsumer consumer;
+  counter::WsrfCounterDeployment wsrf{counter::WsrfCounterDeployment::Params{
+      .backend = std::make_unique<xmldb::MemoryBackend>(),
+      .write_through_cache = true,
+      .container = {},
+      .notification_sink = &sink,
+      .address_base = "http://race.example",
+  }};
+
+  RaceFixture() {
+    net.bind("race.example", wsrf.container());
+    net.bind("sink.example", consumer);
+  }
+};
+
+TEST(Concurrency, SetRacingDestroyNeverResurrectsTheResource) {
+  RaceFixture fx;
+  net::VirtualCaller set_caller(fx.net, {});
+  net::VirtualCaller destroy_caller(fx.net, {});
+  counter::WsrfCounterClient setter(set_caller, fx.wsrf.counter_address());
+  counter::WsrfCounterClient destroyer(destroy_caller, fx.wsrf.counter_address());
+  for (int round = 0; round < 100; ++round) {
+    soap::EndpointReference epr = setter.create();
+    destroyer.attach(epr);
+    std::string id = *epr.reference_property(wsrf::resource_id_qname());
+    // The destroy goes out once the Sets are under way, so it lands in
+    // the middle of one.
+    std::atomic<bool> setting{false};
+    std::thread set_thread([&] {
+      try {
+        for (int i = 0; i < 1000; ++i) {
+          setter.set(i);
+          setting.store(true);
+        }
+      } catch (const soap::SoapFault&) {
+        // ResourceUnknown once the destroy has won.
+      }
+      setting.store(true);
+    });
+    while (!setting.load()) std::this_thread::yield();
+    destroyer.destroy();
+    set_thread.join();
+    ASSERT_FALSE(fx.wsrf.db().contains(fx.wsrf.core().collection(), id))
+        << "round " << round;
+  }
+}
+
+TEST(Concurrency, PauseRacingUnsubscribeLeavesNoSubscription) {
+  RaceFixture fx;
+  net::VirtualCaller caller(fx.net, {});
+  counter::WsrfCounterClient client(caller, fx.wsrf.counter_address());
+  client.create();
+  wsn::SubscriptionManagerService& manager = fx.wsrf.producer().manager();
+  for (int round = 0; round < 100; ++round) {
+    wsn::SubscriptionProxy sub =
+        client.subscribe(soap::EndpointReference("http://sink.example/n"));
+    std::string id = *sub.target().reference_property(wsrf::resource_id_qname());
+    std::atomic<bool> pausing{false};
+    std::thread pause_thread([&] {
+      for (int i = 0; i < 10000 && manager.set_paused(id, i % 2 == 0); ++i) {
+        pausing.store(true);
+      }
+      pausing.store(true);
+    });
+    while (!pausing.load()) std::this_thread::yield();
+    sub.unsubscribe();
+    pause_thread.join();
+    ASSERT_EQ(manager.count(), 0u) << "round " << round;
+    ASSERT_TRUE(fx.wsrf.db().ids("counter-subscriptions").empty())
+        << "round " << round;
+  }
+  // With no entry left, a Set publishes nothing.
+  client.set(1);
+  EXPECT_EQ(fx.consumer.count(), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Binding equivalence: identical core state through either stack
 // ---------------------------------------------------------------------------
 

@@ -5,6 +5,7 @@
 
 #include "counter/wsrf_counter.hpp"
 #include "counter/wst_counter.hpp"
+#include "telemetry/event_log.hpp"
 #include "wsn/consumer.hpp"
 
 namespace gs::counter {
@@ -202,6 +203,47 @@ TEST(Counter, WsrfWithoutCacheReadsLikeWst) {
   fx.wsrf->db().reset_stats();
   client.set(10);
   EXPECT_GE(fx.wsrf->db().stats().backend_reads, 1u);
+}
+
+TEST(Counter, WsrfNotifyingSetLoadsOnlyTheCounter) {
+  // The subscriptions come from the manager's live table and the event
+  // from the document the Set committed: one load, whatever the fan-out.
+  TwinFixture fx;
+  auto client = fx.wsrf_client();
+  client.create();
+  constexpr std::size_t kSubscribers = 3;
+  for (std::size_t i = 0; i < kSubscribers; ++i) {
+    client.subscribe(fx.consumer_epr());
+  }
+  fx.wsrf->db().reset_stats();
+  client.set(7);
+  EXPECT_EQ(fx.wsrf->db().stats().loads, 1u);
+  ASSERT_EQ(fx.consumer.count(), kSubscribers);
+  EXPECT_EQ(fx.consumer.received()[0].payload->child_local("Value")->text(), "7");
+}
+
+TEST(Counter, WsrfCorruptPersistedSubscriptionDoesNotFailSet) {
+  TwinFixture fx;
+  auto client = fx.wsrf_client();
+  client.create();
+  client.subscribe(fx.consumer_epr());
+  // A subscription document whose MessageContent no longer compiles, as a
+  // restarted deployment would find it on a damaged medium.
+  wsn::Subscription bad;
+  bad.consumer = fx.consumer_epr();
+  auto doc = wsn::subscription_to_xml(bad);
+  doc->child({soap::ns::kWsnBase, "Filter"})
+      ->append_element({soap::ns::kWsnBase, "MessageContent"})
+      .set_text("//[[[");
+  fx.wsrf->db().store("counter-subscriptions", "corrupt", *doc);
+  std::uint64_t warns =
+      telemetry::EventLog::global().count(telemetry::Level::kWarn);
+  fx.wsrf->recover();
+  EXPECT_GT(telemetry::EventLog::global().count(telemetry::Level::kWarn), warns);
+
+  EXPECT_NO_THROW(client.set(9));
+  EXPECT_EQ(fx.consumer.count(), 1u);
+  EXPECT_EQ(client.get(), 9);
 }
 
 // --- spec-surface differences ---------------------------------------------------------

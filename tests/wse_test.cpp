@@ -13,6 +13,7 @@
 #include "wse/service.hpp"
 #include "wsn/consumer.hpp"
 #include "xml/parser.hpp"
+#include "xmldb/database.hpp"
 
 namespace gs::wse {
 namespace {
@@ -151,6 +152,57 @@ TEST(Store, MalformedPersistedExpiresDropsOnlyThatEntry) {
   EXPECT_EQ(telemetry::EventLog::global().count(telemetry::Level::kWarn),
             warns + 1);
   std::filesystem::remove(path);
+}
+
+// A database-backed store and a notifier delivering to one consumer.
+struct DbStoreFixture {
+  common::ManualClock clock{10'000};
+  net::VirtualNetwork net;
+  net::VirtualCaller sink{net, {.transport = net::TransportKind::kSoapTcp}};
+  wsn::NotificationConsumer consumer;
+  xmldb::XmlDatabase db{std::make_unique<xmldb::MemoryBackend>(), {}};
+
+  DbStoreFixture() { net.bind("c", consumer); }
+
+  std::string add_xpath(const char* filter) {
+    SubscriptionStore store(db, "subs");
+    WseSubscription sub;
+    sub.notify_to = soap::EndpointReference("http://c/sink");
+    sub.dialect = FilterDialect::kXPath;
+    sub.filter = filter;
+    sub.expires = WseSubscription::kNever;
+    return store.add(std::move(sub));
+  }
+};
+
+TEST(Store, RecoveredXPathFilterStillFiltersPerResource) {
+  DbStoreFixture fx;
+  fx.add_xpath("/Event[resource='counter-7']");
+  // A restarted event source finds the subscription on the medium.
+  SubscriptionStore store(fx.db, "subs");
+  ASSERT_EQ(store.recover(), 1u);
+  NotificationManager notifier(store, fx.sink, fx.clock);
+  auto mine = xml::parse_element("<Event><resource>counter-7</resource></Event>");
+  auto other = xml::parse_element("<Event><resource>counter-9</resource></Event>");
+  EXPECT_EQ(notifier.notify("t", *mine, "urn:a"), 1u);
+  EXPECT_EQ(notifier.notify("t", *other, "urn:a"), 0u);
+  EXPECT_EQ(fx.consumer.count(), 1u);
+}
+
+TEST(Store, PersistedFilterThatDoesNotCompileNeverMatches) {
+  DbStoreFixture fx;
+  std::string id = fx.add_xpath("/Event");
+  auto doc = fx.db.load("subs", id);
+  ASSERT_TRUE(doc);
+  doc->child({soap::ns::kEventing, "Filter"})->set_text("/Event[");
+  fx.db.store("subs", id, *doc);
+
+  SubscriptionStore store(fx.db, "subs");
+  EXPECT_EQ(store.size(), 1u);
+  NotificationManager notifier(store, fx.sink, fx.clock);
+  auto ev = xml::parse_element("<Event/>");
+  EXPECT_EQ(notifier.notify("t", *ev, "urn:a"), 0u);
+  EXPECT_EQ(fx.consumer.count(), 0u);
 }
 
 TEST(Store, FileIsValidXml) {

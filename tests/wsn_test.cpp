@@ -4,6 +4,7 @@
 
 #include "container/container.hpp"
 #include "net/virtual_network.hpp"
+#include "telemetry/event_log.hpp"
 #include "wsn/broker.hpp"
 #include "wsn/client.hpp"
 #include "wsn/consumer.hpp"
@@ -372,6 +373,86 @@ TEST(Notification, GarbageInitialTerminationTimeFaults) {
     EXPECT_EQ(response.fault().code, "Sender") << "for '" << bad << "'";
   }
   EXPECT_TRUE(fx.manager->subscriptions().empty());
+}
+
+// --- the live subscription table -----------------------------------------------------
+
+TEST(SubscriptionTable, NotifyReadsNoSubscriptionDocuments) {
+  WsnFixture fx;
+  for (int i = 0; i < 2; ++i) {
+    fx.producer_proxy().subscribe(soap::EndpointReference("http://c/sink"),
+                                  fx.topic_filter("job/done"));
+  }
+  fx.db.reset_stats();
+  auto ev = fx.event();
+  EXPECT_EQ(fx.producer->notify("job/done", *ev), 2u);
+  EXPECT_TRUE(fx.producer->has_active_subscriber("job/done"));
+  EXPECT_EQ(fx.db.stats().loads, 0u);
+}
+
+TEST(SubscriptionTable, UnsubscribeAndExpiryEraseEntries) {
+  WsnFixture fx;
+  soap::EndpointReference kept = fx.producer_proxy().subscribe(
+      soap::EndpointReference("http://c/sink"), fx.topic_filter("job/done"));
+  fx.producer_proxy().subscribe(soap::EndpointReference("http://c/sink"),
+                                fx.topic_filter("job/done"),
+                                /*initial_lifetime_ms=*/5000);
+  EXPECT_EQ(fx.manager->count(), 2u);
+  fx.clock.advance(5001);
+  (void)fx.container.process(soap::Envelope(), "/Subscriptions");  // sweeps
+  EXPECT_EQ(fx.manager->count(), 1u);
+  SubscriptionProxy(*fx.caller, kept).unsubscribe();
+  EXPECT_EQ(fx.manager->count(), 0u);
+  EXPECT_TRUE(fx.manager->subscriptions().empty());
+  EXPECT_TRUE(fx.sub_home.ids().empty());
+  EXPECT_FALSE(fx.producer->has_active_subscriber("job/done"));
+}
+
+TEST(SubscriptionTable, RecoveryRebuildsFiltersAndPauseState) {
+  WsnFixture fx;
+  Filter content = fx.topic_filter("job/done");
+  content.set_message_content("/Event[code='7']");
+  fx.producer_proxy().subscribe(soap::EndpointReference("http://c/sink"),
+                                content);
+  soap::EndpointReference paused_epr = fx.producer_proxy().subscribe(
+      soap::EndpointReference("http://c/sink"), fx.topic_filter("job/done"));
+  SubscriptionProxy paused(*fx.caller, paused_epr);
+  paused.pause();
+
+  EXPECT_EQ(fx.manager->recover(), 2u);
+  auto seven = fx.event("7");
+  auto eight = fx.event("8");
+  EXPECT_EQ(fx.producer->notify("job/done", *seven), 1u);
+  EXPECT_EQ(fx.producer->notify("job/done", *eight), 0u);
+  paused.resume();
+  EXPECT_EQ(fx.producer->notify("job/done", *eight), 1u);
+}
+
+TEST(SubscriptionTable, CorruptPersistedSubscriptionDoesNotBlockDelivery) {
+  WsnFixture fx;
+  fx.producer_proxy().subscribe(soap::EndpointReference("http://c/sink"),
+                                fx.topic_filter("job/done"));
+  // A second subscription document whose MessageContent no longer
+  // compiles, as recovery would find it on a damaged medium.
+  Subscription bad;
+  bad.consumer = soap::EndpointReference("http://c/other");
+  auto doc = subscription_to_xml(bad);
+  doc->child({soap::ns::kWsnBase, "Filter"})
+      ->append_element({soap::ns::kWsnBase, "MessageContent"})
+      .set_text("//[[[");
+  std::string bad_id = fx.sub_home.create(std::move(doc));
+
+  std::uint64_t warns =
+      telemetry::EventLog::global().count(telemetry::Level::kWarn);
+  EXPECT_EQ(fx.manager->recover(), 1u);
+  EXPECT_EQ(telemetry::EventLog::global().count(telemetry::Level::kWarn),
+            warns + 1);
+  auto ev = fx.event();
+  EXPECT_EQ(fx.producer->notify("job/done", *ev), 1u);
+  EXPECT_EQ(fx.consumer.count(), 1u);
+  // The document stays on the medium; destroying it still works.
+  EXPECT_TRUE(fx.sub_home.destroy(bad_id));
+  EXPECT_EQ(fx.manager->count(), 1u);
 }
 
 // --- broker / demand-based publishing ---------------------------------------------------

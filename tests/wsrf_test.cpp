@@ -215,7 +215,7 @@ TEST(SetResourceProperties, ChangeListenerFires) {
   Fixture fx;
   std::vector<std::string> changed;
   fx.service->on_property_changed(
-      [&](const std::string&, const xml::QName& prop) {
+      [&](const std::string&, const xml::QName& prop, const xml::Element&) {
         changed.push_back(prop.local());
       });
   auto proxy = fx.proxy_for(fx.create_thing(1));
