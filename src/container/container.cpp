@@ -5,7 +5,9 @@
 namespace gs::container {
 
 Container::Container(ContainerConfig config)
-    : config_(config), lifetime_(*config.clock), chain_(default_chain()) {
+    : config_(config),
+      lifetime_(*config.clock, config.metrics),
+      chain_(default_chain()) {
   if (config_.security == SecurityMode::kX509) {
     if (!config_.anchor || !config_.credential) {
       throw std::invalid_argument(

@@ -1,8 +1,10 @@
 #include "container/lifetime.hpp"
 
 #include <charconv>
+#include <vector>
 
 #include "soap/envelope.hpp"
+#include "telemetry/event_log.hpp"
 
 namespace gs::container {
 
@@ -17,11 +19,26 @@ common::TimeMs parse_lifetime_ms(const std::string& text) {
   return value;
 }
 
+LifetimeManager::LifetimeManager(const common::Clock& clock,
+                                 telemetry::MetricsRegistry* metrics)
+    : clock_(clock),
+      failures_((metrics ? *metrics : telemetry::MetricsRegistry::global())
+                    .counter("container.lifetime_failures")) {}
+
+void LifetimeManager::publish_earliest() {
+  earliest_.store(deadlines_.empty() ? kNever : deadlines_.begin()->first,
+                  std::memory_order_release);
+}
+
 LifetimeManager::Handle LifetimeManager::schedule(
     common::TimeMs termination_time, std::function<void()> on_destroy) {
   std::lock_guard lock(mu_);
   Handle handle = next_++;
   entries_[handle] = {termination_time, std::move(on_destroy)};
+  if (termination_time != kNever) {
+    deadlines_.emplace(termination_time, handle);
+    publish_earliest();
+  }
   return handle;
 }
 
@@ -30,7 +47,11 @@ bool LifetimeManager::set_termination_time(Handle handle,
   std::lock_guard lock(mu_);
   auto it = entries_.find(handle);
   if (it == entries_.end()) return false;
-  it->second.termination_time = termination_time;
+  common::TimeMs& current = it->second.termination_time;
+  if (current != kNever) deadlines_.erase({current, handle});
+  current = termination_time;
+  if (termination_time != kNever) deadlines_.emplace(termination_time, handle);
+  publish_earliest();
   return true;
 }
 
@@ -42,14 +63,24 @@ std::optional<common::TimeMs> LifetimeManager::termination_time(
   return it->second.termination_time;
 }
 
+std::function<void()> LifetimeManager::take(
+    std::map<Handle, Entry>::iterator it) {
+  if (it->second.termination_time != kNever) {
+    deadlines_.erase({it->second.termination_time, it->first});
+  }
+  std::function<void()> callback = std::move(it->second.on_destroy);
+  entries_.erase(it);
+  return callback;
+}
+
 bool LifetimeManager::destroy(Handle handle) {
   std::function<void()> callback;
   {
     std::lock_guard lock(mu_);
     auto it = entries_.find(handle);
     if (it == entries_.end()) return false;
-    callback = std::move(it->second.on_destroy);
-    entries_.erase(it);
+    callback = take(it);
+    publish_earliest();
   }
   if (callback) callback();
   return true;
@@ -57,25 +88,44 @@ bool LifetimeManager::destroy(Handle handle) {
 
 bool LifetimeManager::cancel(Handle handle) {
   std::lock_guard lock(mu_);
-  return entries_.erase(handle) > 0;
+  auto it = entries_.find(handle);
+  if (it == entries_.end()) return false;
+  take(it);
+  publish_earliest();
+  return true;
 }
 
 size_t LifetimeManager::sweep() {
   common::TimeMs now = clock_.now();
+  // Nothing due: return without the lock. A deadline another thread is
+  // publishing right now is found by the next sweep.
+  if (earliest_.load(std::memory_order_acquire) > now) return 0;
   std::vector<std::function<void()>> callbacks;
   {
     std::lock_guard lock(mu_);
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (it->second.termination_time <= now) {
-        callbacks.push_back(std::move(it->second.on_destroy));
-        it = entries_.erase(it);
-      } else {
-        ++it;
-      }
+    while (!deadlines_.empty() && deadlines_.begin()->first <= now) {
+      callbacks.push_back(take(entries_.find(deadlines_.begin()->second)));
     }
+    publish_earliest();
   }
+  // The entries are already gone, so a callback skipped here would never
+  // run: one failing destruction must not cost the others theirs, nor fail
+  // the unrelated request whose sweep found it due.
+  auto failed = [this](const char* error) {
+    failures_.add();
+    telemetry::EventLog::global().emit(telemetry::Level::kWarn, "lifetime",
+                                       "scheduled destruction failed",
+                                       {{"error", error}});
+  };
   for (auto& cb : callbacks) {
-    if (cb) cb();
+    if (!cb) continue;
+    try {
+      cb();
+    } catch (const std::exception& e) {
+      failed(e.what());
+    } catch (...) {
+      failed("unknown exception");
+    }
   }
   return callbacks.size();
 }

@@ -7,28 +7,42 @@
 // (a finding this repository's tests assert).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
-#include <vector>
+#include <set>
+#include <utility>
 
 #include "common/clock.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace gs::container {
 
 /// Registry of scheduled destructions. Services register a termination
 /// time and an on-destroy callback per resource; the container sweeps on
 /// each request (and tests sweep manually with a ManualClock).
+///
+/// Finite termination times are also kept in a deadline-ordered index, and
+/// the earliest of them is cached in an atomic. A sweep with nothing due
+/// reads the clock and that atomic and returns without locking, so its
+/// cost does not grow with the number of resources; a sweep with work pops
+/// only the due entries off the front of the index. kNever entries are
+/// never indexed.
 class LifetimeManager {
  public:
   using Handle = std::uint64_t;
   static constexpr common::TimeMs kNever =
       std::numeric_limits<common::TimeMs>::max();
 
-  explicit LifetimeManager(const common::Clock& clock) : clock_(clock) {}
+  /// A callback that throws during a sweep is counted in
+  /// `container.lifetime_failures` of `metrics` (nullptr = the process-wide
+  /// registry).
+  explicit LifetimeManager(const common::Clock& clock,
+                           telemetry::MetricsRegistry* metrics = nullptr);
 
   /// Schedules destruction at `termination_time` (kNever = only explicit).
   Handle schedule(common::TimeMs termination_time, std::function<void()> on_destroy);
@@ -43,8 +57,10 @@ class LifetimeManager {
   /// Unregisters without running the callback.
   bool cancel(Handle handle);
 
-  /// Destroys every entry whose termination time has passed.
-  /// Returns the number destroyed.
+  /// Destroys every entry whose termination time has passed, running the
+  /// callbacks in deadline order (ties by handle) outside the lock. Every
+  /// due callback runs: one that throws is logged as a "lifetime" warning
+  /// and counted, and the sweep goes on. Returns the number destroyed.
   size_t sweep();
 
   size_t active() const;
@@ -56,9 +72,19 @@ class LifetimeManager {
     std::function<void()> on_destroy;
   };
 
+  /// Both called with mu_ held. publish_earliest re-publishes the front of
+  /// the index; take unindexes and erases an entry, returning its callback.
+  void publish_earliest();
+  std::function<void()> take(std::map<Handle, Entry>::iterator it);
+
   const common::Clock& clock_;
+  telemetry::Counter& failures_;
   mutable std::mutex mu_;
   std::map<Handle, Entry> entries_;
+  /// (termination time, handle) of every entry with a finite time.
+  std::set<std::pair<common::TimeMs, Handle>> deadlines_;
+  /// deadlines_.begin()->first, or kNever when the index is empty.
+  std::atomic<common::TimeMs> earliest_{kNever};
   Handle next_ = 1;
 };
 

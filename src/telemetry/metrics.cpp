@@ -2,16 +2,14 @@
 
 #include <bit>
 #include <cmath>
-#include <thread>
 
 namespace gs::telemetry {
 
-unsigned Counter::shard_index() noexcept {
-  // One shard per thread (hashed): writers on different threads land on
-  // different cache lines with high probability.
-  static thread_local const unsigned slot = static_cast<unsigned>(
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) % kShards);
-  return slot;
+std::uint32_t thread_ordinal() noexcept {
+  static std::atomic<std::uint32_t> next{0};
+  thread_local const std::uint32_t ordinal =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return ordinal;
 }
 
 unsigned Histogram::bucket_index(std::uint64_t us) noexcept {
@@ -22,17 +20,29 @@ unsigned Histogram::bucket_index(std::uint64_t us) noexcept {
 
 std::uint64_t Histogram::count() const noexcept {
   std::uint64_t total = 0;
-  for (const auto& b : buckets_) total += b.load(std::memory_order_relaxed);
+  for (const Shard& shard : shards_) {
+    for (const auto& b : shard.buckets) total += b.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+std::uint64_t Histogram::sum_us() const noexcept {
+  std::uint64_t total = 0;
+  for (const Shard& shard : shards_) {
+    total += shard.sum_us.load(std::memory_order_relaxed);
+  }
   return total;
 }
 
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot snap;
-  for (unsigned i = 0; i < kBuckets; ++i) {
-    snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
-    snap.count += snap.buckets[i];
+  for (const Shard& shard : shards_) {
+    for (unsigned i = 0; i < kBuckets; ++i) {
+      snap.buckets[i] += shard.buckets[i].load(std::memory_order_relaxed);
+    }
+    snap.sum_us += shard.sum_us.load(std::memory_order_relaxed);
   }
-  snap.sum_us = sum_us_.load(std::memory_order_relaxed);
+  for (std::uint64_t b : snap.buckets) snap.count += b;
   snap.min_us = min_us_.load(std::memory_order_relaxed);
   snap.max_us = max_us_.load(std::memory_order_relaxed);
   return snap;

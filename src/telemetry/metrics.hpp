@@ -5,10 +5,12 @@
 // this registry is what lets the reproduction say *where* the time goes
 // per layer (net, container, storage, delivery) instead of only measuring
 // end to end from the bench harness. Writers are hot-path request threads,
-// so every instrument is wait-free on write: counters are sharded across
-// cache lines and picked by thread, histograms are arrays of relaxed
-// atomics. Readers (snapshots, the WSRF/WS-Transfer telemetry resource,
-// the bench JSON dump) pay the aggregation cost instead.
+// so every instrument is wait-free on write and writes no cache line that
+// another thread writes: counters and histogram buckets are sharded across
+// cache lines, one shard per thread (see thread_shard), and a histogram's
+// shared min/max are only loaded unless a sample sets a new extreme.
+// Readers (snapshots, the WSRF/WS-Transfer telemetry resource, the bench
+// JSON dump) pay the aggregation cost instead.
 #pragma once
 
 #include <array>
@@ -21,14 +23,27 @@
 
 namespace gs::telemetry {
 
+/// Shards per sharded instrument.
+inline constexpr unsigned kMetricShards = 16;
+
+/// This thread's ordinal: 0, 1, 2, ... in order of each thread's first
+/// call, fixed for the thread's life.
+std::uint32_t thread_ordinal() noexcept;
+
+/// This thread's shard of a sharded instrument: its ordinal modulo
+/// kMetricShards, so any kMetricShards consecutively-started writer threads
+/// land on distinct shards (hashing thread ids puts any two threads on one
+/// shard 1 time in 16).
+inline unsigned thread_shard() noexcept {
+  return thread_ordinal() % kMetricShards;
+}
+
 /// Monotonic counter, sharded so concurrent writers on different threads
 /// do not contend on one cache line. `value()` sums the shards.
 class Counter {
  public:
-  static constexpr unsigned kShards = 16;
-
   void add(std::uint64_t n = 1) noexcept {
-    shards_[shard_index()].v.fetch_add(n, std::memory_order_relaxed);
+    shards_[thread_shard()].v.fetch_add(n, std::memory_order_relaxed);
   }
 
   std::uint64_t value() const noexcept {
@@ -42,9 +57,7 @@ class Counter {
     std::atomic<std::uint64_t> v{0};
   };
 
-  static unsigned shard_index() noexcept;
-
-  std::array<Shard, kShards> shards_{};
+  std::array<Shard, kMetricShards> shards_{};
 };
 
 /// Point-in-time signed value (queue depth, active workers).
@@ -82,14 +95,16 @@ struct HistogramSnapshot {
 };
 
 /// Fixed-bucket latency histogram (microseconds, powers of two). Recording
-/// is two relaxed atomic adds; percentile extraction walks the buckets.
+/// is two relaxed atomic adds on the writing thread's shard; reads sum the
+/// shards, and percentile extraction walks the buckets.
 class Histogram {
  public:
   static constexpr unsigned kBuckets = HistogramSnapshot::kBuckets;
 
   void record(std::uint64_t us) noexcept {
-    buckets_[bucket_index(us)].fetch_add(1, std::memory_order_relaxed);
-    sum_us_.fetch_add(us, std::memory_order_relaxed);
+    Shard& shard = shards_[thread_shard()];
+    shard.buckets[bucket_index(us)].fetch_add(1, std::memory_order_relaxed);
+    shard.sum_us.fetch_add(us, std::memory_order_relaxed);
     // Exact extremes: power-of-two buckets alone can hide a single-outlier
     // spike (p99 stays put; max jumps), and the alerting rules need max.
     std::uint64_t seen = min_us_.load(std::memory_order_relaxed);
@@ -103,9 +118,7 @@ class Histogram {
   }
 
   std::uint64_t count() const noexcept;
-  std::uint64_t sum_us() const noexcept {
-    return sum_us_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t sum_us() const noexcept;
   /// Smallest recorded sample; UINT64_MAX before the first record().
   std::uint64_t min_us() const noexcept {
     return min_us_.load(std::memory_order_relaxed);
@@ -124,9 +137,13 @@ class Histogram {
   }
 
  private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> sum_us_{0};
-  std::atomic<std::uint64_t> min_us_{UINT64_MAX};
+  struct alignas(64) Shard {
+    std::array<std::atomic<std::uint64_t>, kBuckets> buckets{};
+    std::atomic<std::uint64_t> sum_us{0};
+  };
+
+  std::array<Shard, kMetricShards> shards_{};
+  alignas(64) std::atomic<std::uint64_t> min_us_{UINT64_MAX};
   std::atomic<std::uint64_t> max_us_{0};
 };
 

@@ -16,13 +16,19 @@ class Ring {
 
   /// Appends `value`; returns true when that evicted the oldest entry.
   bool push(T value) {
-    if (items_.size() < capacity_) {
-      items_.push_back(std::move(value));
-      return false;
-    }
-    items_[oldest_] = std::move(value);
+    bool evicted = items_.size() == capacity_;
+    claim() = std::move(value);
+    return evicted;
+  }
+
+  /// Appends an entry for the caller to fill in place and returns it. Once
+  /// full, that is the evicted oldest entry, still holding its old value,
+  /// so a caller that assigns into it reuses its buffers.
+  T& claim() {
+    if (items_.size() < capacity_) return items_.emplace_back();
+    T& slot = items_[oldest_];
     oldest_ = (oldest_ + 1) % capacity_;
-    return true;
+    return slot;
   }
 
   /// The i-th retained entry, oldest first.

@@ -1,6 +1,5 @@
 #include "telemetry/trace.hpp"
 
-#include <atomic>
 #include <chrono>
 
 #include "telemetry/metrics.hpp"
@@ -20,9 +19,12 @@ std::int64_t steady_now_us() {
 }
 
 std::uint64_t new_trace_id() {
-  static std::atomic<std::uint64_t> next{1};
-  std::uint64_t raw = next.fetch_add(1, std::memory_order_relaxed);
-  // splitmix64: sequential allocation, uncorrelated-looking ids.
+  // Ordinal in the top 24 bits, sequence (from 1) in the low 40: distinct
+  // across threads, nonzero before mixing.
+  thread_local std::uint64_t sequence = 0;
+  std::uint64_t raw =
+      (static_cast<std::uint64_t>(thread_ordinal()) << 40) | ++sequence;
+  // splitmix64's finalizer: a bijection, so distinct inputs stay distinct.
   raw += 0x9e3779b97f4a7c15ULL;
   raw = (raw ^ (raw >> 30)) * 0xbf58476d1ce4e5b9ULL;
   raw = (raw ^ (raw >> 27)) * 0x94d049bb133111ebULL;
@@ -34,10 +36,10 @@ TraceContext current_context() {
   return tl_top ? tl_top->context() : TraceContext{};
 }
 
-SpanScope::SpanScope(std::string name, std::string layer, TraceLog* log,
+SpanScope::SpanScope(const char* name, const char* layer, TraceLog* log,
                      Histogram* histogram)
-    : name_(std::move(name)),
-      layer_(std::move(layer)),
+    : name_(name),
+      layer_(layer),
       log_(log),
       histogram_(histogram),
       span_id_(new_trace_id()),
@@ -57,16 +59,7 @@ SpanScope::~SpanScope() {
   tl_top = prev_;
   std::int64_t duration_us = steady_now_us() - start_us_;
   if (histogram_) histogram_->record(static_cast<std::uint64_t>(duration_us));
-  if (!log_) return;
-  SpanRecord record;
-  record.trace_id = trace_id_;
-  record.span_id = span_id_;
-  record.parent_span_id = parent_span_id_;
-  record.name = std::move(name_);
-  record.layer = std::move(layer_);
-  record.start_us = start_us_;
-  record.duration_us = duration_us;
-  log_->record(std::move(record));
+  if (log_) log_->record_closed(*this, duration_us);
 }
 
 void adopt_remote(const TraceContext& remote) {
@@ -86,6 +79,18 @@ TraceLog::TraceLog(std::size_t capacity) : ring_(capacity) {}
 void TraceLog::record(SpanRecord span) {
   std::lock_guard lock(mu_);
   ring_.push(std::move(span));
+}
+
+void TraceLog::record_closed(const SpanScope& span, std::int64_t duration_us) {
+  std::lock_guard lock(mu_);
+  SpanRecord& slot = ring_.claim();
+  slot.trace_id = span.trace_id_;
+  slot.span_id = span.span_id_;
+  slot.parent_span_id = span.parent_span_id_;
+  slot.name.assign(span.name_);
+  slot.layer.assign(span.layer_);
+  slot.start_us = span.start_us_;
+  slot.duration_us = duration_us;
 }
 
 std::vector<SpanRecord> TraceLog::snapshot() const {

@@ -41,6 +41,8 @@ struct SpanRecord {
   std::int64_t duration_us = 0;
 };
 
+class SpanScope;
+
 /// Bounded ring buffer of completed spans (oldest evicted first).
 class TraceLog {
  public:
@@ -59,6 +61,12 @@ class TraceLog {
   static TraceLog& global();
 
  private:
+  friend class SpanScope;
+
+  /// A closing span's record, written into its ring slot in place: once
+  /// the ring has wrapped, the slot's strings already have the capacity.
+  void record_closed(const SpanScope& span, std::int64_t duration_us);
+
   mutable std::mutex mu_;
   Ring<SpanRecord> ring_;
 };
@@ -66,7 +74,9 @@ class TraceLog {
 /// Steady-clock microseconds: the time base of spans and events.
 std::int64_t steady_now_us();
 
-/// Fresh nonzero trace/span id.
+/// Fresh nonzero trace/span id, unique in the process: a per-thread
+/// sequence tagged with the thread's ordinal and mixed (bijectively) so
+/// ids look uncorrelated. Touches no state shared between threads.
 std::uint64_t new_trace_id();
 
 /// The innermost open span on this thread, or an invalid context.
@@ -75,10 +85,12 @@ TraceContext current_context();
 /// RAII span: derives identity from the innermost open span on this thread
 /// (or starts a new trace), and records itself into `log` on destruction.
 /// A pipeline stage passes its latency `histogram` too: the span's duration
-/// is then that stage's sample, so one clock pair times both.
+/// is then that stage's sample, so one clock pair times both. `name` and
+/// `layer` are string literals (or otherwise outlive the scope): the scope
+/// keeps the pointers and copies the text only into the log.
 class SpanScope {
  public:
-  SpanScope(std::string name, std::string layer,
+  SpanScope(const char* name, const char* layer,
             TraceLog* log = &TraceLog::global(), Histogram* histogram = nullptr);
   ~SpanScope();
 
@@ -91,9 +103,10 @@ class SpanScope {
 
  private:
   friend void adopt_remote(const TraceContext& remote);
+  friend class TraceLog;
 
-  std::string name_;
-  std::string layer_;
+  const char* name_;
+  const char* layer_;
   TraceLog* log_;
   Histogram* histogram_;
   std::uint64_t trace_id_;

@@ -2,9 +2,14 @@
 // handler, lifetime management, and the client proxy base.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <vector>
+
 #include "container/container.hpp"
 #include "container/proxy.hpp"
 #include "net/virtual_network.hpp"
+#include "telemetry/event_log.hpp"
 
 namespace gs::container {
 namespace {
@@ -286,6 +291,134 @@ TEST(Lifetime, ContainerSweepsOnEveryRequest) {
   clock.set(100);
   (void)container.process(make_request("urn:test/Ping"), "/Ping");
   EXPECT_EQ(destroyed, 1);
+}
+
+// A throwing callback must not cost later due entries their destruction
+// (their entries are already unregistered, so a skipped callback never
+// runs), nor fail the request whose sweep found them due.
+TEST(Lifetime, FailingCallbackDoesNotDropLaterOnes) {
+  common::ManualClock clock(0);
+  LifetimeManager lm(clock);
+  telemetry::Counter& failures =
+      telemetry::MetricsRegistry::global().counter("container.lifetime_failures");
+  std::uint64_t failures_before = failures.value();
+  int destroyed = 0;
+  lm.schedule(0, [] { throw std::runtime_error("wal remove failed"); });
+  lm.schedule(0, [&] { ++destroyed; });
+  std::uint64_t last_event = telemetry::EventLog::global().last_seq();
+
+  EXPECT_EQ(lm.sweep(), 2u);
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(lm.active(), 0u);
+  EXPECT_EQ(failures.value() - failures_before, 1u);
+  std::vector<telemetry::Event> events =
+      telemetry::EventLog::global().events_since(last_event);
+  auto warning = std::find_if(events.begin(), events.end(), [](const auto& e) {
+    return e.component == "lifetime" && e.level == telemetry::Level::kWarn;
+  });
+  ASSERT_NE(warning, events.end());
+  ASSERT_EQ(warning->attrs.size(), 1u);
+  EXPECT_EQ(warning->attrs[0].second, "wal remove failed");
+}
+
+TEST(Lifetime, FailingCallbackDoesNotFailTheTriggeringRequest) {
+  common::ManualClock clock(0);
+  telemetry::MetricsRegistry metrics;
+  Container container({.clock = &clock, .metrics = &metrics});
+  PingService svc;
+  container.deploy("/Ping", svc);
+  container.lifetime().schedule(10, [] { throw std::runtime_error("boom"); });
+  clock.set(20);
+  soap::Envelope r = container.process(make_request("urn:test/Ping"), "/Ping");
+  EXPECT_FALSE(r.is_fault());
+  EXPECT_EQ(svc.pings, 1);
+  EXPECT_EQ(metrics.counter("container.lifetime_failures").value(), 1u);
+}
+
+// Callbacks fire in deadline order, ties broken by handle (schedule order).
+TEST(Lifetime, SweepFiresInDeadlineOrder) {
+  common::ManualClock clock(0);
+  LifetimeManager lm(clock);
+  std::vector<int> fired;
+  lm.schedule(30, [&] { fired.push_back(30); });
+  lm.schedule(10, [&] { fired.push_back(10); });
+  lm.schedule(20, [&] { fired.push_back(21); });
+  lm.schedule(20, [&] { fired.push_back(22); });
+  clock.set(30);
+  EXPECT_EQ(lm.sweep(), 4u);
+  EXPECT_EQ(fired, (std::vector<int>{10, 21, 22, 30}));
+}
+
+TEST(Lifetime, MovedTerminationTimeFiresAtTheNewTimeOnly) {
+  common::ManualClock clock(0);
+  LifetimeManager lm(clock);
+  int earlier = 0, later = 0, to_never = 0, from_never = 0;
+  auto h_earlier = lm.schedule(100, [&] { ++earlier; });
+  auto h_later = lm.schedule(100, [&] { ++later; });
+  auto h_to_never = lm.schedule(100, [&] { ++to_never; });
+  auto h_from_never = lm.schedule(LifetimeManager::kNever, [&] { ++from_never; });
+  EXPECT_TRUE(lm.set_termination_time(h_earlier, 50));
+  EXPECT_TRUE(lm.set_termination_time(h_later, 200));
+  EXPECT_TRUE(lm.set_termination_time(h_to_never, LifetimeManager::kNever));
+  EXPECT_TRUE(lm.set_termination_time(h_from_never, 150));
+
+  clock.set(50);
+  EXPECT_EQ(lm.sweep(), 1u);
+  EXPECT_EQ(earlier, 1);
+  clock.set(100);  // the old deadline: nothing is left indexed there
+  EXPECT_EQ(lm.sweep(), 0u);
+  clock.set(150);
+  EXPECT_EQ(lm.sweep(), 1u);
+  EXPECT_EQ(from_never, 1);
+  clock.set(199);
+  EXPECT_EQ(lm.sweep(), 0u);
+  clock.set(200);
+  EXPECT_EQ(lm.sweep(), 1u);
+  EXPECT_EQ(later, 1);
+  clock.set(1'000'000);
+  EXPECT_EQ(lm.sweep(), 0u);
+  EXPECT_EQ(to_never, 0);
+  EXPECT_EQ(lm.active(), 1u);
+  EXPECT_EQ(lm.termination_time(h_to_never), LifetimeManager::kNever);
+}
+
+TEST(Lifetime, CancelAndDestroyUnindex) {
+  common::ManualClock clock(0);
+  LifetimeManager lm(clock);
+  int fired = 0;
+  auto cancelled = lm.schedule(10, [&] { ++fired; });
+  auto destroyed = lm.schedule(5, [&] { ++fired; });
+  EXPECT_TRUE(lm.cancel(cancelled));
+  EXPECT_TRUE(lm.destroy(destroyed));
+  EXPECT_EQ(fired, 1);  // destroy ran its callback once
+  clock.set(100);
+  EXPECT_EQ(lm.sweep(), 0u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(lm.active(), 0u);
+}
+
+TEST(Lifetime, EntryScheduledPastDueFiresOnTheNextSweep) {
+  common::ManualClock clock(1000);
+  LifetimeManager lm(clock);
+  int fired = 0;
+  lm.schedule(500, [&] { ++fired; });
+  EXPECT_EQ(lm.sweep(), 1u);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(Lifetime, NeverEntriesDoNotSlowOrJoinASweep) {
+  common::ManualClock clock(0);
+  LifetimeManager lm(clock);
+  int never_fired = 0, due_fired = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    lm.schedule(LifetimeManager::kNever, [&] { ++never_fired; });
+  }
+  lm.schedule(10, [&] { ++due_fired; });
+  clock.set(10);
+  EXPECT_EQ(lm.sweep(), 1u);
+  EXPECT_EQ(due_fired, 1);
+  EXPECT_EQ(never_fired, 0);
+  EXPECT_EQ(lm.active(), 10'000u);
 }
 
 // --- proxy base --------------------------------------------------------------------

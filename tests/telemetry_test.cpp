@@ -84,6 +84,62 @@ TEST(Counter, ConcurrentWritersLoseNothing) {
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kAddsPerThread);
 }
 
+// Sharded writes lose nothing: 4 threads record known values and the
+// aggregated snapshot matches a sequential oracle exactly.
+TEST(Histogram, ConcurrentWritersAggregateExactly) {
+  Histogram h;
+  constexpr int kThreads = 4;
+  constexpr int kRecordsPerThread = 10'000;
+  auto value = [](int t, int i) {
+    return static_cast<std::uint64_t>(t * 7919 + i * 13) % 100'000;
+  };
+  HistogramSnapshot oracle;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kRecordsPerThread; ++i) {
+      std::uint64_t us = value(t, i);
+      ++oracle.count;
+      oracle.sum_us += us;
+      ++oracle.buckets[Histogram::bucket_index(us)];
+      oracle.min_us = std::min(oracle.min_us, us);
+      oracle.max_us = std::max(oracle.max_us, us);
+    }
+  }
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&h, &value, t] {
+      for (int i = 0; i < kRecordsPerThread; ++i) h.record(value(t, i));
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  HistogramSnapshot snap = h.snapshot();
+  EXPECT_EQ(snap.count, oracle.count);
+  EXPECT_EQ(snap.sum_us, oracle.sum_us);
+  EXPECT_EQ(snap.buckets, oracle.buckets);
+  EXPECT_EQ(snap.min_us, oracle.min_us);
+  EXPECT_EQ(snap.max_us, oracle.max_us);
+  EXPECT_EQ(h.count(), oracle.count);
+  EXPECT_EQ(h.sum_us(), oracle.sum_us);
+}
+
+// Shards come from thread ordinals handed out in order, so any 16 threads
+// started one after another write 16 different shards (a hash of the thread
+// id puts any two threads on one shard 1 time in 16).
+TEST(Metrics, SixteenNewThreadsGetSixteenDistinctShards) {
+  std::set<unsigned> shards;
+  std::set<std::uint32_t> ordinals;
+  for (unsigned i = 0; i < kMetricShards; ++i) {
+    std::thread([&] {
+      shards.insert(thread_shard());
+      ordinals.insert(thread_ordinal());
+    }).join();
+  }
+  EXPECT_EQ(shards.size(), kMetricShards);
+  EXPECT_EQ(ordinals.size(), kMetricShards);
+  EXPECT_EQ(*ordinals.rbegin() - *ordinals.begin(), kMetricShards - 1);
+}
+
 TEST(Registry, HandlesAreStableAndSnapshotsSubtract) {
   MetricsRegistry reg;
   Counter& c = reg.counter("x.requests");
@@ -326,6 +382,53 @@ TEST(Trace, SpanRecordsItsDurationIntoItsHistogram) {
   { SpanScope unlogged("stage", "test", nullptr, &stage); }
   EXPECT_EQ(stage.count(), 2u);
   EXPECT_EQ(log.size(), 1u);
+}
+
+// Ids come from per-thread sequences: spans opened concurrently on four
+// threads still get pairwise-distinct, nonzero span and trace ids.
+TEST(Trace, ConcurrentSpansGetDistinctNonzeroIds) {
+  constexpr int kThreads = 4;
+  constexpr int kSpansPerThread = 10'000;
+  std::vector<std::vector<std::uint64_t>> ids(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&ids, t] {
+      for (int i = 0; i < kSpansPerThread; ++i) {
+        SpanScope span("test.span", "test", nullptr);
+        ids[t].push_back(span.context().span_id);
+        ids[t].push_back(span.context().trace_id);  // a root: a fresh trace
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  std::set<std::uint64_t> distinct;
+  for (const auto& per_thread : ids) {
+    for (std::uint64_t id : per_thread) {
+      EXPECT_NE(id, 0u);
+      distinct.insert(id);
+    }
+  }
+  EXPECT_EQ(distinct.size(), 2u * kThreads * kSpansPerThread);
+}
+
+// Once the ring has wrapped, a closing span is written into the evicted
+// slot in place; readers still see exactly the newest spans, intact.
+TEST(Trace, SpansRecordedAfterWraparoundKeepTheirFields) {
+  TraceLog log(2);
+  std::vector<TraceContext> contexts;
+  for (const char* name : {"a.short", "container.dispatch", "b", "container.handler"}) {
+    SpanScope span(name, "layer.with.a.long.name", &log);
+    contexts.push_back(span.context());
+  }
+  std::vector<SpanRecord> kept = log.snapshot();
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(kept[0].name, "b");
+  EXPECT_EQ(kept[0].span_id, contexts[2].span_id);
+  EXPECT_EQ(kept[1].name, "container.handler");
+  EXPECT_EQ(kept[1].span_id, contexts[3].span_id);
+  EXPECT_EQ(kept[1].trace_id, contexts[3].trace_id);
+  EXPECT_EQ(kept[1].layer, "layer.with.a.long.name");
 }
 
 // Every instrumented stage of a real request path records exactly one

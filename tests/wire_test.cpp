@@ -731,8 +731,8 @@ TEST(WireOctets, GetEnvelopesMatchPinsAndRoundTrip) {
 // --- heap allocations per Get round trip ---------------------------------------
 
 // The counts the wire path reached (tier-1 build).
-constexpr double kWsrfGetAllocations = 146;
-constexpr double kWstGetAllocations = 101;
+constexpr double kWsrfGetAllocations = 143;
+constexpr double kWstGetAllocations = 99;
 
 /// Heap allocations one Get costs end to end through the virtual fabric —
 /// the client's request build, both HTTP hops, the container and the
