@@ -115,7 +115,7 @@ Trial run_trial(net::VirtualNetwork& net, counter::WstCounterDeployment& wst,
 
 /// Wire-path trial: same request mix, NO simulated backend stage, so
 /// per-request cost is pure container work (parse, dispatch, database
-/// touch, serialize) over the arena parser and response templates.
+/// touch, serialize) over the arena parser and the envelope writer.
 struct WireTrial {
   double ops_per_sec;
   double nodes_per_request;
@@ -136,7 +136,7 @@ WireTrial run_wire_trial(net::VirtualNetwork& net,
     auto client = std::make_unique<counter::WstCounterClient>(
         *caller, wst.counter_address(), wst.source_address());
     client->create();
-    client->set(1);  // warm the compiled templates outside the timed window
+    client->set(1);  // warm caches and scratch buffers outside the timed window
     client->get();
     workers.push_back({std::move(caller), std::move(client)});
   }
@@ -284,7 +284,7 @@ int main() {
 
   // --- wire-path trial: backend stage at zero --------------------------------
   // A second deployment WITHOUT the simulated backend handler isolates the
-  // serialization stack: what the arena parser + response templates cost
+  // serialization stack: what the arena parser + envelope writer cost
   // when nothing else dominates. (tests/wire_test.cpp bounds the nodes.)
   net::VirtualCaller wire_sink(
       net, net::VirtualCaller::Options{.transport = net::TransportKind::kSoapTcp});

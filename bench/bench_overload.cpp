@@ -174,7 +174,7 @@ std::vector<Worker> make_workers(net::VirtualNetwork& net,
     w.client = std::make_unique<counter::WstCounterClient>(
         *w.caller, wst.counter_address(), wst.source_address());
     w.client->create();
-    w.client->get();  // warm templates outside any timed window
+    w.client->get();  // warm caches outside any timed window
     w.telemetry = std::make_unique<wst::TransferProxy>(
         *w.caller, soap::EndpointReference(monitoring_address),
         container::ProxySecurity{});

@@ -75,9 +75,9 @@ elif [[ "$TSAN_ONLY" == "1" ]]; then
   # pub/sub), reliability (delivery queues + pools under faults),
   # concurrency (registry pins, per-resource locks, the 8-thread hammer),
   # scheduler (two-phase passes against JobRunner exit callbacks), and the
-  # wire fast path (shared template skeletons, thread-local probes and
-  # scratch buffers, refcounted buffer-chain segments) with its xml
-  # substrate, the observability layer (sampler vs request threads,
+  # wire fast path (thread-local probes and scratch buffers, refcounted
+  # buffer-chain segments) with its xml and soap substrate, the
+  # observability layer (sampler vs request threads,
   # SLO evaluation against a concurrently-fed store), and the durable
   # storage engine (leader vs followers, drain barriers, the
   # load/store/remove cache hammer), the network substrate (the
@@ -87,7 +87,7 @@ elif [[ "$TSAN_ONLY" == "1" ]]; then
   # lifetime manager (a sweep reads its earliest-deadline atomic without
   # the lock while other threads schedule and sweep).
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \
-    -R 'telemetry|reliability|monitor|concurrency|scheduler|xml|wire|overload|timeseries|slo|durability|net|wsn|wse|container|stress'
+    -R 'telemetry|reliability|monitor|concurrency|scheduler|xml|soap|wire|overload|timeseries|slo|durability|net|wsn|wse|container|stress'
 elif [[ "${OVERLOAD:-0}" == "1" ]]; then
   # Overload gate, part one: the admission/breaker suite.
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \

@@ -1,16 +1,16 @@
 // Scatter/gather buffer chain for the zero-copy wire path.
 //
-// A serialized response is mostly bytes that already exist somewhere — a
-// compiled template skeleton, an arena parser's input buffer — plus a few
-// short variable runs. A BufferChain represents the message as an ordered
+// A serialized message is mostly bytes that already exist somewhere — a
+// worker's reused serialization buffer, an arena parser's input buffer —
+// plus a few short runs. A BufferChain represents the message as an ordered
 // list of segments so those bytes reach the transport without being
 // concatenated into one intermediate string (writev-style).
 //
 // Ownership rules:
 //  - append(std::string)            — the chain owns the bytes (moved in).
 //  - append_shared(keepalive, view) — the chain co-owns `keepalive` and the
-//    view must point into memory it keeps alive (template skeletons, arena
-//    document buffers). Sharing, not copying, is the whole point.
+//    view must point into memory it keeps alive (serialization buffers,
+//    arena document buffers). Sharing, not copying, is the whole point.
 //  - append_static(view)            — caller guarantees 'static-like'
 //    lifetime (string literals, interned constants).
 #pragma once

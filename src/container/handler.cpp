@@ -23,10 +23,10 @@ std::uint64_t elapsed_us(std::chrono::steady_clock::time_point since) {
 net::HttpResponse serialize_response(const soap::Envelope& response) {
   // SOAP 1.2 over HTTP: faults ride a 500, still with an envelope body;
   // both paths carry the SOAP content type. The body leaves as a segment
-  // chain: template responses splice skeleton literals, wire-backed
-  // envelopes share the received buffer, and DOM envelopes serialize into
-  // a per-worker scratch buffer whose capacity survives across requests
-  // (wire_chain reallocates it when a previous response still holds it).
+  // chain: wire-backed envelopes share the received buffer, and the others
+  // serialize into a per-worker scratch buffer whose capacity survives
+  // across requests (wire_chain reallocates it when a previous response
+  // still holds it).
   thread_local std::shared_ptr<std::string> scratch;
   net::HttpResponse http;
   if (response.is_fault()) {
@@ -196,11 +196,6 @@ void ResolveHandler::handle(PipelineContext& ctx, Next next) {
   }
   ctx.rpc.request = ctx.request;
   ctx.rpc.info = ctx.request->read_addressing();
-  // Template responses apply only when the reply leaves as octets (HTTP
-  // entry) and nothing downstream mutates it (no message-level signature).
-  ctx.rpc.allow_template_response =
-      ctx.http_request != nullptr &&
-      ctx.container.config().security == SecurityMode::kNone;
   next(ctx);
 }
 

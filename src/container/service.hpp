@@ -18,11 +18,6 @@ struct RequestContext {
   /// Authenticated sender, present when the container verified an X.509
   /// signature on the request.
   std::optional<security::VerifiedIdentity> identity;
-  /// Set by the resolve stage when a pre-compiled template response (see
-  /// container/templated.hpp) may answer this request: HTTP entry (the
-  /// response leaves as octets, nobody walks its tree in-process) and no
-  /// message-level security (signing mutates the response).
-  bool allow_template_response = false;
 
   /// The request payload (first Body child); throws SoapFault("Sender")
   /// when the body is empty.

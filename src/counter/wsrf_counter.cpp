@@ -62,7 +62,7 @@ WsrfCounterDeployment::WsrfCounterDeployment(Params params)
             service_->create_resource(CounterCore::make_document(0));
         soap::Envelope response = container::make_response(
             ctx, wsrf_counter_create_action() + "Response");
-        response.body().append(epr.to_xml(counter_qn("CounterEPR")));
+        response.add_payload(epr.to_xml(counter_qn("CounterEPR")));
         return response;
       });
 

@@ -212,7 +212,7 @@ class ReservationService final : public wsrf::WsrfService {
 
           soap::Envelope r = container::make_response(
               ctx, wsrf_actions::kCreateReservation + "Response");
-          r.body().append(epr.to_xml(gb("ReservationEPR")));
+          r.add_payload(epr.to_xml(gb("ReservationEPR")));
           return r;
         });
 
@@ -379,7 +379,7 @@ class DataService final : public wsrf::WsrfService {
 
           soap::Envelope r = container::make_response(
               ctx, wsrf_actions::kCreateDirectory + "Response");
-          r.body().append(epr.to_xml(gb("DirectoryEPR")));
+          r.add_payload(epr.to_xml(gb("DirectoryEPR")));
           return r;
         });
 
@@ -576,7 +576,7 @@ class ExecService final : public wsrf::WsrfService {
 
       soap::Envelope r =
           container::make_response(ctx, wsrf_actions::kStartJob + "Response");
-      r.body().append(job_epr.to_xml(gb("JobEPR")));
+      r.add_payload(job_epr.to_xml(gb("JobEPR")));
       return r;
     });
 

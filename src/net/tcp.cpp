@@ -116,7 +116,7 @@ void HttpServer::serve_connection(int fd) {
   if (!arrived || !request.empty()) {
     HttpResponse response = serve_http(endpoint_, request, !arrived);
     // Scatter write: the status line + headers, then the body segments
-    // (template skeleton pieces, shared parse buffers) straight from where
+    // (serialized envelopes, shared parse buffers) straight from where
     // they live — the chain-backed fast path never flattens the response.
     common::BufferChain wire;
     response.serialize_to(wire);

@@ -1,7 +1,8 @@
 #include "soap/envelope.hpp"
 
+#include <algorithm>
+
 #include "soap/namespaces.hpp"
-#include "soap/template.hpp"
 #include "xml/canonical.hpp"
 #include "xml/parser.hpp"
 #include "xml/writer.hpp"
@@ -13,22 +14,30 @@ namespace {
 xml::QName env_name(const char* local) { return {ns::kEnvelope, local}; }
 xml::QName wsa_name(const char* local) { return {ns::kAddressing, local}; }
 
-}  // namespace
-
-std::unique_ptr<xml::Element> Envelope::skeleton() {
-  auto root = std::make_unique<xml::Element>(env_name("Envelope"));
-  root->declare_prefix("soap", ns::kEnvelope);
-  root->declare_prefix("wsa", ns::kAddressing);
-  root->append_element(env_name("Header"));
-  root->append_element(env_name("Body"));
-  return root;
+void append_text_header(xml::Element& header, const char* local,
+                        std::string& value) {
+  if (!value.empty()) header.append_element(wsa_name(local)).set_text(std::move(value));
 }
+
+void write_text_header(std::string& out, std::string_view local,
+                       const std::string& value) {
+  if (value.empty()) return;
+  out += "<wsa:";
+  out += local;
+  out += '>';
+  xml::escape_into(out, value);
+  out += "</wsa:";
+  out += local;
+  out += '>';
+}
+
+}  // namespace
 
 Envelope& Envelope::operator=(const Envelope& other) {
   if (this == &other) return *this;
+  parts_ = Parts{};
   root_.reset();
   view_.reset();
-  pending_.reset();
   payload_dom_.reset();
   header_cache_.clear();
   signed_cache_.reset();
@@ -37,41 +46,69 @@ Envelope& Envelope::operator=(const Envelope& other) {
     // Share the immutable wire view; this copy materializes its own DOM
     // lazily if and when it needs one.
     view_ = other.view_;
-  } else if (other.root_) {
-    root_ = other.root_->clone_element();
-  } else if (other.pending_) {
-    // Snapshot the pending response as a DOM (copies are cold paths; the
-    // original stays a template and can still take a trace stamp).
-    root_ = xml::parse_element(other.pending_->render_string());
+  } else {
+    root_ = other.dom().clone_element();
   }
   return *this;
 }
 
-Envelope Envelope::make_pending(std::shared_ptr<PendingResponse> pending) {
-  Envelope env;
-  env.pending_ = std::move(pending);
-  return env;
+std::unique_ptr<xml::Element> Envelope::build_dom() const {
+  auto root = std::make_unique<xml::Element>(env_name("Envelope"));
+  root->declare_prefix("soap", ns::kEnvelope);
+  root->declare_prefix("wsa", ns::kAddressing);
+  xml::Element& header = root->append_element(env_name("Header"));
+  append_text_header(header, "To", parts_.to);
+  append_text_header(header, "Action", parts_.action);
+  append_text_header(header, "MessageID", parts_.message_id);
+  append_text_header(header, "RelatesTo", parts_.relates_to);
+  for (auto& h : parts_.headers) header.append(std::move(h));
+  xml::Element& body = root->append_element(env_name("Body"));
+  for (auto& p : parts_.payload) body.append(std::move(p));
+  if (parts_.payload_octets) body.append(xml::parse_element(*parts_.payload_octets));
+  parts_ = Parts{};
+  return root;
 }
 
-bool Envelope::set_pending_trace(std::string trace_id, std::string span_id) {
-  if (!pending_ || root_ || view_) return false;
-  pending_->trace_id = std::move(trace_id);
-  pending_->span_id = std::move(span_id);
-  return true;
+void Envelope::write_into(std::string& out) const {
+  if (!in_parts()) {
+    xml::write_into(out, *root_);
+    return;
+  }
+  // The frame build_dom's root declares: the writer pass below starts with
+  // these bindings in scope and no generated prefixes, as it would inside
+  // xml::write of that tree.
+  static const xml::PrefixBindings kFrameBindings = {
+      {"soap", ns::kEnvelope}, {"wsa", ns::kAddressing}};
+  static const std::string kOpen = std::string("<soap:Envelope xmlns:soap=\"") +
+                                   ns::kEnvelope + "\" xmlns:wsa=\"" +
+                                   ns::kAddressing + "\">";
+  out = kOpen;
+  int gen_counter = 0;
+  if (parts_.has_header()) {
+    out += "<soap:Header>";
+    write_text_header(out, "To", parts_.to);
+    write_text_header(out, "Action", parts_.action);
+    write_text_header(out, "MessageID", parts_.message_id);
+    write_text_header(out, "RelatesTo", parts_.relates_to);
+    xml::write_fragment(out, parts_.headers, kFrameBindings, gen_counter);
+    out += "</soap:Header>";
+  } else {
+    out += "<soap:Header/>";
+  }
+  if (parts_.payload.empty() && !parts_.payload_octets) {
+    out += "<soap:Body/>";
+  } else {
+    out += "<soap:Body>";
+    xml::write_fragment(out, parts_.payload, kFrameBindings, gen_counter);
+    if (parts_.payload_octets) out += *parts_.payload_octets;
+    out += "</soap:Body>";
+  }
+  out += "</soap:Envelope>";
 }
 
 xml::Element& Envelope::mut() {
-  if (!root_) {
-    if (view_) {
-      root_ = view_->to_dom();
-    } else if (pending_) {
-      root_ = xml::parse_element(pending_->render_string());
-    } else {
-      root_ = skeleton();
-    }
-  }
+  if (!root_) root_ = view_ ? view_->to_dom() : build_dom();
   view_.reset();
-  pending_.reset();
   // Previously handed-out subtree pointers must survive the transition.
   if (payload_dom_) retired_.push_back(std::move(payload_dom_));
   for (auto& h : header_cache_) retired_.push_back(std::move(h));
@@ -81,18 +118,8 @@ xml::Element& Envelope::mut() {
 }
 
 const xml::Element& Envelope::dom() const {
-  if (!root_) {
-    if (view_) {
-      root_ = view_->to_dom();  // view_ stays: it is still the wire form
-    } else if (pending_) {
-      // A structural read freezes the template response into a DOM; later
-      // trace stamping falls back to the DOM path (set_pending_trace
-      // returns false once root_ exists).
-      root_ = xml::parse_element(pending_->render_string());
-    } else {
-      root_ = skeleton();  // a default-constructed envelope's first read
-    }
-  }
+  // A view stays: it is still the wire form.
+  if (!root_) root_ = view_ ? view_->to_dom() : build_dom();
   return *root_;
 }
 
@@ -114,7 +141,7 @@ xml::Element& Envelope::header() {
 }
 
 const xml::Element& Envelope::header() const {
-  // Materializes a DOM for the read but keeps the wire/pending backing —
+  // Materializes a DOM for the read but keeps the wire backing —
   // only mutating accessors invalidate it. A missing Header is created on
   // the materialized tree (legacy behavior for header-less documents).
   xml::Element& r = const_cast<xml::Element&>(dom());
@@ -144,7 +171,9 @@ const xml::Element* Envelope::payload() const {
     if (!payload_dom_) payload_dom_ = xml::ArenaDocument::to_dom(*p);
     return payload_dom_.get();
   }
-  if (pending_ && !root_) dom();
+  if (in_parts() && !parts_.payload_octets) {
+    return parts_.payload.empty() ? nullptr : parts_.payload.front().get();
+  }
   auto kids = body().child_elements();
   return kids.empty() ? nullptr : kids.front();
 }
@@ -153,33 +182,66 @@ const xml::ArenaNode* Envelope::payload_view() const {
   if (!view_) {
     view_ = std::make_shared<const xml::ArenaDocument>(
         xml::ArenaDocument::parse(to_xml()));
+    if (!root_) {
+      // Built in-process: the view replaces the parts, and elements handed
+      // out stay alive.
+      for (auto& h : parts_.headers) retired_.push_back(std::move(h));
+      for (auto& p : parts_.payload) retired_.push_back(std::move(p));
+      parts_ = Parts{};
+    }
   }
   const xml::ArenaNode* b = view_->root().child(ns::kEnvelope, "Body");
   return b ? b->first_element() : nullptr;
 }
 
 xml::Element* Envelope::payload() {
+  if (in_parts() && !parts_.payload_octets) {
+    return parts_.payload.empty() ? nullptr : parts_.payload.front().get();
+  }
   auto kids = body().child_elements();
   return kids.empty() ? nullptr : kids.front();
 }
 
 xml::Element& Envelope::add_payload(xml::QName name) {
-  return body().append_element(std::move(name));
+  auto el = std::make_unique<xml::Element>(std::move(name));
+  xml::Element& added = *el;
+  add_payload(std::move(el));
+  return added;
 }
 
 void Envelope::add_payload(std::unique_ptr<xml::Element> el) {
-  body().append(std::move(el));
+  if (in_parts() && !parts_.payload_octets) {
+    parts_.payload.push_back(std::move(el));
+  } else {
+    body().append(std::move(el));
+  }
+}
+
+void Envelope::add_payload_octets(std::shared_ptr<const std::string> octets) {
+  if (in_parts() && !parts_.payload_octets) {
+    parts_.payload_octets = std::move(octets);
+  } else {
+    body().append(xml::parse_element(*octets));
+  }
 }
 
 void Envelope::write_addressing(MessageInfo info) {
+  if (in_parts() && !parts_.has_header()) {
+    parts_.to = std::move(info.to);
+    parts_.action = std::move(info.action);
+    parts_.message_id = std::move(info.message_id);
+    parts_.relates_to = std::move(info.relates_to);
+    if (!info.reply_to.empty())
+      parts_.headers.push_back(info.reply_to.to_xml(wsa_name("ReplyTo")));
+    for (auto& rh : info.reference_headers) parts_.headers.push_back(std::move(rh));
+    return;
+  }
+  // Headers already present come first: append after them in the tree.
   xml::Element& h = header();
-  if (!info.to.empty()) h.append_element(wsa_name("To")).set_text(std::move(info.to));
-  if (!info.action.empty())
-    h.append_element(wsa_name("Action")).set_text(std::move(info.action));
-  if (!info.message_id.empty())
-    h.append_element(wsa_name("MessageID")).set_text(std::move(info.message_id));
-  if (!info.relates_to.empty())
-    h.append_element(wsa_name("RelatesTo")).set_text(std::move(info.relates_to));
+  append_text_header(h, "To", info.to);
+  append_text_header(h, "Action", info.action);
+  append_text_header(h, "MessageID", info.message_id);
+  append_text_header(h, "RelatesTo", info.relates_to);
   if (!info.reply_to.empty()) h.append(info.reply_to.to_xml(wsa_name("ReplyTo")));
   for (auto& rh : info.reference_headers) h.append(std::move(rh));
 }
@@ -245,7 +307,6 @@ const xml::Element* Envelope::header_child(const xml::QName& name) const {
     header_cache_.push_back(xml::ArenaDocument::to_dom(*e));
     return header_cache_.back().get();
   }
-  if (pending_ && !root_) dom();
   return header().child(name);
 }
 
@@ -257,14 +318,28 @@ std::optional<std::string> Envelope::header_child_attr(
     if (auto v = e->attr_local(attr)) return std::string(*v);
     return std::nullopt;
   }
-  if (pending_ && !root_) dom();
   const xml::Element* e = header().child(name);
   if (!e) return std::nullopt;
   return e->attr(attr);
 }
 
+void Envelope::replace_header(std::unique_ptr<xml::Element> el) {
+  if (in_parts() && el->name().ns() != ns::kAddressing) {
+    auto& headers = parts_.headers;
+    auto old = std::find_if(headers.begin(), headers.end(),
+                            [&](const auto& h) { return h->name() == el->name(); });
+    if (old != headers.end()) headers.erase(old);
+    headers.push_back(std::move(el));
+    return;
+  }
+  xml::Element& header = this->header();
+  if (const xml::Element* old = header.child(el->name())) header.remove_child(*old);
+  header.append(std::move(el));
+}
+
 bool Envelope::is_fault() const {
-  if (pending_ && !root_) return false;  // templates never render faults
+  // An empty Body, or stored octets (never a fault).
+  if (in_parts() && parts_.payload.empty()) return false;
   if (const xml::ArenaNode* b = view_body()) {
     const xml::ArenaNode* p = b->first_element();
     return p && p->ns == ns::kEnvelope && p->local == "Fault";
@@ -318,16 +393,13 @@ void Envelope::throw_if_fault() const {
 
 std::string Envelope::to_xml() const {
   if (view_ && !root_) return std::string(view_->buffer());
-  if (pending_ && !root_) return pending_->render_string();
-  return xml::write(dom());
+  std::string out;
+  write_into(out);
+  return out;
 }
 
 void Envelope::wire_chain(common::BufferChain& chain,
                           std::shared_ptr<std::string>* scratch) const {
-  if (pending_ && !root_) {
-    pending_->render(pending_, chain);
-    return;
-  }
   if (view_ && !root_) {
     // Alias the document so the buffer outlives this envelope.
     chain.append_shared(
@@ -335,16 +407,16 @@ void Envelope::wire_chain(common::BufferChain& chain,
         view_->buffer());
     return;
   }
-  if (scratch) {
-    std::shared_ptr<std::string>& buf = *scratch;
-    // Reuse the buffer's capacity unless a previously returned chain still
-    // references it.
-    if (!buf || buf.use_count() > 1) buf = std::make_shared<std::string>();
-    xml::write_into(*buf, dom());
-    chain.append_shared(buf, *buf);
+  if (!scratch) {
+    chain.append(to_xml());
     return;
   }
-  chain.append(xml::write(dom()));
+  std::shared_ptr<std::string>& buf = *scratch;
+  // Reuse the buffer's capacity unless a previously returned chain still
+  // references it.
+  if (!buf || buf.use_count() > 1) buf = std::make_shared<std::string>();
+  write_into(*buf);
+  chain.append_shared(buf, *buf);
 }
 
 const std::string& Envelope::canonical_signed_content() const {

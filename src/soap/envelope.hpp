@@ -14,8 +14,6 @@
 
 namespace gs::soap {
 
-struct PendingResponse;
-
 /// A SOAP fault (SOAP 1.2 shape: Code/Value, Reason/Text, Detail).
 struct Fault {
   std::string code = "Receiver";  // SOAP fault code local name
@@ -45,27 +43,29 @@ class SoapFault : public std::runtime_error {
 /// with `to_xml`, re-parsed with `from_xml`), so every request/response in
 /// both stacks pays real serialization costs.
 ///
-/// Internally an envelope is in one of three states:
-///  - DOM-backed: owns a mutable xml::Element tree (the classic form; any
-///    envelope built in-process starts here).
+/// Internally an envelope is in one of two states:
+///  - built in-process: until the first DOM access it keeps its parts —
+///    the WS-Addressing text headers as strings, the other header elements
+///    and the payload in lists — and serializes them with one writer pass
+///    inside a fixed Envelope/Header/Body frame. A DOM access (`root()`,
+///    `header()`, `body()`, signing) materializes the classic xml::Element
+///    tree, which from then on is the source of truth.
 ///  - wire-backed: owns an immutable xml::ArenaDocument view of the exact
 ///    received octets (what from_xml returns). Read accessors answer from the
 ///    view, materializing at most the subtree they return; the first
 ///    *mutating* access converts the whole view to a DOM.
-///  - pending: a pre-compiled response template plus this reply's values
-///    (see soap/template.hpp), rendered straight into a BufferChain at
-///    serialization time. Structural reads materialize a DOM snapshot.
-/// All three serialize byte-identically for the same logical document.
+/// Both serialize byte-identically to `xml::write` of the materialized tree.
 ///
-/// Pointers returned by read accessors stay valid for the envelope's
-/// lifetime (retired subtrees are kept alive across state transitions), but
-/// reflect the state at the time of the call — don't hold them across a
-/// mutation. Lazy materialization is not synchronized: like the rest of the
-/// tree API, one envelope must not be accessed from two threads at once.
+/// Pointers returned by accessors stay valid for the envelope's lifetime
+/// (materializing moves elements into the tree, and retired subtrees are
+/// kept alive across state transitions), but reflect the state at the time
+/// of the call — don't hold them across a mutation. Lazy materialization is
+/// not synchronized: like the rest of the tree API, one envelope must not be
+/// accessed from two threads at once.
 class Envelope {
  public:
-  /// An empty envelope with Header and Body (DOM-backed). The tree is built
-  /// on first use, so an envelope that is only assigned over costs nothing.
+  /// An empty envelope with Header and Body. The tree is built on first
+  /// DOM access, so an envelope that is only assigned over costs nothing.
   Envelope() = default;
   Envelope(Envelope&&) noexcept = default;
   Envelope& operator=(Envelope&&) noexcept = default;
@@ -86,18 +86,24 @@ class Envelope {
   /// The payload as a read-only view of the envelope's octets, or nullptr
   /// when the Body is empty: no DOM is built. A received envelope answers
   /// from its wire view; one built in-process is serialized and parsed once
-  /// (after which it no longer takes a pending trace stamp). The view lives
-  /// until the envelope is mutated or destroyed.
+  /// (it is wire-backed from then on). The view lives until the envelope is
+  /// mutated or destroyed.
   const xml::ArenaNode* payload_view() const;
   xml::Element* payload();
   /// Appends a payload element to the Body and returns it.
   xml::Element& add_payload(xml::QName name);
   void add_payload(std::unique_ptr<xml::Element> el);
+  /// Appends an application payload (never a fault) given as serialized
+  /// octets, written verbatim. The caller guarantees they are what the
+  /// writer would produce at that position (e.g. database octets, which
+  /// round-trip through parse and write); a DOM access parses them.
+  void add_payload_octets(std::shared_ptr<const std::string> octets);
 
   // --- WS-Addressing ---------------------------------------------------------
 
   /// Writes To/Action/MessageID/RelatesTo/ReplyTo headers plus the raw
   /// reference headers from `info` (moved in when the caller is done with it).
+  /// On a fresh envelope the four text headers stay strings until written.
   void write_addressing(MessageInfo info);
   /// Reads the addressing headers back out (inverse of write_addressing).
   /// From a received envelope the reference headers stay in its wire view
@@ -111,6 +117,9 @@ class Envelope {
   /// name — a fully view-backed read (no DOM nodes on the fast path).
   std::optional<std::string> header_child_attr(const xml::QName& name,
                                                std::string_view attr) const;
+  /// Removes the first header child with `el`'s QName, if any, and appends
+  /// `el` as the last header.
+  void replace_header(std::unique_ptr<xml::Element> el);
 
   // --- Faults -----------------------------------------------------------------
 
@@ -128,11 +137,10 @@ class Envelope {
   static Envelope from_xml(std::string_view wire);
 
   /// Appends this envelope's wire octets to `chain` without intermediate
-  /// concatenation: template responses render as skeleton/value segments,
-  /// wire-backed envelopes share the received buffer, DOM envelopes
-  /// serialize once (into `scratch` when provided, so a caller-managed
-  /// buffer's capacity is reused; `scratch` is reallocated if still
-  /// referenced by a previous chain).
+  /// concatenation: wire-backed envelopes share the received buffer, the
+  /// others serialize once (into `scratch` when provided, so a
+  /// caller-managed buffer's capacity is reused; `scratch` is reallocated if
+  /// still referenced by a previous chain).
   void wire_chain(common::BufferChain& chain,
                   std::shared_ptr<std::string>* scratch = nullptr) const;
 
@@ -142,25 +150,34 @@ class Envelope {
   /// the envelope is mutated.
   const std::string& canonical_signed_content() const;
 
-  // --- template responses -----------------------------------------------------
-
-  /// Wraps a template response (see soap/template.hpp).
-  static Envelope make_pending(std::shared_ptr<PendingResponse> pending);
-  bool is_pending() const noexcept { return pending_ != nullptr; }
-  /// Stamps the trace context on a pending response without materializing
-  /// it; false when this envelope is not (or no longer) pending — the
-  /// caller falls back to the DOM header write.
-  bool set_pending_trace(std::string trace_id, std::string span_id);
-
  private:
   explicit Envelope(std::shared_ptr<const xml::ArenaDocument> view)
       : view_(std::move(view)) {}
 
-  /// The default envelope's tree: Envelope with Header and Body.
-  static std::unique_ptr<xml::Element> skeleton();
+  /// The parts of an envelope built in-process, in document order.
+  struct Parts {
+    std::string to, action, message_id, relates_to;     // wsa text headers
+    std::vector<std::unique_ptr<xml::Element>> headers;  // after those
+    std::vector<std::unique_ptr<xml::Element>> payload;
+    std::shared_ptr<const std::string> payload_octets;  // after `payload`
 
-  /// Mutable DOM root: materializes if needed, drops the view/pending
-  /// backing and every derived cache (they describe the pre-mutation doc).
+    bool has_header() const {
+      return !to.empty() || !action.empty() || !message_id.empty() ||
+             !relates_to.empty() || !headers.empty();
+    }
+  };
+
+  /// True while the parts are the source of truth (no DOM, no view).
+  bool in_parts() const noexcept { return !root_ && !view_; }
+  /// Moves the parts into a DOM tree: Envelope, Header (text headers, then
+  /// the header list), Body (the payload).
+  std::unique_ptr<xml::Element> build_dom() const;
+  /// Replaces `out` with the octets of an envelope that has parts or a DOM:
+  /// the parts with the direct writer, else xml::write of the tree.
+  void write_into(std::string& out) const;
+
+  /// Mutable DOM root: materializes if needed, drops the view backing and
+  /// every derived cache (they describe the pre-mutation doc).
   xml::Element& mut();
   /// Read-only DOM root: materializes lazily; the view (if any) is kept as
   /// the still-valid wire form.
@@ -168,14 +185,12 @@ class Envelope {
   const xml::ArenaNode* view_body() const;
   const xml::ArenaNode* view_header() const;
 
-  // Exactly one of root_/view_/pending_ is the source of truth (none: a
-  // default envelope whose skeleton is not built yet); root_ is
-  // also set lazily (const reads) next to a live view_, and view_ next to a
-  // live root_ or pending_ (payload_view), in which case both describe the
-  // same bytes.
+  // At most one of root_/view_ is the source of truth (neither: the parts
+  // are); root_ is also set lazily (const reads) next to a live view_, in
+  // which case both describe the same bytes.
+  mutable Parts parts_;
   mutable std::unique_ptr<xml::Element> root_;
   mutable std::shared_ptr<const xml::ArenaDocument> view_;
-  mutable std::shared_ptr<PendingResponse> pending_;
 
   mutable std::unique_ptr<xml::Element> payload_dom_;  // lazy payload subtree
   mutable std::vector<std::unique_ptr<xml::Element>> header_cache_;

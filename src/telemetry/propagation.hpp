@@ -31,23 +31,14 @@ inline const xml::QName& trace_header_qname() {
 }
 
 /// Stamps (or restamps) the envelope with the sender's trace context:
-/// `<t:TraceContext TraceId=".." SpanId=".."/>` in the SOAP header.
-/// Template-backed responses take the ids without materializing a DOM (the
-/// compiled skeleton has the header's slots); everything else gets the
-/// header element appended/replaced in the tree.
+/// `<t:TraceContext TraceId=".." SpanId=".."/>` as the last SOAP header,
+/// replacing an earlier stamp.
 inline void write_trace_header(soap::Envelope& env, const TraceContext& ctx) {
   if (!ctx.valid()) return;
-  if (env.set_pending_trace(std::to_string(ctx.trace_id),
-                            std::to_string(ctx.span_id))) {
-    return;
-  }
-  xml::Element& header = env.header();
-  if (const xml::Element* old = header.child(trace_header_qname())) {
-    header.remove_child(*old);
-  }
-  xml::Element& el = header.append_element(trace_header_qname());
-  el.set_attr("TraceId", std::to_string(ctx.trace_id));
-  el.set_attr("SpanId", std::to_string(ctx.span_id));
+  auto el = std::make_unique<xml::Element>(trace_header_qname());
+  el->set_attr("TraceId", std::to_string(ctx.trace_id));
+  el->set_attr("SpanId", std::to_string(ctx.span_id));
+  env.replace_header(std::move(el));
 }
 
 /// Reads the trace context off an envelope; nullopt when absent/malformed

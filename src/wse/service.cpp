@@ -194,7 +194,7 @@ size_t NotificationManager::notify(const std::string& topic,
     info.target(ended.end_to);
     info.action = actions::kSubscriptionEnd;
     info.message_id = common::new_urn_uuid();
-    env.write_addressing(info);
+    env.write_addressing(std::move(info));
     xml::Element& end = env.add_payload(wse("SubscriptionEnd"));
     end.append_element(wse("Status")).set_text("SourceCancelling");
     queue_.submit(ended.end_to.address(), std::move(env));
@@ -209,10 +209,10 @@ size_t NotificationManager::notify(const std::string& topic,
     info.target(sub.notify_to);
     info.action = action;
     info.message_id = common::new_urn_uuid();
-    env.write_addressing(info);
+    env.write_addressing(std::move(info));
     // WS-Eventing events are plain messages — the event document is the
     // body, no Notify wrapper.
-    env.body().append(event.clone());
+    env.add_payload(event.clone_element());
     telemetry::SpanScope span("wse.deliver", "delivery");
     telemetry::write_trace_header(env, span.context());
     net::DeliveryQueue::Submit result =

@@ -113,7 +113,7 @@ void BrokerService::handle_register(container::RequestContext& ctx,
   }
 
   std::string id = home().create(std::move(registration));
-  response.body().append(
+  response.add_payload(
       home().epr_for(id, address()).to_xml(wsnbr("RegistrationEPR")));
 }
 

@@ -131,7 +131,7 @@ soap::Envelope make_notify_envelope(const std::string& topic,
   info.target(consumer);
   info.action = actions::kNotify;
   info.message_id = common::new_urn_uuid();
-  env.write_addressing(info);
+  env.write_addressing(std::move(info));
 
   xml::Element& notify = env.add_payload(wsnt("Notify"));
   xml::Element& message = notify.append_element(wsnt("NotificationMessage"));
@@ -149,8 +149,8 @@ soap::Envelope make_raw_notify_envelope(const xml::Element& payload,
   info.target(consumer);
   info.action = actions::kNotify;
   info.message_id = common::new_urn_uuid();
-  env.write_addressing(info);
-  env.body().append(payload.clone());
+  env.write_addressing(std::move(info));
+  env.add_payload(payload.clone_element());
   return env;
 }
 

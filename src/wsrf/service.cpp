@@ -9,11 +9,8 @@ namespace gs::wsrf {
 namespace {
 xml::QName rp(const char* local) { return {soap::ns::kWsrfRp, local}; }
 xml::QName rl(const char* local) { return {soap::ns::kWsrfRl, local}; }
-}  // namespace
 
-xml::QName property_qname(const xml::Element& el, const std::string& default_ns) {
-  std::string ns = el.attr("ns").value_or(default_ns);
-  std::string local = el.text();
+xml::QName trimmed_qname(std::string ns, const std::string& local) {
   // Trim surrounding whitespace from the local name.
   size_t b = local.find_first_not_of(" \t\r\n");
   size_t e = local.find_last_not_of(" \t\r\n");
@@ -21,7 +18,18 @@ xml::QName property_qname(const xml::Element& el, const std::string& default_ns)
     throw_base_fault(FaultType::kInvalidResourcePropertyQName,
                      "empty resource property name");
   }
-  return {ns, local.substr(b, e - b + 1)};
+  return {std::move(ns), local.substr(b, e - b + 1)};
+}
+
+}  // namespace
+
+xml::QName property_qname(const xml::Element& el, const std::string& default_ns) {
+  return trimmed_qname(el.attr("ns").value_or(default_ns), el.text());
+}
+
+xml::QName property_qname(const xml::ArenaNode& el, const std::string& default_ns) {
+  std::optional<std::string_view> ns = el.attr_local("ns");
+  return trimmed_qname(ns ? std::string(*ns) : default_ns, el.text());
 }
 
 WsrfService::WsrfService(std::string name, ResourceHome& home,
@@ -29,35 +37,7 @@ WsrfService::WsrfService(std::string name, ResourceHome& home,
     : container::Service(std::move(name)),
       home_(home),
       properties_(std::move(properties)),
-      address_(std::move(address)),
-      get_prop_tpl_([] {
-        soap::ResponseTemplate::Spec spec;
-        spec.action = actions::kGetResourceProperty + "Response";
-        spec.fragment = true;
-        spec.build_payload = [](xml::Element& body) {
-          body.append_element(rp("GetResourcePropertyResponse"))
-              .append(soap::ResponseTemplate::placeholder());
-        };
-        return spec;
-      }),
-      get_doc_tpl_([] {
-        soap::ResponseTemplate::Spec spec;
-        spec.action = actions::kGetResourcePropertyDocument + "Response";
-        spec.fragment = true;
-        spec.build_payload = [](xml::Element& body) {
-          body.append_element(rp("GetResourcePropertyDocumentResponse"))
-              .append(soap::ResponseTemplate::placeholder());
-        };
-        return spec;
-      }),
-      set_ack_tpl_([] {
-        soap::ResponseTemplate::Spec spec;
-        spec.action = actions::kSetResourceProperties + "Response";
-        spec.build_payload = [](xml::Element& body) {
-          body.append_element(rp("SetResourcePropertiesResponse"));
-        };
-        return spec;
-      }) {}
+      address_(std::move(address)) {}
 
 std::string WsrfService::resolve_resource(
     const container::RequestContext& ctx) const {
@@ -90,20 +70,13 @@ void WsrfService::import_resource_properties() {
                          container::RequestContext& ctx) {
     std::string id = resolve_resource(ctx);
     auto state = home_.load(id);
-    xml::QName name = property_qname(ctx.payload(), address_);
+    const xml::ArenaNode* request = ctx.request->payload_view();
+    if (!request) throw soap::SoapFault("Sender", "request has no body payload");
+    xml::QName name = property_qname(*request, address_);
     const ResourceProperty* prop = properties_.find(name);
     if (!prop) {
       throw_base_fault(FaultType::kInvalidResourcePropertyQName,
                        "unknown resource property " + name.clark());
-    }
-    if (auto pr = get_prop_tpl_.start(ctx)) {
-      auto values = prop->get(*state);
-      // A property with no current values serializes its wrapper
-      // self-closed, which a fragment cannot reproduce — DOM path then.
-      if (!values.empty()) {
-        pr->fragment = std::move(values);
-        return soap::Envelope::make_pending(std::move(pr));
-      }
     }
     soap::Envelope response = container::make_response(
         ctx, actions::kGetResourceProperty + "Response");
@@ -138,11 +111,6 @@ void WsrfService::import_resource_properties() {
                          container::RequestContext& ctx) {
     std::string id = resolve_resource(ctx);
     auto state = home_.load(id);
-    if (auto pr = get_doc_tpl_.start(ctx)) {
-      pr->fragment.push_back(
-          properties_.document(*state, rp("ResourceProperties")));
-      return soap::Envelope::make_pending(std::move(pr));
-    }
     soap::Envelope response = container::make_response(
         ctx, actions::kGetResourcePropertyDocument + "Response");
     xml::Element& body =
@@ -219,9 +187,6 @@ void WsrfService::import_resource_properties() {
     resource_lock.unlock();  // listeners may re-enter this resource
     for (const auto& name : changed) fire_property_changed(id, name, *state);
 
-    if (auto pr = set_ack_tpl_.start(ctx)) {
-      return soap::Envelope::make_pending(std::move(pr));
-    }
     soap::Envelope response = container::make_response(
         ctx, actions::kSetResourceProperties + "Response");
     response.add_payload(rp("SetResourcePropertiesResponse"));

@@ -17,7 +17,6 @@
 #include <string>
 
 #include "container/service.hpp"
-#include "container/templated.hpp"
 #include "soap/namespaces.hpp"
 #include "wsrf/resource.hpp"
 
@@ -107,16 +106,12 @@ class WsrfService : public container::Service {
   PropertySet properties_;
   std::string address_;
   std::vector<ChangeListener> listeners_;
-  // Wire fast path: compiled skeletons for the hottest WS-RP replies.
-  // The property values render as a fragment with the captured writer
-  // state; the Set ack is a fully static skeleton.
-  container::TemplatedResponder get_prop_tpl_;
-  container::TemplatedResponder get_doc_tpl_;
-  container::TemplatedResponder set_ack_tpl_;
 };
 
 /// Reads the (ns, local) pair off a property-name element:
-/// `<el ns="uri">Local</el>`; ns defaults to `default_ns`.
+/// `<el ns="uri">Local</el>`; ns defaults to `default_ns`. The view overload
+/// reads a received request in place.
 xml::QName property_qname(const xml::Element& el, const std::string& default_ns);
+xml::QName property_qname(const xml::ArenaNode& el, const std::string& default_ns);
 
 }  // namespace gs::wsrf

@@ -54,7 +54,7 @@ ServiceGroupService::ServiceGroupService(std::string name, ResourceHome& home,
 
     soap::Envelope response =
         container::make_response(ctx, sg_actions::kAdd + "Response");
-    response.body().append(entry_epr.to_xml(sg("EntryEPR")));
+    response.add_payload(entry_epr.to_xml(sg("EntryEPR")));
     return response;
   });
 

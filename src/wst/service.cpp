@@ -32,32 +32,7 @@ TransferService::TransferService(std::string name, xmldb::XmlDatabase& db,
       db_(db),
       collection_(std::move(collection)),
       address_(std::move(address)),
-      hooks_(std::move(hooks)),
-      get_tpl_([] {
-        soap::ResponseTemplate::Spec spec;
-        spec.action = actions::kGet + "Response";
-        spec.fragment = true;
-        spec.build_payload = [](xml::Element& body) {
-          body.append(soap::ResponseTemplate::placeholder());
-        };
-        return spec;
-      }),
-      put_ack_tpl_([] {
-        soap::ResponseTemplate::Spec spec;
-        spec.action = actions::kPut + "Response";
-        spec.build_payload = [](xml::Element& body) {
-          body.append_element(wst("PutResponse"));
-        };
-        return spec;
-      }),
-      delete_ack_tpl_([] {
-        soap::ResponseTemplate::Spec spec;
-        spec.action = actions::kDelete + "Response";
-        spec.build_payload = [](xml::Element& body) {
-          body.append_element(wst("DeleteResponse"));
-        };
-        return spec;
-      }) {
+      hooks_(std::move(hooks)) {
   register_operation(actions::kCreate, [this](container::RequestContext& ctx) {
     const xml::Element& representation = ctx.payload();
 
@@ -82,40 +57,27 @@ TransferService::TransferService(std::string name, xmldb::XmlDatabase& db,
     // Per the paper: Create returns a new representation only when the
     // service modified the client's input.
     if (modified) {
-      response.body()
-          .append_element(wst("Representation"))
-          .append(to_store->clone());
+      response.add_payload(wst("Representation")).append(to_store->clone());
     }
     return response;
   });
 
   register_operation(actions::kGet, [this](container::RequestContext& ctx) {
     std::string id = id_from(ctx);
-    // Fast path: splice the stored octets into the compiled skeleton —
-    // the representation crosses from database to wire without a parse, a
-    // DOM, or a writer pass. Store serialized those octets with the same
-    // writer the DOM path would use, so the bytes are identical. Hooked
-    // Gets compute their representation and take the DOM path.
-    if (!hooks_.on_get) {
-      if (auto pr = get_tpl_.start(ctx)) {
-        if (!db_.cache_enabled()) {
-          auto octets = db_.load_octets(collection_, id);
-          if (!octets) {
-            throw soap::SoapFault("Sender", "unknown resource '" + id + "'");
-          }
-          pr->fragment_shared = std::move(octets);
-        } else {
-          // Cached documents may lack the prefix hints the stored octets
-          // carry; render the element with the captured writer state
-          // instead of splicing raw bytes (identical output either way).
-          auto doc = db_.load(collection_, id);
-          if (!doc) {
-            throw soap::SoapFault("Sender", "unknown resource '" + id + "'");
-          }
-          pr->fragment.push_back(std::move(doc));
-        }
-        return soap::Envelope::make_pending(std::move(pr));
+    // Uncached: the stored octets cross from database to wire without a
+    // parse, a DOM or a writer pass. Store serialized them with the writer,
+    // so they are the bytes the parsed document would write. Cached
+    // documents may lack the prefix hints the octets carry, and hooked Gets
+    // compute their representation: both write the element.
+    if (!hooks_.on_get && !db_.cache_enabled()) {
+      auto octets = db_.load_octets(collection_, id);
+      if (!octets) {
+        throw soap::SoapFault("Sender", "unknown resource '" + id + "'");
       }
+      soap::Envelope response =
+          container::make_response(ctx, actions::kGet + "Response");
+      response.add_payload_octets(std::move(octets));
+      return response;
     }
     std::unique_ptr<xml::Element> representation =
         hooks_.on_get ? hooks_.on_get(id, ctx) : db_.load(collection_, id);
@@ -144,11 +106,6 @@ TransferService::TransferService(std::string name, xmldb::XmlDatabase& db,
       }
       db_.store(collection_, id, replacement);
     }
-    if (!echoed) {
-      if (auto pr = put_ack_tpl_.start(ctx)) {
-        return soap::Envelope::make_pending(std::move(pr));
-      }
-    }
     soap::Envelope response =
         container::make_response(ctx, actions::kPut + "Response");
     if (echoed) {
@@ -165,9 +122,6 @@ TransferService::TransferService(std::string name, xmldb::XmlDatabase& db,
         hooks_.on_delete ? hooks_.on_delete(id, ctx) : db_.remove(collection_, id);
     if (!removed) {
       throw soap::SoapFault("Sender", "unknown resource '" + id + "'");
-    }
-    if (auto pr = delete_ack_tpl_.start(ctx)) {
-      return soap::Envelope::make_pending(std::move(pr));
     }
     soap::Envelope response =
         container::make_response(ctx, actions::kDelete + "Response");

@@ -21,7 +21,6 @@
 #include <string>
 
 #include "container/service.hpp"
-#include "container/templated.hpp"
 #include "soap/namespaces.hpp"
 #include "xmldb/database.hpp"
 
@@ -84,12 +83,6 @@ class TransferService : public container::Service {
   std::string collection_;
   std::string address_;
   Hooks hooks_;
-  // Wire fast path: compiled response skeletons for the hottest replies.
-  // Get splices the stored octets straight from the database (no parse, no
-  // DOM, no writer); Put/Delete acks are fully static skeletons.
-  container::TemplatedResponder get_tpl_;
-  container::TemplatedResponder put_ack_tpl_;
-  container::TemplatedResponder delete_ack_tpl_;
 };
 
 }  // namespace gs::wst

@@ -53,52 +53,29 @@ class PrefixScope {
     }
     return nullptr;
   }
-  /// Owned copy of the current bindings, outermost first (template-
-  /// compilation probe capture).
-  PrefixBindings snapshot() const {
-    PrefixBindings out;
-    out.reserve(bindings_.size());
-    for (const auto& [prefix, uri] : bindings_) out.emplace_back(prefix, uri);
-    return out;
-  }
-
  private:
   std::vector<Binding> bindings_;
 };
 
+// Appends to a caller's buffer.
 class Writer {
  public:
-  explicit Writer(const WriteOptions& opts) : opts_(opts) {}
+  Writer(const WriteOptions& opts, std::string& out) : opts_(opts), out_(out) {}
 
-  std::string run(const Element& root) {
+  void run(const Element& root) {
     if (opts_.declaration) out_ += "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
     if (opts_.declaration && opts_.pretty) out_ += '\n';
     write_element(root, 0);
-    return std::move(out_);
   }
 
-  /// Donates a buffer whose capacity the writer reuses (cleared first).
-  void adopt_buffer(std::string&& buf) {
-    out_ = std::move(buf);
-    out_.clear();
-  }
-
-  /// Template compilation: skip no-namespace elements named `probe_local`,
-  /// recording position + prefix state instead of emitting them.
-  void set_probe(std::string_view probe_local, std::vector<ProbePoint>* probes) {
-    probe_local_ = probe_local;
-    probes_ = probes;
-  }
-
-  /// Template rendering: seed the scope and generated-prefix counter with
-  /// the state captured at a ProbePoint, then write a sibling sequence.
-  std::string run_fragment(const std::vector<const Element*>& nodes,
-                           const PrefixBindings& bindings, int& gen_counter) {
+  /// Seeds the scope and generated-prefix counter with an enclosing
+  /// document's state, then writes a sibling sequence.
+  void run_fragment(const std::vector<std::unique_ptr<Element>>& nodes,
+                    const PrefixBindings& bindings, int& gen_counter) {
     for (const auto& [prefix, uri] : bindings) scope_.bind(prefix, uri);
     gen_counter_ = gen_counter;
-    for (const Element* el : nodes) write_element(*el, 0);
+    for (const auto& el : nodes) write_element(*el, 0);
     gen_counter = gen_counter_;
-    return std::move(out_);
   }
 
  private:
@@ -116,10 +93,6 @@ class Writer {
   }
 
   void write_element(const Element& el, int depth) {
-    if (probes_ && el.name().ns().empty() && el.name().local() == probe_local_) {
-      probes_->push_back({out_.size(), scope_.snapshot(), gen_counter_});
-      return;
-    }
     const std::size_t mark = scope_.mark();
 
     // Bind everything this element declares before writing a byte: its
@@ -233,12 +206,10 @@ class Writer {
   }
 
   const WriteOptions& opts_;
-  std::string out_;
+  std::string& out_;
   PrefixScope scope_;
   int gen_counter_ = 0;
   std::forward_list<std::string> spilled_prefixes_;
-  std::string_view probe_local_;
-  std::vector<ProbePoint>* probes_ = nullptr;
 };
 
 // Bytes escape_into rewrites: markup, the quote (attributes only), and C0
@@ -290,28 +261,22 @@ std::string escape_text(std::string_view raw, bool in_attribute) {
 }
 
 std::string write(const Element& root, const WriteOptions& options) {
-  return Writer(options).run(root);
+  std::string out;
+  Writer(options, out).run(root);
+  return out;
 }
 
 void write_into(std::string& out, const Element& root, const WriteOptions& options) {
-  Writer w(options);
-  w.adopt_buffer(std::move(out));
-  out = w.run(root);
+  out.clear();
+  Writer(options, out).run(root);
 }
 
-std::string write_with_probes(const Element& root, std::string_view probe_local,
-                              std::vector<ProbePoint>& probes) {
+void write_fragment(std::string& out,
+                    const std::vector<std::unique_ptr<Element>>& nodes,
+                    const PrefixBindings& bindings, int& gen_counter) {
+  if (nodes.empty()) return;
   WriteOptions opts;
-  Writer w(opts);
-  w.set_probe(probe_local, &probes);
-  return w.run(root);
-}
-
-std::string write_fragment(const std::vector<const Element*>& nodes,
-                           const PrefixBindings& bindings, int& gen_counter) {
-  WriteOptions opts;
-  Writer w(opts);
-  return w.run_fragment(nodes, bindings, gen_counter);
+  Writer(opts, out).run_fragment(nodes, bindings, gen_counter);
 }
 
 }  // namespace gs::xml

@@ -58,20 +58,14 @@ void XmlDatabase::store(const std::string& collection, const std::string& id,
              // time it could fill the cache.
   if (options_.write_through_cache) {
     if (epoch_ == epoch + 1) {
-      // No other mutation interleaved with our put. The octets just
-      // serialized are kept as the octet twin of the element cache;
-      // uncached databases skip the shared wrapper entirely (store is on
-      // the Put hot path).
+      // No other mutation interleaved with our put.
       cache_[cache_key(collection, id)] = document.clone_element();
-      octet_cache_[cache_key(collection, id)] =
-          std::make_shared<const std::string>(std::move(octets));
     } else {
       // A concurrent store/remove of unknown order raced our put — our
       // copy may not be what the backend now holds (a later store's
       // value, or nothing after a remove). Drop the entry; the next load
       // repopulates from the backend.
       cache_.erase(cache_key(collection, id));
-      octet_cache_.erase(cache_key(collection, id));
     }
   }
 }
@@ -102,11 +96,7 @@ std::unique_ptr<xml::Element> XmlDatabase::load(const std::string& collection,
   auto doc = xml::parse_element(*octets);
   if (options_.write_through_cache) {
     std::lock_guard lock(mu_);
-    if (epoch_ == epoch) {
-      cache_[cache_key(collection, id)] = doc->clone_element();
-      octet_cache_[cache_key(collection, id)] =
-          std::make_shared<const std::string>(std::move(*octets));
-    }
+    if (epoch_ == epoch) cache_[cache_key(collection, id)] = doc->clone_element();
     // else: a store/remove landed after our backend read — what we hold is
     // a valid point-in-time document for the caller, but caching it would
     // shadow the newer state (or resurrect a removed id).
@@ -118,31 +108,14 @@ std::shared_ptr<const std::string> XmlDatabase::load_octets(
     const std::string& collection, const std::string& id) {
   telemetry::SpanScope span("xmldb.load", "storage",
                             &telemetry::TraceLog::global(), op_us().load);
-  std::uint64_t epoch;
-  {
-    std::lock_guard lock(mu_);
-    ++stats_.loads;
-    if (options_.write_through_cache) {
-      auto it = octet_cache_.find(cache_key(collection, id));
-      if (it != octet_cache_.end()) {
-        ++stats_.cache_hits;
-        return it->second;
-      }
-    }
-    epoch = epoch_;
-  }
   std::optional<std::string> octets = backend_->get(collection, id);
   {
     std::lock_guard lock(mu_);
+    ++stats_.loads;
     ++stats_.backend_reads;
   }
   if (!octets) return nullptr;
-  auto shared = std::make_shared<const std::string>(std::move(*octets));
-  if (options_.write_through_cache) {
-    std::lock_guard lock(mu_);
-    if (epoch_ == epoch) octet_cache_[cache_key(collection, id)] = shared;
-  }
-  return shared;
+  return std::make_shared<const std::string>(std::move(*octets));
 }
 
 bool XmlDatabase::remove(const std::string& collection, const std::string& id) {
@@ -158,7 +131,6 @@ bool XmlDatabase::remove(const std::string& collection, const std::string& id) {
   // entry may exist for an id a concurrent store just created, and the
   // caller's intent is "this id is gone".
   cache_.erase(cache_key(collection, id));
-  octet_cache_.erase(cache_key(collection, id));
   return removed;
 }
 

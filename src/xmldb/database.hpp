@@ -60,12 +60,11 @@ class XmlDatabase {
   std::unique_ptr<xml::Element> load(const std::string& collection,
                                      const std::string& id);
 
-  /// Loads a document's stored octets without parsing them — the wire
-  /// fast path splices these straight into a response (the octets were
-  /// produced by xml::write at store time, so re-serializing the parsed
-  /// document reproduces them byte for byte). Shares the element cache's
-  /// hit/miss cost model: with the write-through cache on, hits skip the
-  /// backend read; otherwise every call pays it. nullptr when absent.
+  /// Loads a document's stored octets from the backend without parsing
+  /// them — an uncached WS-Transfer Get splices these straight into its
+  /// response (the octets were produced by xml::write at store time, so
+  /// re-serializing the parsed document reproduces them byte for byte).
+  /// nullptr when absent.
   std::shared_ptr<const std::string> load_octets(const std::string& collection,
                                                  const std::string& id);
 
@@ -102,9 +101,6 @@ class XmlDatabase {
   // hit would resurrect a removed document.
   std::uint64_t epoch_ = 0;
   std::map<std::string, std::unique_ptr<xml::Element>> cache_;
-  // Octet twin of cache_ (write-through only): the serialized form kept
-  // refcounted so in-flight responses outlive evictions.
-  std::map<std::string, std::shared_ptr<const std::string>> octet_cache_;
   DbStats stats_;
 };
 

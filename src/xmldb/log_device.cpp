@@ -103,6 +103,39 @@ std::uint64_t MemoryLogDevice::sync_count() const {
 
 // --- FileLogDevice ----------------------------------------------------------------
 
+namespace {
+
+[[noreturn]] void fail(const std::string& what, const std::filesystem::path& path) {
+  throw LogDeviceError(what + " failed for " + path.string() + ": " +
+                       std::strerror(errno));
+}
+
+// Writes all of `bytes`; a write that fails or makes no progress throws.
+void write_all(int fd, std::string_view bytes, const std::filesystem::path& path) {
+  while (!bytes.empty()) {
+    ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      if (n == 0) errno = EIO;
+      fail("write", path);
+    }
+    bytes.remove_prefix(static_cast<size_t>(n));
+  }
+}
+
+// Makes a rename in `dir` durable.
+void sync_directory(const std::filesystem::path& dir) {
+  int dfd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dfd < 0) fail("open", dir);
+  int rc = ::fsync(dfd);
+  int saved = errno;
+  ::close(dfd);
+  errno = saved;
+  if (rc != 0) fail("fsync", dir);
+}
+
+}  // namespace
+
 FileLogDevice::FileLogDevice(std::filesystem::path path)
     : path_(std::move(path)) {
   std::lock_guard lock(mu_);
@@ -131,17 +164,15 @@ FileLogDevice::~FileLogDevice() {
 void FileLogDevice::append(std::string_view bytes) {
   std::lock_guard lock(mu_);
   if (fd_ < 0) throw LogDeviceError("log device closed: " + path_.string());
-  const char* p = bytes.data();
-  size_t remaining = bytes.size();
-  while (remaining > 0) {
-    ssize_t n = ::write(fd_, p, remaining);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw LogDeviceError("write failed for " + path_.string() + ": " +
-                           std::strerror(errno));
-    }
-    p += n;
-    remaining -= static_cast<size_t>(n);
+  try {
+    write_all(fd_, bytes, path_);
+  } catch (const LogDeviceError&) {
+    // Part of `bytes` may be in the file, past written_bytes_: the device
+    // fails rather than append after a torn record. Reopening the path
+    // recovers the synced prefix.
+    ::close(fd_);
+    fd_ = -1;
+    throw;
   }
   written_bytes_ += bytes.size();
 }
@@ -149,10 +180,7 @@ void FileLogDevice::append(std::string_view bytes) {
 void FileLogDevice::sync() {
   std::lock_guard lock(mu_);
   if (fd_ < 0) throw LogDeviceError("log device closed: " + path_.string());
-  if (::fdatasync(fd_) != 0) {
-    throw LogDeviceError("fdatasync failed for " + path_.string() + ": " +
-                         std::strerror(errno));
-  }
+  if (::fdatasync(fd_) != 0) fail("fdatasync", path_);
   synced_bytes_ = written_bytes_;
 }
 
@@ -171,35 +199,28 @@ std::uint64_t FileLogDevice::size() const {
 
 void FileLogDevice::reset(std::string_view bytes) {
   std::lock_guard lock(mu_);
-  // Write-temp, fsync, rename: readers of `path_` see the old log or the
-  // new one, never a prefix.
+  // Write-temp, fdatasync, rename, fsync the directory: readers of `path_`
+  // see the old log or the new one, never a prefix, and the rename
+  // survives a crash once reset returns.
   std::filesystem::path tmp = path_;
   tmp += ".tmp";
   int tfd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (tfd < 0) {
-    throw LogDeviceError("cannot open " + tmp.string() + ": " +
-                         std::strerror(errno));
+  if (tfd < 0) fail("open", tmp);
+  try {
+    write_all(tfd, bytes, tmp);
+    if (::fdatasync(tfd) != 0) fail("fdatasync", tmp);
+  } catch (const LogDeviceError&) {
+    ::close(tfd);
+    throw;
   }
-  const char* p = bytes.data();
-  size_t remaining = bytes.size();
-  while (remaining > 0) {
-    ssize_t n = ::write(tfd, p, remaining);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(tfd);
-      throw LogDeviceError("write failed for " + tmp.string() + ": " +
-                           std::strerror(errno));
-    }
-    p += n;
-    remaining -= static_cast<size_t>(n);
-  }
-  ::fdatasync(tfd);
-  ::close(tfd);
+  if (::close(tfd) != 0) fail("close", tmp);
   std::error_code ec;
   std::filesystem::rename(tmp, path_, ec);
   if (ec) throw LogDeviceError("rename failed for " + path_.string());
+  // Appends go to the new file even if the directory sync below throws.
   if (fd_ >= 0) ::close(fd_);
   open_locked();
+  sync_directory(path_.parent_path());
 }
 
 }  // namespace gs::xmldb

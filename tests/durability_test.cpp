@@ -5,10 +5,14 @@
 // rehydrates WSRF resources, WSN/WSE subscriptions and scheduler state
 // after a simulated kill -9. Crashes are injected through
 // MemoryLogDevice's seeded kill points; "reboot" means constructing a
-// fresh engine over what the crash left durable.
+// fresh engine over what the crash left durable. FileLogDevice gets an
+// append/sync/reset round trip across reopens in a temporary directory.
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <atomic>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -58,6 +62,51 @@ struct Medium {
     return std::make_unique<WalBackend>(log, snap, options);
   }
 };
+
+// --- the file device ---------------------------------------------------------------
+
+/// A fresh directory under the system temp dir, removed with the fixture.
+struct TempDir {
+  std::filesystem::path path;
+  TempDir() {
+    std::string pattern =
+        (std::filesystem::temp_directory_path() / "gs_filelog_XXXXXX").string();
+    if (!::mkdtemp(pattern.data())) throw std::runtime_error("mkdtemp failed");
+    path = pattern;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+};
+
+TEST(FileLogDevice, AppendSyncResetSurviveReopen) {
+  TempDir dir;
+  const std::filesystem::path log = dir.path / "wal" / "log";
+  {
+    xmldb::FileLogDevice device(log);
+    device.append("abc");
+    EXPECT_EQ(device.size(), 0u);  // size counts synced bytes only
+    device.sync();
+    device.append("de");
+    device.sync();
+    EXPECT_EQ(device.size(), 5u);
+    EXPECT_EQ(device.contents(), "abcde");
+  }
+  {
+    xmldb::FileLogDevice device(log);  // reopen: the synced log is there
+    EXPECT_EQ(device.size(), 5u);
+    EXPECT_EQ(device.contents(), "abcde");
+    device.reset("xy");
+    EXPECT_EQ(device.size(), 2u);
+    device.append("z");
+    device.sync();
+  }
+  xmldb::FileLogDevice device(log);
+  EXPECT_EQ(device.contents(), "xyz");
+  EXPECT_EQ(device.size(), 3u);
+  EXPECT_FALSE(std::filesystem::exists(log.string() + ".tmp"));
+}
 
 // --- the WAL engine itself ---------------------------------------------------------
 
