@@ -2,19 +2,27 @@
 // telemetry and lifetime layers before any parsing or serializing.
 //
 // A container request opens ~5 spans, records ~7 histogram samples, mints
-// two MessageID UUIDs and runs one lifetime sweep. Each of those calls
-// takes well under a microsecond when nothing else runs, so end-to-end
-// benches cannot resolve them; this bench times each call alone, at 1 and
-// 2 threads. At 2 threads both threads share one instrument (the global
-// trace log, one histogram, one lifetime manager), as request threads do,
-// so the difference between the rows is the cost of shared writes.
+// two MessageID UUIDs, runs one lifetime sweep, pins its service, charges
+// the wire meter and (for a WSRF read) loads a cached document. Each of
+// those calls takes well under a microsecond when nothing else runs, so
+// end-to-end benches cannot resolve them; this bench times each call
+// alone, at 1 and 2 threads. At 2 threads both threads share one instance
+// (the global trace log, one histogram, one lifetime manager, one service
+// registry, one network and wire meter, one database), as request threads
+// do, so the difference between the rows is the cost of shared writes.
 //
 // The sweep case registers 512 never-expiring entries first: read_mostly's
-// 256 WSRF counters per stack, each with a lifetime entry.
+// 256 WSRF counters per stack, each with a lifetime entry. The exchange
+// case gives each thread its own VirtualCaller, as each perfbench client
+// has, over one network and meter; its endpoint answers a fixed reply. The
+// load case reads one of 256 cached documents per call, each thread
+// walking its own sequence of ids.
 //
 // Hand-rolled main (one timed loop per case, median of 3 repetitions).
 // Prints ns/call and writes BENCH_request_overhead.json with one record per
 // (call, threads): ns_per_call and threads. Not gated.
+#include <benchmark/benchmark.h>
+
 #include <algorithm>
 #include <barrier>
 #include <chrono>
@@ -25,9 +33,14 @@
 
 #include "common/uuid.hpp"
 #include "container/lifetime.hpp"
+#include "container/registry.hpp"
+#include "container/service.hpp"
 #include "harness.hpp"
+#include "net/virtual_network.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
+#include "xmldb/backend.hpp"
+#include "xmldb/database.hpp"
 
 namespace {
 
@@ -71,7 +84,27 @@ int main() {
   for (int i = 0; i < 512; ++i) {
     lifetime.schedule(container::LifetimeManager::kNever, [] {});
   }
-  std::size_t sink = 0;
+  container::Service service("Counter");
+  container::ServiceRegistry registry;
+  registry.deploy("/wsrf/services/Counter", service);
+
+  net::VirtualNetwork net;
+  net::WireMeter meter;
+  const std::string reply = soap::Envelope().to_xml();
+  net::LambdaEndpoint endpoint(
+      [&reply](const net::HttpRequest&) { return net::HttpResponse::ok(reply); });
+  net.bind("echo.bench", endpoint);
+  const soap::Envelope request;
+
+  xmldb::XmlDatabase db(std::make_unique<xmldb::MemoryBackend>(),
+                        {.write_through_cache = true});
+  std::vector<std::string> ids;
+  for (int i = 0; i < 256; ++i) {
+    ids.push_back("counter-" + std::to_string(i));
+    xml::Element doc(xml::QName("urn:bench", "Counter"));
+    doc.set_text(std::to_string(i));
+    db.store("Counter", ids.back(), doc);
+  }
 
   const std::vector<Case> cases = {
       {"span_scope", 200'000,
@@ -82,12 +115,25 @@ int main() {
                                    &telemetry::TraceLog::global(), &stage);
        }},
       {"histogram_record", 1'000'000, [&] { stage.record(7); }},
-      {"new_urn_uuid", 200'000, [&] { sink += common::new_urn_uuid().size(); }},
-      {"sweep_512_never", 20'000, [&] { sink += lifetime.sweep(); }},
+      {"new_urn_uuid", 200'000, [] { benchmark::DoNotOptimize(common::new_urn_uuid()); }},
+      {"sweep_512_never", 20'000, [&] { benchmark::DoNotOptimize(lifetime.sweep()); }},
+      {"registry_pin_release", 1'000'000,
+       [&] { benchmark::DoNotOptimize(registry.pin("/wsrf/services/Counter")); }},
+      {"virtual_caller_exchange", 50'000,
+       [&] {
+         thread_local net::VirtualCaller caller(net, {.meter = &meter});
+         benchmark::DoNotOptimize(caller.call("http://echo.bench/Echo", request));
+       }},
+      {"wire_meter_charge", 1'000'000, [&] { net.charge_message(&meter, 512); }},
+      {"xmldb_cached_load", 200'000,
+       [&] {
+         thread_local std::size_t next = 0;
+         benchmark::DoNotOptimize(db.load("Counter", ids[next++ % ids.size()]));
+       }},
   };
 
   std::printf("request overhead (ns/call, median of 3):\n");
-  std::printf("  %-22s %10s %10s\n", "call", "1 thread", "2 threads");
+  std::printf("  %-24s %10s %10s\n", "call", "1 thread", "2 threads");
   for (const Case& c : cases) {
     double row[2];
     for (int threads : {1, 2}) {
@@ -100,9 +146,8 @@ int main() {
           c.iterations * threads, {}, 0.0,
           {{"ns_per_call", reps[1]}, {"threads", threads}});
     }
-    std::printf("  %-22s %10.1f %10.1f\n", c.name, row[0], row[1]);
+    std::printf("  %-24s %10.1f %10.1f\n", c.name, row[0], row[1]);
   }
-  if (sink == 1) std::printf("\n");  // keeps the calls' results observable
 
   bench::BenchTelemetry::instance().write("request_overhead");
   return 0;

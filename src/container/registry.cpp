@@ -1,37 +1,53 @@
 #include "container/registry.hpp"
 
+#include <array>
 #include <condition_variable>
-#include <map>
-#include <mutex>
-#include <shared_mutex>
+#include <unordered_map>
+#include <utility>
+
+#include "telemetry/metrics.hpp"
 
 namespace gs::container {
 
-// The in-flight count is a plain integer under the entry's mutex: pins are
-// taken once per request, far from any inner loop, and the mutex pairs the
-// final decrement with the condition variable undeploy waits on.
+// The in-flight count is sharded by thread, as telemetry::Counter is: a pin
+// adds one on its thread's shard and the release subtracts one on its own,
+// so a shard may go negative but the sum is the live pin count. The count
+// and `retired` use sequentially consistent operations: a pin counts itself
+// and then checks `retired`, an undeploy sets `retired` and then sums, so
+// either the pin backs out or the undeploy waits for it.
 struct ServiceHandle::Entry {
-  Service* service = nullptr;
-  std::mutex mu;
+  struct alignas(64) Shard {
+    std::atomic<long> pins{0};
+  };
+
+  explicit Entry(Service& s) : service(&s) {}
+
+  long inflight() const {
+    long total = 0;
+    for (const Shard& shard : shards) total += shard.pins.load();
+    return total;
+  }
+
+  Service* const service;
+  std::atomic<bool> retired{false};  // undeployed, or replaced by a deploy
+  std::mutex mu;                     // pairs a release with `drained`
   std::condition_variable drained;
-  long inflight = 0;  // guarded by mu
+  std::array<Shard, telemetry::kMetricShards> shards;
 };
 
-ServiceHandle::ServiceHandle(std::shared_ptr<Entry> entry)
-    : entry_(std::move(entry)) {}
+struct ServiceRegistry::Table {
+  std::unordered_map<std::string, ServiceHandle::Entry*> entries;
+};
 
 ServiceHandle::~ServiceHandle() { release(); }
 
 ServiceHandle::ServiceHandle(ServiceHandle&& other) noexcept
-    : entry_(std::move(other.entry_)) {
-  other.entry_ = nullptr;
-}
+    : entry_(std::exchange(other.entry_, nullptr)) {}
 
 ServiceHandle& ServiceHandle::operator=(ServiceHandle&& other) noexcept {
   if (this != &other) {
     release();
-    entry_ = std::move(other.entry_);
-    other.entry_ = nullptr;
+    entry_ = std::exchange(other.entry_, nullptr);
   }
   return *this;
 }
@@ -42,75 +58,76 @@ Service* ServiceHandle::get() const noexcept {
 
 void ServiceHandle::release() {
   if (!entry_) return;
-  bool last = false;
-  {
-    std::lock_guard lock(entry_->mu);
-    last = --entry_->inflight == 0;
+  Entry* entry = std::exchange(entry_, nullptr);
+  entry->shards[telemetry::thread_shard()].pins.fetch_sub(1);
+  if (entry->retired.load()) {
+    // An undeploy may be waiting: taking the mutex orders this release
+    // after its predicate check or before its wait, so no wakeup is lost.
+    { std::lock_guard lock(entry->mu); }
+    entry->drained.notify_all();
   }
-  if (last) entry_->drained.notify_all();
-  entry_ = nullptr;
 }
 
-struct ServiceRegistry::Shard {
-  mutable std::shared_mutex mu;
-  std::map<std::string, std::shared_ptr<ServiceHandle::Entry>> entries;
-};
-
-ServiceRegistry::ServiceRegistry(size_t shard_count)
-    : shard_count_(shard_count == 0 ? 1 : shard_count),
-      shards_(new Shard[shard_count_]) {}
+ServiceRegistry::ServiceRegistry() {
+  tables_.push_back(std::make_unique<Table>());
+  table_.store(tables_.back().get());
+}
 
 ServiceRegistry::~ServiceRegistry() = default;
 
-ServiceRegistry::Shard& ServiceRegistry::shard_for(
-    const std::string& path) const {
-  return shards_[std::hash<std::string_view>{}(path) % shard_count_];
+ServiceHandle::Entry* ServiceRegistry::publish(std::unique_ptr<Table> next,
+                                               const std::string& path) {
+  const Table& current = *table_.load();
+  auto it = current.entries.find(path);
+  ServiceHandle::Entry* replaced = it == current.entries.end() ? nullptr : it->second;
+  table_.store(next.get());
+  tables_.push_back(std::move(next));
+  // After the new table: a pin that sees `retired` looks again and finds it.
+  if (replaced) replaced->retired.store(true);
+  return replaced;
 }
 
 void ServiceRegistry::deploy(const std::string& path, Service& service) {
-  auto entry = std::make_shared<ServiceHandle::Entry>();
-  entry->service = &service;
-  Shard& shard = shard_for(path);
-  std::unique_lock lock(shard.mu);
-  shard.entries[path] = std::move(entry);
+  std::lock_guard lock(write_mu_);
+  entries_.push_back(std::make_unique<ServiceHandle::Entry>(service));
+  auto next = std::make_unique<Table>(*table_.load());
+  next->entries[path] = entries_.back().get();
+  publish(std::move(next), path);
 }
 
 bool ServiceRegistry::undeploy(const std::string& path) {
-  std::shared_ptr<ServiceHandle::Entry> entry;
+  ServiceHandle::Entry* entry;
   {
-    Shard& shard = shard_for(path);
-    std::unique_lock lock(shard.mu);
-    auto it = shard.entries.find(path);
-    if (it == shard.entries.end()) return false;
-    entry = std::move(it->second);
-    shard.entries.erase(it);
+    std::lock_guard lock(write_mu_);
+    auto next = std::make_unique<Table>(*table_.load());
+    if (next->entries.erase(path) == 0) return false;
+    entry = publish(std::move(next), path);
   }
   // The path is gone from the table: no new pins. Wait out existing ones
   // so the caller can destroy the service after we return.
   std::unique_lock lock(entry->mu);
-  entry->drained.wait(lock, [&] { return entry->inflight == 0; });
+  entry->drained.wait(lock, [&] { return entry->inflight() == 0; });
   return true;
 }
 
 ServiceHandle ServiceRegistry::pin(const std::string& path) const {
-  Shard& shard = shard_for(path);
-  std::shared_lock lock(shard.mu);
-  auto it = shard.entries.find(path);
-  if (it == shard.entries.end()) return ServiceHandle();
-  // Increment while still holding the shard lock: once we return, undeploy
-  // either saw this pin or has not yet erased the entry.
-  {
-    std::lock_guard entry_lock(it->second->mu);
-    ++it->second->inflight;
+  for (;;) {
+    const Table& table = *table_.load(std::memory_order_acquire);
+    auto it = table.entries.find(path);
+    if (it == table.entries.end()) return ServiceHandle();
+    ServiceHandle::Entry* entry = it->second;
+    entry->shards[telemetry::thread_shard()].pins.fetch_add(1);
+    ServiceHandle handle(entry);
+    if (!entry->retired.load()) return handle;
+    // Undeployed or replaced since the table load: back out (the release
+    // wakes a drain) and read the newer table.
   }
-  return ServiceHandle(it->second);
 }
 
 std::vector<std::string> ServiceRegistry::paths() const {
   std::vector<std::string> out;
-  for (size_t i = 0; i < shard_count_; ++i) {
-    std::shared_lock lock(shards_[i].mu);
-    for (const auto& [path, entry] : shards_[i].entries) out.push_back(path);
+  for (const auto& [path, entry] : table_.load(std::memory_order_acquire)->entries) {
+    out.push_back(path);
   }
   return out;
 }

@@ -6,11 +6,18 @@
 // pins the deployment entry for the request's duration; `undeploy` removes
 // the path (no new pins) and then blocks until every in-flight request on
 // that entry drains, after which the caller may safely destroy the
-// Service. The path table is sharded under `shared_mutex` so concurrent
-// dispatch never serializes on one lock.
+// Service.
+//
+// A pin writes nothing another request thread writes: it reads an
+// immutable path table through one atomic pointer and counts itself on the
+// pinning thread's own shard of the entry's in-flight count. Deploy and
+// undeploy publish a new table; the entry mutex is taken only by the
+// releases of pins on a retired entry, to wake the draining undeploy.
 #pragma once
 
+#include <atomic>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -20,7 +27,8 @@ class Service;
 
 /// RAII pin on a deployed service. While any handle is live, `undeploy`
 /// of that path blocks; destroying (or releasing) the handle lets the
-/// drain complete. Empty handles (no service at the path) are falsy.
+/// drain complete. Empty handles (no service at the path) are falsy. A
+/// handle must not outlive the registry that issued it.
 class ServiceHandle {
  public:
   ServiceHandle() = default;
@@ -41,16 +49,15 @@ class ServiceHandle {
  private:
   friend class ServiceRegistry;
   struct Entry;
-  explicit ServiceHandle(std::shared_ptr<Entry> entry);
-  std::shared_ptr<Entry> entry_;
+  explicit ServiceHandle(Entry* entry) noexcept : entry_(entry) {}
+  Entry* entry_ = nullptr;
 };
 
-/// Sharded path -> service table. Deploy/undeploy take one shard's write
-/// lock; pins take its read lock, so requests to different paths — and
-/// concurrent requests to the same path — proceed in parallel.
+/// Path -> service table. Deploy and undeploy serialize on the registry's
+/// writer mutex; pins and `paths` take no lock.
 class ServiceRegistry {
  public:
-  explicit ServiceRegistry(size_t shard_count = 8);
+  ServiceRegistry();
   ~ServiceRegistry();
   ServiceRegistry(const ServiceRegistry&) = delete;
   ServiceRegistry& operator=(const ServiceRegistry&) = delete;
@@ -71,11 +78,17 @@ class ServiceRegistry {
   std::vector<std::string> paths() const;
 
  private:
-  struct Shard;
-  Shard& shard_for(const std::string& path) const;
+  struct Table;
+  /// Installs `next` as the table pins read (needs write_mu_) and retires
+  /// the entry it replaces at `path`, if any; returns that entry.
+  ServiceHandle::Entry* publish(std::unique_ptr<Table> next, const std::string& path);
 
-  size_t shard_count_;
-  std::unique_ptr<Shard[]> shards_;
+  std::atomic<const Table*> table_;
+  std::mutex write_mu_;
+  // Every table and entry ever published, freed with the registry: a pin
+  // may still be reading a replaced table or counting on a retired entry.
+  std::vector<std::unique_ptr<const Table>> tables_;
+  std::vector<std::unique_ptr<ServiceHandle::Entry>> entries_;
 };
 
 }  // namespace gs::container

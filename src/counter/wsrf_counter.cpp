@@ -129,7 +129,7 @@ soap::EndpointReference WsrfCounterClient::create() {
    public:
     using container::ProxyBase::ProxyBase;
     soap::EndpointReference run(const std::string& action) {
-      soap::Envelope response = invoke(action);
+      const soap::Envelope response = invoke(action);
       const xml::Element* epr = response.payload();
       if (!epr) throw soap::SoapFault("Receiver", "create returned no EPR");
       return soap::EndpointReference::from_xml(*epr);

@@ -91,7 +91,7 @@ void WstCounterClient::attach(soap::EndpointReference epr) {
 }
 
 int WstCounterClient::get() {
-  soap::Envelope response = resource_.get_response();
+  const soap::Envelope response = resource_.get_response();
   // The schema is hard-coded client-side: <Counter><cv>N</cv></Counter>,
   // read in place from the response's wire view.
   static const xml::QName cv_name = cv_qname();

@@ -115,7 +115,7 @@ std::vector<SiteInfo> WsrfUserClient::get_available_resources(
     const std::string& application) {
   auto req = std::make_unique<xml::Element>(gb("GetAvailableResources"));
   req->append_element(gb("Application")).set_text(application);
-  soap::Envelope r =
+  const soap::Envelope r =
       call_op(caller_, identity_, soap::EndpointReference(allocation_address_),
               wsrf_actions::kGetAvailableResources, std::move(req));
   std::vector<SiteInfo> out;
@@ -134,7 +134,7 @@ soap::EndpointReference WsrfUserClient::make_reservation(const std::string& host
                   std::string::npos, "/Reservation");
   auto req = std::make_unique<xml::Element>(gb("CreateReservation"));
   req->append_element(gb("Host")).set_text(host);
-  soap::Envelope r = call_op(caller_, identity_, soap::EndpointReference(address),
+  const soap::Envelope r = call_op(caller_, identity_, soap::EndpointReference(address),
                              wsrf_actions::kCreateReservation, std::move(req));
   const xml::Element* epr = r.payload();
   if (!epr) throw soap::SoapFault("Receiver", "no reservation EPR returned");
@@ -143,7 +143,7 @@ soap::EndpointReference WsrfUserClient::make_reservation(const std::string& host
 
 soap::EndpointReference WsrfUserClient::create_directory(
     const std::string& data_address) {
-  soap::Envelope r = call_op(caller_, identity_,
+  const soap::Envelope r = call_op(caller_, identity_,
                              soap::EndpointReference(data_address),
                              wsrf_actions::kCreateDirectory, nullptr);
   const xml::Element* epr = r.payload();
@@ -175,7 +175,7 @@ std::string WsrfUserClient::download(const soap::EndpointReference& directory,
                                      const std::string& name) {
   auto req = std::make_unique<xml::Element>(gb("Download"));
   req->append_element(gb("FileName")).set_text(name);
-  soap::Envelope r =
+  const soap::Envelope r =
       call_op(caller_, identity_, directory, wsrf_actions::kDownload,
               std::move(req));
   const xml::Element* p = r.payload();
@@ -202,7 +202,7 @@ soap::EndpointReference WsrfUserClient::start_job(
   req->append_element(gb("Command")).set_text(command);
   req->append(reservation.to_xml(gb("ReservationEPR")));
   if (!directory.empty()) req->append(directory.to_xml(gb("DirectoryEPR")));
-  soap::Envelope r =
+  const soap::Envelope r =
       call_op(caller_, identity_, soap::EndpointReference(exec_address),
               wsrf_actions::kStartJob, std::move(req));
   const xml::Element* epr = r.payload();

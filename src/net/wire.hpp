@@ -9,8 +9,12 @@
 // distributed delta appears exactly as the profile dictates.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+
+#include "telemetry/metrics.hpp"
 
 namespace gs::net {
 
@@ -29,43 +33,47 @@ struct NetworkProfile {
 };
 
 /// Thread-safe accumulator of simulated wire time and traffic counters.
+/// Every charge is a relaxed add on the charging thread's own shard, as
+/// with telemetry::Counter, so request threads sharing one meter write no
+/// common cache line; the readers sum the shards.
 class WireMeter {
  public:
-  void charge_ms(double ms) {
-    nanos_.fetch_add(static_cast<std::int64_t>(ms * 1e6),
-                     std::memory_order_relaxed);
-  }
+  void charge_ms(double ms) { add(kNanos, static_cast<std::int64_t>(ms * 1e6)); }
   void add_message(std::size_t bytes) {
-    messages_.fetch_add(1, std::memory_order_relaxed);
-    bytes_.fetch_add(static_cast<std::int64_t>(bytes), std::memory_order_relaxed);
+    add(kMessages, 1);
+    add(kBytes, static_cast<std::int64_t>(bytes));
   }
-  void add_connect() { connects_.fetch_add(1, std::memory_order_relaxed); }
-  void add_handshake() { handshakes_.fetch_add(1, std::memory_order_relaxed); }
+  void add_connect() { add(kConnects, 1); }
+  void add_handshake() { add(kHandshakes, 1); }
 
-  double simulated_ms() const {
-    return static_cast<double>(nanos_.load(std::memory_order_relaxed)) / 1e6;
-  }
-  std::int64_t messages() const { return messages_.load(std::memory_order_relaxed); }
-  std::int64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
-  std::int64_t connects() const { return connects_.load(std::memory_order_relaxed); }
-  std::int64_t handshakes() const {
-    return handshakes_.load(std::memory_order_relaxed);
-  }
+  double simulated_ms() const { return static_cast<double>(sum(kNanos)) / 1e6; }
+  std::int64_t messages() const { return sum(kMessages); }
+  std::int64_t bytes() const { return sum(kBytes); }
+  std::int64_t connects() const { return sum(kConnects); }
+  std::int64_t handshakes() const { return sum(kHandshakes); }
 
   void reset() {
-    nanos_ = 0;
-    messages_ = 0;
-    bytes_ = 0;
-    connects_ = 0;
-    handshakes_ = 0;
+    for (Shard& shard : shards_) {
+      for (auto& n : shard.n) n.store(0, std::memory_order_relaxed);
+    }
   }
 
  private:
-  std::atomic<std::int64_t> nanos_{0};
-  std::atomic<std::int64_t> messages_{0};
-  std::atomic<std::int64_t> bytes_{0};
-  std::atomic<std::int64_t> connects_{0};
-  std::atomic<std::int64_t> handshakes_{0};
+  enum Field { kNanos, kMessages, kBytes, kConnects, kHandshakes, kFields };
+  struct alignas(64) Shard {
+    std::array<std::atomic<std::int64_t>, kFields> n{};
+  };
+
+  void add(Field field, std::int64_t v) {
+    shards_[telemetry::thread_shard()].n[field].fetch_add(v, std::memory_order_relaxed);
+  }
+  std::int64_t sum(Field field) const {
+    std::int64_t total = 0;
+    for (const Shard& shard : shards_) total += shard.n[field].load(std::memory_order_relaxed);
+    return total;
+  }
+
+  std::array<Shard, telemetry::kMetricShards> shards_{};
 };
 
 }  // namespace gs::net

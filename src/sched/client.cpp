@@ -70,7 +70,7 @@ std::unique_ptr<xml::Element> clone_payload(const soap::Envelope& env,
 }  // namespace
 
 std::vector<std::string> SchedClient::submit(const JobSpec& spec) {
-  soap::Envelope response = invoke(kTransferCreate, job_spec_element(spec));
+  const soap::Envelope response = invoke(kTransferCreate, job_spec_element(spec));
   std::vector<std::string> ids;
   if (const xml::Element* payload = response.payload()) {
     for (const xml::Element* el : payload->children_named(s("JobId"))) {
@@ -83,7 +83,7 @@ std::vector<std::string> SchedClient::submit(const JobSpec& spec) {
 bool SchedClient::cancel(const std::string& id) {
   auto payload = std::make_unique<xml::Element>(s("JobId"));
   payload->set_text(id);
-  soap::Envelope response = invoke(kTransferDelete, std::move(payload));
+  const soap::Envelope response = invoke(kTransferDelete, std::move(payload));
   const xml::Element* el = response.payload();
   return el && el->attr("cancelled") == std::optional<std::string>("true");
 }
@@ -100,7 +100,7 @@ std::unique_ptr<xml::Element> SchedClient::document_wst() {
 }
 
 std::unique_ptr<xml::Element> SchedClient::document_wsrf() {
-  soap::Envelope response = invoke(
+  const soap::Envelope response = invoke(
       kGetResourcePropertyDocument,
       std::make_unique<xml::Element>(s("GetResourcePropertyDocument")));
   const xml::Element* payload = response.payload();
@@ -133,7 +133,7 @@ void SchedClient::register_node(const std::string& name,
 bool SchedClient::heartbeat(const std::string& node) {
   auto payload = std::make_unique<xml::Element>(s("Heartbeat"));
   payload->set_attr("node", node);
-  soap::Envelope response =
+  const soap::Envelope response =
       invoke(SchedService::heartbeat_action(), std::move(payload));
   const xml::Element* el = response.payload();
   return el && el->attr("known") == std::optional<std::string>("true");
@@ -152,7 +152,7 @@ void SchedClient::resume(const std::string& node) {
 }
 
 SchedClient::PassCounts SchedClient::schedule_pass() {
-  soap::Envelope response =
+  const soap::Envelope response =
       invoke(SchedService::schedule_pass_action(),
              std::make_unique<xml::Element>(s("SchedulePass")));
   PassCounts counts;

@@ -1,4 +1,4 @@
-// Trace export: renders the TraceLog's flat span ring as Chrome
+// Trace export: renders the TraceLog's flat span list as Chrome
 // trace-event JSON (load in chrome://tracing or Perfetto): one "X" complete
 // event per span, processes mapped from span layers so a cross-stack
 // request visually hops client → net → container → ...

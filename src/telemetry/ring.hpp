@@ -1,6 +1,6 @@
-// Bounded ring buffer: the one retention structure behind the span log, the
-// event log and the time-series store. Once full, each push overwrites the
-// oldest entry. Not synchronized: every owner already holds its own lock.
+// Bounded ring buffer: the retention structure behind the event log and the
+// time-series store. Once full, each push overwrites the oldest entry. Not
+// synchronized: every owner already holds its own lock.
 #pragma once
 
 #include <cstddef>
@@ -16,19 +16,13 @@ class Ring {
 
   /// Appends `value`; returns true when that evicted the oldest entry.
   bool push(T value) {
-    bool evicted = items_.size() == capacity_;
-    claim() = std::move(value);
-    return evicted;
-  }
-
-  /// Appends an entry for the caller to fill in place and returns it. Once
-  /// full, that is the evicted oldest entry, still holding its old value,
-  /// so a caller that assigns into it reuses its buffers.
-  T& claim() {
-    if (items_.size() < capacity_) return items_.emplace_back();
-    T& slot = items_[oldest_];
+    if (items_.size() < capacity_) {
+      items_.push_back(std::move(value));
+      return false;
+    }
+    items_[oldest_] = std::move(value);
     oldest_ = (oldest_ + 1) % capacity_;
-    return slot;
+    return true;
   }
 
   /// The i-th retained entry, oldest first.

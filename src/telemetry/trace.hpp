@@ -10,16 +10,17 @@
 // provisional spans onto the carried trace with `adopt_remote`.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
-#include "telemetry/ring.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace gs::telemetry {
-
-class Histogram;
 
 /// Identity of the currently-executing span within its trace.
 struct TraceContext {
@@ -43,16 +44,35 @@ struct SpanRecord {
 
 class SpanScope;
 
-/// Bounded ring buffer of completed spans (oldest evicted first).
+/// Bounded log of completed spans (oldest evicted first), written without
+/// a lock any two request threads share.
+///
+/// Each writer thread records into the open chunk of its own shard (picked
+/// by thread ordinal, as the sharded metrics are), under that shard's
+/// mutex, which no other writer takes unless the ordinals of two threads
+/// collide modulo kMetricShards. A full chunk is sealed into the log's
+/// shared list: one lock round trip per chunk, not per span. Sealing
+/// evicts every sealed chunk whose newest span already has `capacity`
+/// newer spans retained, so the newest `capacity` spans always survive and
+/// retention stays within a few chunks per writing thread of `capacity`.
+/// A slot keeps the span's `name`/`layer` pointers, not copies; the
+/// readers (snapshot, spans_for, size) merge all chunks in close order.
+/// Chunks belong to the log, so spans of exited threads stay readable.
 class TraceLog {
  public:
   explicit TraceLog(std::size_t capacity = 4096);
+  ~TraceLog();
+  TraceLog(const TraceLog&) = delete;
+  TraceLog& operator=(const TraceLog&) = delete;
 
+  /// Records a span built by hand. Its name and layer are interned in the
+  /// log (each distinct string is kept once, for the log's lifetime).
   void record(SpanRecord span);
 
-  /// All retained spans, oldest first.
+  /// The newest `capacity` spans, oldest first in close order.
   std::vector<SpanRecord> snapshot() const;
-  /// Retained spans of one trace, oldest first.
+  /// Those of the newest `capacity` spans that belong to one trace, oldest
+  /// first.
   std::vector<SpanRecord> spans_for(std::uint64_t trace_id) const;
   std::size_t size() const;
   void clear();
@@ -63,16 +83,52 @@ class TraceLog {
  private:
   friend class SpanScope;
 
-  /// A closing span's record, written into its ring slot in place: once
-  /// the ring has wrapped, the slot's strings already have the capacity.
-  void record_closed(const SpanScope& span, std::int64_t duration_us);
+  /// One retained span: 64 bytes, no allocation.
+  struct Slot {
+    std::uint64_t trace_id;
+    std::uint64_t span_id;
+    std::uint64_t parent_span_id;
+    const char* name;
+    const char* layer;
+    std::int64_t start_us;
+    std::int64_t duration_us;
+    std::int64_t close_ns;  // steady clock; the merge order
+  };
+  struct Chunk;
+  struct alignas(64) Shard {
+    std::mutex mu;
+    std::unique_ptr<Chunk> open;  // guarded by mu
+  };
 
-  mutable std::mutex mu_;
-  Ring<SpanRecord> ring_;
+  void record_closed(const SpanScope& span, std::int64_t duration_us,
+                     std::int64_t close_ns);
+  void record_slot(const Slot& slot);
+  /// A reset chunk: the spare, else a new one. Needs mu_.
+  std::unique_ptr<Chunk> take_chunk_locked();
+  /// Moves `shard`'s full open chunk to the sealed list, evicts what the
+  /// newest `capacity` spans no longer need, and opens a fresh chunk.
+  void seal(Shard& shard);
+  /// Every retained slot, oldest first in close order, trimmed to the
+  /// newest `capacity`. Takes every shard lock, then mu_.
+  std::vector<Slot> merged() const;
+  /// Every shard's lock, in shard order (the readers' lock order: shards,
+  /// then mu_; a writer holds at most its own shard before mu_).
+  std::array<std::unique_lock<std::mutex>, kMetricShards> lock_shards() const;
+  static SpanRecord to_record(const Slot& slot);
+
+  const std::size_t capacity_;
+  const std::size_t chunk_slots_;
+  mutable std::array<Shard, kMetricShards> shards_;
+  mutable std::mutex mu_;          // sealed_, spare_, interned_
+  std::vector<std::unique_ptr<Chunk>> sealed_;  // in sealing order
+  std::unique_ptr<Chunk> spare_;  // one evicted chunk, kept for reuse
+  std::set<std::string> interned_;  // record()'s names and layers
 };
 
 /// Steady-clock microseconds: the time base of spans and events.
 std::int64_t steady_now_us();
+/// The same clock in nanoseconds.
+std::int64_t steady_now_ns();
 
 /// Fresh nonzero trace/span id, unique in the process: a per-thread
 /// sequence tagged with the thread's ordinal and mixed (bijectively) so
@@ -86,8 +142,8 @@ TraceContext current_context();
 /// (or starts a new trace), and records itself into `log` on destruction.
 /// A pipeline stage passes its latency `histogram` too: the span's duration
 /// is then that stage's sample, so one clock pair times both. `name` and
-/// `layer` are string literals (or otherwise outlive the scope): the scope
-/// keeps the pointers and copies the text only into the log.
+/// `layer` are string literals (or otherwise outlive the log): the scope
+/// and the log keep the pointers, and only a reader copies the text.
 class SpanScope {
  public:
   SpanScope(const char* name, const char* layer,

@@ -33,7 +33,7 @@ EventSourceProxy::SubscriptionHandle EventSourceProxy::subscribe(
     f.set_text(filter);
   }
 
-  soap::Envelope response = invoke(actions::kSubscribe, std::move(request));
+  const soap::Envelope response = invoke(actions::kSubscribe, std::move(request));
   const xml::Element* payload = response.payload();
   const xml::Element* manager =
       payload ? payload->child(wse("SubscriptionManager")) : nullptr;
@@ -49,13 +49,13 @@ common::TimeMs WseSubscriptionProxy::renew(std::int64_t duration_ms) {
   auto request = std::make_unique<xml::Element>(wse("Renew"));
   request->append_element(wse("Expires"))
       .set_text(duration_ms < 0 ? "infinite" : std::to_string(duration_ms));
-  soap::Envelope response = invoke(actions::kRenew, std::move(request));
+  const soap::Envelope response = invoke(actions::kRenew, std::move(request));
   const xml::Element* payload = response.payload();
   return parse_expires(payload ? payload->child(wse("Expires")) : nullptr);
 }
 
 common::TimeMs WseSubscriptionProxy::get_status() {
-  soap::Envelope response = invoke(
+  const soap::Envelope response = invoke(
       actions::kGetStatus, std::make_unique<xml::Element>(wse("GetStatus")));
   const xml::Element* payload = response.payload();
   return parse_expires(payload ? payload->child(wse("Expires")) : nullptr);

@@ -18,7 +18,7 @@ soap::EndpointReference NotificationProducerProxy::subscribe(
   }
   if (use_raw) request->append_element(wsnt("UseRaw")).set_text("true");
 
-  soap::Envelope response = invoke(actions::kSubscribe, std::move(request));
+  const soap::Envelope response = invoke(actions::kSubscribe, std::move(request));
   const xml::Element* payload = response.payload();
   const xml::Element* sub_ref =
       payload ? payload->child(wsnt("SubscriptionReference")) : nullptr;
@@ -32,7 +32,7 @@ std::unique_ptr<xml::Element> NotificationProducerProxy::get_current_message(
     const std::string& topic) {
   auto request = std::make_unique<xml::Element>(wsnt("GetCurrentMessage"));
   request->append_element(wsnt("Topic")).set_text(topic);
-  soap::Envelope response = invoke(actions::kGetCurrentMessage, std::move(request));
+  const soap::Envelope response = invoke(actions::kGetCurrentMessage, std::move(request));
   const xml::Element* payload = response.payload();
   const xml::Element* message =
       payload ? payload->child(wsnt("Message")) : nullptr;

@@ -34,13 +34,13 @@ std::vector<std::unique_ptr<xml::Element>> payload_children(
 
 std::vector<std::unique_ptr<xml::Element>> WsResourceProxy::get_property(
     const xml::QName& name) {
-  soap::Envelope response = invoke(
+  const soap::Envelope response = invoke(
       actions::kGetResourceProperty, name_element(rp("GetResourceProperty"), name));
   return payload_children(response);
 }
 
 std::string WsResourceProxy::get_property_text(const xml::QName& name) {
-  soap::Envelope response = invoke(
+  const soap::Envelope response = invoke(
       actions::kGetResourceProperty, name_element(rp("GetResourceProperty"), name));
   // Read in place: the scalar case needs no DOM.
   const xml::ArenaNode* payload = response.payload_view();
@@ -55,13 +55,13 @@ std::vector<std::unique_ptr<xml::Element>> WsResourceProxy::get_properties(
   for (const auto& name : names) {
     request->append(name_element(rp("ResourceProperty"), name));
   }
-  soap::Envelope response =
+  const soap::Envelope response =
       invoke(actions::kGetMultipleResourceProperties, std::move(request));
   return payload_children(response);
 }
 
 std::unique_ptr<xml::Element> WsResourceProxy::get_property_document() {
-  soap::Envelope response =
+  const soap::Envelope response =
       invoke(actions::kGetResourcePropertyDocument,
              std::make_unique<xml::Element>(rp("GetResourcePropertyDocument")));
   auto children = payload_children(response);
@@ -106,7 +106,7 @@ std::vector<std::unique_ptr<xml::Element>> WsResourceProxy::query(
   xml::Element& expr = request->append_element(rp("QueryExpression"));
   expr.set_attr("Dialect", kXPathDialect);
   expr.set_text(xpath);
-  soap::Envelope response =
+  const soap::Envelope response =
       invoke(actions::kQueryResourceProperties, std::move(request));
   return payload_children(response);
 }
@@ -118,7 +118,7 @@ std::vector<WsResourceProxy::ResourceMatch> WsResourceProxy::query_resources(
   xml::Element& expr = request->append_element(rp("QueryExpression"));
   expr.set_attr("Dialect", kXPathDialect);
   expr.set_text(xpath);
-  soap::Envelope response = invoke(actions::kQueryResources, std::move(request));
+  const soap::Envelope response = invoke(actions::kQueryResources, std::move(request));
   std::vector<ResourceMatch> out;
   const xml::Element* payload = response.payload();
   if (!payload) return out;
@@ -149,7 +149,7 @@ common::TimeMs WsResourceProxy::set_termination_time(common::TimeMs t) {
   request->append_element(rl("RequestedTerminationTime"))
       .set_text(t == container::LifetimeManager::kNever ? "infinity"
                                                         : std::to_string(t));
-  soap::Envelope response = invoke(actions::kSetTerminationTime, std::move(request));
+  const soap::Envelope response = invoke(actions::kSetTerminationTime, std::move(request));
   const xml::Element* payload = response.payload();
   const xml::Element* granted =
       payload ? payload->child(rl("NewTerminationTime")) : nullptr;

@@ -8,7 +8,7 @@ xml::QName wst(const char* local) { return {soap::ns::kTransfer, local}; }
 
 TransferProxy::CreateResult TransferProxy::create(
     std::unique_ptr<xml::Element> representation) {
-  soap::Envelope response = invoke(actions::kCreate, std::move(representation));
+  const soap::Envelope response = invoke(actions::kCreate, std::move(representation));
   const xml::Element* created = nullptr;
   for (const xml::Element* el : response.body().child_elements()) {
     if (el->name() == wst("ResourceCreated")) created = el;
@@ -29,7 +29,7 @@ TransferProxy::CreateResult TransferProxy::create(
 }
 
 std::unique_ptr<xml::Element> TransferProxy::get() {
-  soap::Envelope response = get_response();
+  const soap::Envelope response = get_response();
   return xml::ArenaDocument::to_dom(representation(response));
 }
 
@@ -44,7 +44,7 @@ const xml::ArenaNode& TransferProxy::representation(
 
 std::unique_ptr<xml::Element> TransferProxy::put(
     std::unique_ptr<xml::Element> replacement) {
-  soap::Envelope response = invoke(actions::kPut, std::move(replacement));
+  const soap::Envelope response = invoke(actions::kPut, std::move(replacement));
   const xml::Element* payload = response.payload();
   if (payload && payload->name() == wst("Representation")) {
     auto kids = payload->child_elements();

@@ -8,13 +8,18 @@
 // the write-through cache whose presence explains WSRF.NET's faster Set.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "telemetry/metrics.hpp"
 #include "xml/node.hpp"
 #include "xml/xpath.hpp"
 #include "xmldb/backend.hpp"
@@ -87,21 +92,53 @@ class XmlDatabase {
   bool cache_enabled() const noexcept { return options_.write_through_cache; }
 
  private:
-  static std::string cache_key(const std::string& collection, const std::string& id);
+  // Cache key: (collection, id), found by string_view pair so a lookup
+  // builds no string.
+  using Key = std::pair<std::string, std::string>;
+  using KeyView = std::pair<std::string_view, std::string_view>;
+  struct KeyLess {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return KeyView(a.first, a.second) < KeyView(b.first, b.second);
+    }
+  };
+  // One cache stripe: the documents whose key hashes here, and their
+  // mutation epoch. Entries are immutable and shared, so a hit copies a
+  // pointer under the stripe lock and clones outside it. Two requests
+  // write one stripe's lock only when their keys share the stripe.
+  struct alignas(64) Stripe {
+    std::mutex mu;
+    // Bumped by every store/remove of a key in this stripe. Loads read the
+    // backend outside the lock, so a fill races with concurrent mutations;
+    // capturing the epoch before the backend read and filling only if it
+    // is unchanged makes the coherence rule explicit: a cache entry never
+    // outlives the mutation that invalidated it. The guard covers the
+    // stripe rather than the key — a spurious miss costs a re-read, a
+    // stale hit would resurrect a removed document.
+    std::uint64_t epoch = 0;
+    std::map<Key, std::shared_ptr<const xml::Element>, KeyLess> docs;
+  };
+  static constexpr std::size_t kStripes = 64;
+
+  enum Stat { kStores, kLoads, kRemoves, kBackendReads, kCacheHits, kQueries, kStats };
+  // Operation counts, one shard per writing thread (see telemetry::Counter).
+  struct alignas(64) StatShard {
+    std::array<std::atomic<std::uint64_t>, kStats> n{};
+  };
+
+  Stripe& stripe_for(std::string_view collection, std::string_view id);
+  /// Sets the key's entry to `doc`, or erases it for a null `doc`. Needs
+  /// the stripe's lock.
+  static void cache_locked(Stripe& stripe, const std::string& collection,
+                           const std::string& id,
+                           std::shared_ptr<const xml::Element> doc);
+  void count(Stat stat) noexcept;
 
   std::unique_ptr<Backend> backend_;
   Options options_;
-  mutable std::mutex mu_;
-  // Mutation epoch, bumped (under mu_) by every store/remove. Loads read
-  // the backend outside the lock, so a fill races with concurrent
-  // mutations; capturing the epoch before the backend read and filling
-  // only if it is unchanged makes the coherence rule explicit: a cache
-  // entry never outlives the mutation that invalidated it. The guard is
-  // global rather than per-key — a spurious miss costs a re-read, a stale
-  // hit would resurrect a removed document.
-  std::uint64_t epoch_ = 0;
-  std::map<std::string, std::unique_ptr<xml::Element>> cache_;
-  DbStats stats_;
+  std::array<Stripe, kStripes> stripes_;
+  std::array<StatShard, telemetry::kMetricShards> stats_;
 };
 
 }  // namespace gs::xmldb

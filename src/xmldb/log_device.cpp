@@ -5,7 +5,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 
 namespace gs::xmldb {
 
@@ -186,10 +185,27 @@ void FileLogDevice::sync() {
 
 std::string FileLogDevice::contents() const {
   std::lock_guard lock(mu_);
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) return {};
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
+  // The constructor created the file, so a missing or unreadable one is a
+  // fault of the medium, never an empty log: recovery must not start
+  // without the documents the log held.
+  int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) fail("open", path_);
+  std::string out;
+  char buf[1 << 16];
+  for (;;) {
+    ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      int saved = errno;
+      ::close(fd);
+      errno = saved;
+      fail("read", path_);
+    }
+    if (n == 0) break;
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return out;
 }
 
 std::uint64_t FileLogDevice::size() const {

@@ -39,7 +39,8 @@ class LogDevice {
   /// after a failed sync an unknown prefix of the buffered bytes may
   /// still have reached the medium.
   virtual void sync() = 0;
-  /// What a reopen would find: the durable bytes.
+  /// What a reopen would find: the durable bytes. Throws LogDeviceError
+  /// when the medium cannot be read.
   virtual std::string contents() const = 0;
   /// Durable size in bytes.
   virtual std::uint64_t size() const = 0;

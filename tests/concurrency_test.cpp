@@ -114,6 +114,47 @@ TEST(Registry, RedeployKeepsOldPinsAlive) {
   EXPECT_EQ(new_pin.get(), &new_svc);
 }
 
+// Pins take no lock: they read the published path table and count on their
+// own shard. Pinning threads racing redeploys always get a deployed
+// service; once undeploy returns, every pin on the entry it removed has
+// drained (pins on entries replaced earlier may live on) and no new pin
+// resolves.
+TEST(Registry, PinsRacingRedeployAndUndeploy) {
+  container::ServiceRegistry registry;
+  EchoService a, b, last;
+  registry.deploy("/Echo", a);
+  std::atomic<bool> undeployed{false};
+  std::atomic<bool> failed{false};
+  std::atomic<long> pins_on_last{0};  // held right now
+  std::atomic<long> seen_last{0};
+  std::vector<std::thread> pinners;
+  for (int t = 0; t < 4; ++t) {
+    pinners.emplace_back([&] {
+      while (!undeployed.load()) {
+        container::ServiceHandle pin = registry.pin("/Echo");
+        if (!pin) continue;  // between undeploy's table swap and its return
+        if (pin.get() == &last) {
+          ++pins_on_last;
+          ++seen_last;
+          --pins_on_last;
+        } else if (pin.get() != &a && pin.get() != &b) {
+          failed = true;
+        }
+      }
+      if (registry.pin("/Echo")) failed = true;
+    });
+  }
+  for (int i = 0; i < 2000; ++i) registry.deploy("/Echo", i % 2 ? a : b);
+  registry.deploy("/Echo", last);
+  while (seen_last.load() < 100) std::this_thread::yield();
+  ASSERT_TRUE(registry.undeploy("/Echo"));
+  EXPECT_EQ(pins_on_last.load(), 0);  // drained before undeploy returned
+  undeployed = true;
+  for (auto& t : pinners) t.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_TRUE(registry.paths().empty());
+}
+
 // ---------------------------------------------------------------------------
 // Application core: per-resource write serialization
 // ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@
 // after a simulated kill -9. Crashes are injected through
 // MemoryLogDevice's seeded kill points; "reboot" means constructing a
 // fresh engine over what the crash left durable. FileLogDevice gets an
-// append/sync/reset round trip across reopens in a temporary directory.
+// append/sync/reset round trip across reopens in a temporary directory, and
+// a recovery that must fail when its log file is gone or unreadable.
 #include <gtest/gtest.h>
 
 #include <stdlib.h>
@@ -106,6 +107,32 @@ TEST(FileLogDevice, AppendSyncResetSurviveReopen) {
   EXPECT_EQ(device.contents(), "xyz");
   EXPECT_EQ(device.size(), 3u);
   EXPECT_FALSE(std::filesystem::exists(log.string() + ".tmp"));
+}
+
+// The device's constructor creates its file, so a log file that vanished or
+// was replaced by a directory under a live device is a fault of the medium:
+// recovery throws instead of starting without the documents.
+TEST(FileLogDevice, UnreadableLogFailsRecovery) {
+  TempDir dir;
+  const std::filesystem::path log_path = dir.path / "wal.log";
+  auto log = std::make_shared<xmldb::FileLogDevice>(log_path);
+  auto snapshot = std::make_shared<xmldb::FileLogDevice>(dir.path / "wal.snap");
+  {
+    WalBackend wal(log, snapshot);
+    wal.put("c", "doc", "<a/>");
+  }
+  {
+    WalBackend reopened(log, snapshot);
+    EXPECT_EQ(reopened.get("c", "doc"), "<a/>");
+  }
+
+  std::filesystem::remove(log_path);
+  EXPECT_THROW(log->contents(), LogDeviceError);
+  EXPECT_THROW({ WalBackend wal(log, snapshot); }, LogDeviceError);
+
+  std::filesystem::create_directory(log_path);
+  EXPECT_THROW(log->contents(), LogDeviceError);
+  EXPECT_THROW({ WalBackend wal(log, snapshot); }, LogDeviceError);
 }
 
 // --- the WAL engine itself ---------------------------------------------------------

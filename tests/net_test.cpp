@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <random>
+#include <thread>
 
 #include "net/tcp.hpp"
 #include "net/virtual_network.hpp"
@@ -671,6 +672,77 @@ TEST(VirtualNetwork, UnbindRemovesEndpoint) {
   net.unbind("h");
   VirtualCaller caller(net, {});
   EXPECT_THROW(caller.call("http://h/svc", make_request("x")), NetworkError);
+}
+
+// A caller caches its route to an authority and re-resolves only when a
+// bind or unbind moves the network's generation. A caller thread whose
+// route is warm reaches the newly bound endpoint on its first call after
+// the rebind, and an unbind fails it.
+TEST(VirtualNetwork, RebindTakesEffectOnAWarmCaller) {
+  VirtualNetwork net;
+  EchoEndpoint first, second;
+  net.bind("h", first);
+  // Steps: 1 caller warm, 2 rebound, 3 caller saw the rebind, 4 unbound.
+  std::atomic<int> step{0};
+  std::thread caller_thread([&] {
+    VirtualCaller caller(net, {});
+    caller.call("http://h/svc", make_request("warm"));
+    step = 1;
+    while (step.load() < 2) caller.call("http://h/svc", make_request("x"));
+    int before = second.hits.load();
+    caller.call("http://h/svc", make_request("after-rebind"));
+    EXPECT_EQ(second.hits.load(), before + 1);
+    step = 3;
+    while (step.load() < 4) std::this_thread::yield();
+    EXPECT_THROW(caller.call("http://h/svc", make_request("x")), NetworkError);
+  });
+  while (step.load() < 1) std::this_thread::yield();
+  net.bind("h", second);
+  step = 2;
+  while (step.load() < 3) std::this_thread::yield();
+  net.unbind("h");
+  step = 4;
+  caller_thread.join();
+  EXPECT_GE(first.hits.load(), 1);
+}
+
+// The fault check is one atomic load while no route has a policy; a policy
+// installed while a caller thread is already exchanging on a warm route
+// fires on that thread's next call, and clearing it heals the route.
+TEST(VirtualNetwork, FaultPolicyInstalledAfterWarmupFires) {
+  VirtualNetwork net;
+  EchoEndpoint ep;
+  net.bind("h", ep);
+  WireMeter meter;
+  // Steps: 1 caller warm, 2 partitioned, 3 caller saw the fault, 4 cleared.
+  std::atomic<int> step{0};
+  std::thread caller_thread([&] {
+    VirtualCaller caller(net, {.meter = &meter});
+    caller.call("http://h/svc", make_request("warm"));
+    step = 1;
+    while (step.load() < 2) {
+      try {
+        caller.call("http://h/svc", make_request("x"));
+      } catch (const NetworkError&) {
+        // the policy landed mid-loop
+      }
+    }
+    EXPECT_THROW(caller.call("http://h/svc", make_request("x")), NetworkError);
+    step = 3;
+    while (step.load() < 4) std::this_thread::yield();
+    // Healed, and the failure dropped the pooled connection: one reconnect.
+    std::int64_t connects = meter.connects();
+    caller.call("http://h/svc", make_request("x"));
+    EXPECT_EQ(meter.connects(), connects + 1);
+  });
+  while (step.load() < 1) std::this_thread::yield();
+  net.set_fault_policy("h", {.partitioned = true});
+  step = 2;
+  while (step.load() < 3) std::this_thread::yield();
+  net.clear_fault_policy("h");
+  step = 4;
+  caller_thread.join();
+  EXPECT_EQ(meter.connects(), 2);
 }
 
 // --- real TCP server ---------------------------------------------------------------

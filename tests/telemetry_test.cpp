@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cmath>
 #include <map>
@@ -429,6 +431,87 @@ TEST(Trace, SpansRecordedAfterWraparoundKeepTheirFields) {
   EXPECT_EQ(kept[1].span_id, contexts[3].span_id);
   EXPECT_EQ(kept[1].trace_id, contexts[3].trace_id);
   EXPECT_EQ(kept[1].layer, "layer.with.a.long.name");
+}
+
+// Four writer threads record through their own shards while a reader
+// merges the log. Writers move in rounds separated by a barrier, so every
+// span of round r closes before any of round r+1 and the newest `capacity`
+// spans are exactly the last capacity / (threads * per_round) rounds. Each
+// concurrent read holds at most `capacity` intact spans (name, layer and
+// root identity all of one span), and each thread's spans in its own close
+// order; the read after the writers finish holds exactly the newest ones,
+// even though their threads have exited.
+TEST(Trace, WritersRacingAReaderKeepTheNewestSpansIntact) {
+  constexpr int kThreads = 4;
+  constexpr int kPerRound = 16;
+  constexpr int kRounds = 200;
+  constexpr std::size_t kCapacity = 256;  // the last 4 rounds
+  static const char* const kNames[kThreads] = {"writer.0", "writer.1",
+                                               "writer.2", "writer.3"};
+  TraceLog log(kCapacity);
+  std::vector<std::vector<std::uint64_t>> closed(kThreads);
+  std::barrier round(kThreads);
+  std::atomic<bool> done{false};
+
+  std::thread reader([&] {
+    while (!done.load()) {
+      std::vector<SpanRecord> spans = log.snapshot();
+      ASSERT_LE(spans.size(), kCapacity);
+      std::map<std::string, std::int64_t> last_start;
+      for (const SpanRecord& span : spans) {
+        ASSERT_TRUE(span.name.starts_with("writer.")) << span.name;
+        ASSERT_EQ(span.layer, "test");
+        ASSERT_EQ(span.parent_span_id, 0u);
+        ASSERT_NE(span.trace_id, 0u);
+        ASSERT_GE(span.duration_us, 0);
+        // One thread's spans do not nest, so they close in start order.
+        auto [it, fresh] = last_start.try_emplace(span.name, span.start_us);
+        ASSERT_LE(it->second, span.start_us) << span.name;
+        it->second = span.start_us;
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        for (int i = 0; i < kPerRound; ++i) {
+          SpanScope span(kNames[t], "test", &log);
+          closed[t].push_back(span.context().span_id);
+        }
+        round.arrive_and_wait();
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  done = true;
+  reader.join();
+
+  std::vector<SpanRecord> kept = log.snapshot();
+  ASSERT_EQ(kept.size(), kCapacity);
+  EXPECT_EQ(log.size(), kCapacity);
+  const std::size_t kKeptRounds = kCapacity / (kThreads * kPerRound);
+  std::map<std::uint64_t, std::size_t> round_of;  // span id -> round
+  std::map<std::string, std::vector<std::uint64_t>> kept_by_thread;
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < closed[t].size(); ++i) {
+      round_of[closed[t][i]] = i / kPerRound;
+    }
+  }
+  std::size_t previous_round = 0;
+  for (const SpanRecord& span : kept) {
+    ASSERT_TRUE(round_of.contains(span.span_id));
+    std::size_t r = round_of[span.span_id];
+    EXPECT_GE(r, kRounds - kKeptRounds);
+    EXPECT_GE(r, previous_round) << "a span closed in an earlier round came later";
+    previous_round = r;
+    kept_by_thread[span.name].push_back(span.span_id);
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    std::vector<std::uint64_t> newest(closed[t].end() - kKeptRounds * kPerRound,
+                                      closed[t].end());
+    EXPECT_EQ(kept_by_thread[kNames[t]], newest) << kNames[t];
+  }
 }
 
 // Every instrumented stage of a real request path records exactly one

@@ -764,6 +764,52 @@ TEST(WireProbe, WsrfGetPropertyReducesNodes) {
               static_cast<double>(dom_nodes) / kProbeRequests);
 }
 
+/// Answers every call with one recorded reply, parsed afresh as the wire
+/// would deliver it: a proxy call then builds only its own DOM nodes.
+class ReplayCaller final : public net::SoapCaller {
+ public:
+  explicit ReplayCaller(std::string reply) : reply_(std::move(reply)) {}
+  soap::Envelope call(const std::string&, const soap::Envelope&) override {
+    return soap::Envelope::from_xml(reply_);
+  }
+
+ private:
+  std::string reply_;
+};
+
+// A proxy that only reads a reply builds the payload subtree, not a DOM of
+// the whole received envelope. The Create reply's payload is the new
+// resource's EPR: EndpointReference, Address and its text,
+// ReferenceProperties, ResourceID and its text.
+TEST(WireProbe, CreateReplyBuildsOnlyItsPayloadNodes) {
+  WireFixture fx;
+  net::HttpResponse response = fx.wsrf->container().handle(
+      soap_post(soap::EndpointReference(fx.wsrf->counter_address()),
+                counter::wsrf_counter_create_action(), nullptr));
+  ASSERT_EQ(response.status, 200);
+  const std::string reply = response.body_str();
+
+  const soap::Envelope read = soap::Envelope::from_xml(reply);
+  std::uint64_t before = dom_nodes_now();
+  ASSERT_NE(read.payload(), nullptr);
+  const std::uint64_t payload_nodes = dom_nodes_now() - before;
+  EXPECT_EQ(payload_nodes, 6u);
+
+  soap::Envelope mutable_read = soap::Envelope::from_xml(reply);
+  before = dom_nodes_now();
+  ASSERT_NE(mutable_read.payload(), nullptr);
+  EXPECT_EQ(dom_nodes_now() - before, 16u);  // the whole envelope
+
+  // The proxy's whole Create: its request plus the EPR it keeps (5 nodes),
+  // and the payload read. Reading the whole envelope made it 21.
+  ReplayCaller replay(reply);
+  counter::WsrfCounterClient client(replay, fx.wsrf->counter_address());
+  before = dom_nodes_now();
+  soap::EndpointReference epr = client.create();
+  EXPECT_EQ(dom_nodes_now() - before, payload_nodes + 5);
+  EXPECT_FALSE(epr.address().empty());
+}
+
 // --- the envelopes both stacks send for a Get, octet for octet --------------
 
 /// Records the request and response bodies crossing one endpoint.
