@@ -20,6 +20,9 @@ change's win count over the pairs and a verdict:
   loss       the same, the other way
   over bound the change's median is worse than the parent's by more than
              the metric's bound (a fraction of the parent's median)
+  unresolved the parent's IQR is wider than that bound, so the runs cannot
+             show a regression of the bound's size, and not every change
+             run beats every parent run
   no change  anything else
 
 Raw results go to stderr as JSON lines ("<pair> <side> <result>"); the last
@@ -68,12 +71,16 @@ def verdict(metric, parent, change):
     iqr = q3 - q1
     gap = (c_med - p_med) if higher else (p_med - c_med)  # > 0: change better
     needed = math.ceil(0.9 * len(parent))
+    bound = metric["bound"] * abs(p_med)
+    dominates = (min(change) > max(parent)) if higher else (max(change) < min(parent))
     if wins >= needed and gap > iqr:
         word = "gain"
     elif losses >= needed and -gap > iqr:
         word = "loss"
-    elif p_med and -gap > metric["bound"] * abs(p_med):
+    elif p_med and -gap > bound:
         word = "over bound"
+    elif iqr > bound and not dominates:
+        word = "unresolved"
     else:
         word = "no change"
     return {"parent_median": p_med, "change_median": c_med, "parent_iqr": iqr,

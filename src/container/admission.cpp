@@ -141,11 +141,8 @@ AdmissionController::Decision AdmissionController::admit(
 // --- the chain stage --------------------------------------------------------
 
 AdmissionHandler::AdmissionHandler(
-    std::shared_ptr<AdmissionController> controller, Classifier classifier,
-    TenantFn tenant)
-    : controller_(std::move(controller)),
-      classifier_(std::move(classifier)),
-      tenant_(std::move(tenant)) {}
+    std::shared_ptr<AdmissionController> controller)
+    : controller_(std::move(controller)) {}
 
 Priority AdmissionHandler::classify_request(const std::string& path,
                                             const net::HttpRequest* http) {
@@ -163,30 +160,9 @@ Priority AdmissionHandler::classify_request(const std::string& path,
   return Priority::kNormal;
 }
 
-Priority AdmissionHandler::default_priority(const PipelineContext& ctx) {
-  return classify_request(ctx.path, ctx.http_request);
-}
-
-std::string AdmissionHandler::default_tenant(const PipelineContext& ctx) {
-  if (ctx.http_request) {
-    if (auto it = ctx.http_request->headers.find("X-GS-Tenant");
-        it != ctx.http_request->headers.end()) {
-      return it->second;
-    }
-  }
-  return "anon";
-}
-
 void AdmissionHandler::handle(PipelineContext& ctx, Next next) {
-  Priority priority =
-      classifier_ ? classifier_(ctx) : default_priority(ctx);
-  std::string tenant = tenant_ ? tenant_(ctx) : default_tenant(ctx);
-  // Cost attribution reuses the admission classification: shed requests
-  // are charged to their tenant too (rejection work is still work).
-  ctx.tenant = tenant;
-
-  AdmissionController::Decision decision =
-      controller_->admit(priority, tenant, ctx.path);
+  AdmissionController::Decision decision = controller_->admit(
+      classify_request(ctx.path, ctx.http_request), request_tenant(ctx), ctx.path);
   if (!decision.admitted) {
     if (ctx.http_request) {
       // Backpressure at the transport: 503 + Retry-After (whole seconds,

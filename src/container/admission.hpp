@@ -145,25 +145,18 @@ class AdmissionController {
 
 /// The chain stage. Classification runs on transport-level facts only
 /// (path and HTTP headers) so a shed request is never parsed: the
-/// X-GS-Priority header ("monitoring"/"bulk"), a path suffix of
-/// "/Telemetry" (the PR-1 telemetry resource), and the X-GS-Tenant header
-/// (default "anon") drive the default classifier; deployments can swap in
-/// their own.
+/// X-GS-Priority header ("monitoring"/"bulk") and a path suffix of
+/// "/Telemetry" (the PR-1 telemetry resource) set the priority, and
+/// request_tenant the tenant.
 class AdmissionHandler final : public Handler {
  public:
-  using Classifier = std::function<Priority(const PipelineContext&)>;
-  using TenantFn = std::function<std::string(const PipelineContext&)>;
-
-  explicit AdmissionHandler(std::shared_ptr<AdmissionController> controller,
-                            Classifier classifier = {}, TenantFn tenant = {});
+  explicit AdmissionHandler(std::shared_ptr<AdmissionController> controller);
 
   const char* name() const noexcept override { return "admission"; }
   void handle(PipelineContext& ctx, Next next) override;
 
   AdmissionController& controller() noexcept { return *controller_; }
 
-  static Priority default_priority(const PipelineContext& ctx);
-  static std::string default_tenant(const PipelineContext& ctx);
   /// Transport-level classification shared with accept loops that sort
   /// requests into priority lanes before they reach the chain.
   static Priority classify_request(const std::string& path,
@@ -171,8 +164,6 @@ class AdmissionHandler final : public Handler {
 
  private:
   std::shared_ptr<AdmissionController> controller_;
-  Classifier classifier_;
-  TenantFn tenant_;
 };
 
 }  // namespace gs::container

@@ -20,7 +20,8 @@ Container::Container(ContainerConfig config)
   metrics_.faults = &reg.counter("container.faults");
   metrics_.dispatch_us = &reg.histogram("container.dispatch_us");
   metrics_.handler_us = &reg.histogram("container.handler_us");
-  metrics_.security_us = &reg.histogram("container.security_us");
+  metrics_.verify_us = &reg.histogram("security.verify_us");
+  metrics_.sign_us = &reg.histogram("security.sign_us");
   metrics_.parse_us = &reg.histogram("container.parse_us");
   metrics_.serialize_us = &reg.histogram("container.serialize_us");
   metrics_.nodes_per_request = &reg.histogram("xml.nodes_per_request");
@@ -88,18 +89,9 @@ void Container::attribute_cost(
           .count());
   ctx.cost.fault = ctx.cost.fault || ctx.response.is_fault() ||
                    (ctx.http_done && ctx.http_response.status >= 400);
-  std::string tenant = std::move(ctx.tenant);
-  if (tenant.empty()) {
-    // No admission stage ran; classify here from the same transport fact.
-    if (ctx.http_request) {
-      if (auto it = ctx.http_request->headers.find("X-GS-Tenant");
-          it != ctx.http_request->headers.end()) {
-        tenant = it->second;
-      }
-    }
-    if (tenant.empty()) tenant = "anon";
-  }
-  costs_->record(tenant, ctx.path, ctx.cost);
+  // Shed requests are charged to their tenant too (rejection work is still
+  // work).
+  costs_->record(request_tenant(ctx), ctx.path, ctx.cost);
 }
 
 soap::Envelope Container::process(const soap::Envelope& request,

@@ -54,7 +54,8 @@ struct ContainerMetrics {
   telemetry::Counter* faults = nullptr;
   telemetry::Histogram* dispatch_us = nullptr;
   telemetry::Histogram* handler_us = nullptr;
-  telemetry::Histogram* security_us = nullptr;
+  telemetry::Histogram* verify_us = nullptr;  // request signature check
+  telemetry::Histogram* sign_us = nullptr;    // response signing
   telemetry::Histogram* parse_us = nullptr;
   telemetry::Histogram* serialize_us = nullptr;
   /// Allocation probe (see xml/probe.hpp): DOM nodes built while serving

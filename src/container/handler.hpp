@@ -57,16 +57,15 @@ struct PipelineContext {
   /// undeploy cannot free it mid-request.
   ServiceHandle service;
 
-  /// Tenant classification (PR 8): the admission stage fills it from
-  /// X-GS-Tenant; empty means no classifier ran and the container derives
-  /// it at accounting time.
-  std::string tenant;
-
   /// Cost accrued so far: stages add what they measure (parse/serialize
   /// time, probe deltas, octets); the container stamps wall_us/fault and
   /// hands the record to its CostAggregator, when one is attached.
   telemetry::CostRecord cost;
 };
+
+/// The tenant a request is accounted to, by admission and cost attribution
+/// alike: its X-GS-Tenant header, or "anon".
+std::string request_tenant(const PipelineContext& ctx);
 
 /// One pipeline stage. `next` runs the remainder of the chain; work done
 /// after the call observes the response on the way out. Not calling

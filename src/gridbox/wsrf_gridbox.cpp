@@ -23,7 +23,7 @@ bool remote_account_exists(net::SoapCaller& caller, const std::string& address,
     bool exists(const std::string& dn) {
       auto req = std::make_unique<xml::Element>(gb("AccountExists"));
       req->append_element(gb("DN")).set_text(dn);
-      soap::Envelope r = invoke(wsrf_actions::kAccountExists, std::move(req));
+      const soap::Envelope r = invoke(wsrf_actions::kAccountExists, std::move(req));
       const xml::Element* p = r.payload();
       const xml::Element* e = p ? p->child(gb("Exists")) : nullptr;
       return e && e->text() == "true";
@@ -44,7 +44,7 @@ bool remote_check_privilege(net::SoapCaller& caller, const std::string& address,
       auto req = std::make_unique<xml::Element>(gb("CheckPrivilege"));
       req->append_element(gb("DN")).set_text(dn);
       req->append_element(gb("Privilege")).set_text(privilege);
-      soap::Envelope r = invoke(wsrf_actions::kCheckPrivilege, std::move(req));
+      const soap::Envelope r = invoke(wsrf_actions::kCheckPrivilege, std::move(req));
       const xml::Element* p = r.payload();
       const xml::Element* g = p ? p->child(gb("Granted")) : nullptr;
       return g && g->text() == "true";
@@ -61,7 +61,7 @@ std::set<std::string> remote_reserved_hosts(
    public:
     using container::ProxyBase::ProxyBase;
     std::set<std::string> list() {
-      soap::Envelope r =
+      const soap::Envelope r =
           invoke(wsrf_actions::kListReservedHosts,
                  std::make_unique<xml::Element>(gb("ListReservedHosts")));
       std::set<std::string> out;

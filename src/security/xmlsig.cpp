@@ -2,7 +2,6 @@
 
 #include "common/encoding.hpp"
 #include "soap/namespaces.hpp"
-#include "xml/canonical.hpp"
 
 namespace gs::security {
 
@@ -28,22 +27,19 @@ std::string signed_content(const soap::Envelope& env) {
 }
 
 void sign_envelope(soap::Envelope& env, const Credential& credential) {
-  // Remove any previous Security header (re-signing after mutation).
-  if (const xml::Element* old = find_security_header(env)) {
-    env.header().remove_child(*old);
-  }
-
-  std::string content = signed_content(env);
-  Digest256 digest = Sha256::digest(content);
+  // The signed content leaves out the Security header, so an earlier
+  // signature (re-signing after mutation) does not change it; replace_header
+  // swaps that signature for this one.
+  Digest256 digest = Sha256::digest(signed_content(env));
   std::vector<std::uint8_t> signature = rsa_sign(credential.key, digest);
 
-  xml::Element& sec = env.header().append_element(wsse("Security"));
-  sec.declare_prefix("wsse", soap::ns::kSecurity);
-  sec.declare_prefix("ds", soap::ns::kDsig);
-  sec.append_element(wsse("BinarySecurityToken"))
+  auto sec = std::make_unique<xml::Element>(wsse("Security"));
+  sec->declare_prefix("wsse", soap::ns::kSecurity);
+  sec->declare_prefix("ds", soap::ns::kDsig);
+  sec->append_element(wsse("BinarySecurityToken"))
       .set_text(credential.cert.to_token());
 
-  xml::Element& sig = sec.append_element(ds("Signature"));
+  xml::Element& sig = sec->append_element(ds("Signature"));
   xml::Element& signed_info = sig.append_element(ds("SignedInfo"));
   signed_info.append_element(ds("CanonicalizationMethod"))
       .set_attr("Algorithm", "urn:gridstacks:c14n-lite");
@@ -54,6 +50,7 @@ void sign_envelope(soap::Envelope& env, const Credential& credential) {
   reference.append_element(ds("DigestValue")).set_text(common::base64_encode(digest));
   sig.append_element(ds("SignatureValue"))
       .set_text(common::base64_encode(signature));
+  env.replace_header(std::move(sec));
 }
 
 bool is_signed(const soap::Envelope& env) {

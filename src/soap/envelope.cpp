@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "soap/namespaces.hpp"
-#include "xml/canonical.hpp"
 #include "xml/parser.hpp"
 #include "xml/writer.hpp"
 
@@ -14,9 +13,10 @@ namespace {
 xml::QName env_name(const char* local) { return {ns::kEnvelope, local}; }
 xml::QName wsa_name(const char* local) { return {ns::kAddressing, local}; }
 
-void append_text_header(xml::Element& header, const char* local,
-                        std::string& value) {
-  if (!value.empty()) header.append_element(wsa_name(local)).set_text(std::move(value));
+std::unique_ptr<xml::Element> text_element(xml::QName name, std::string text) {
+  auto el = std::make_unique<xml::Element>(std::move(name));
+  el->set_text(std::move(text));
+  return el;
 }
 
 void write_text_header(std::string& out, std::string_view local,
@@ -31,52 +31,62 @@ void write_text_header(std::string& out, std::string_view local,
   out += '>';
 }
 
+std::vector<std::unique_ptr<xml::Element>> clone_all(
+    const std::vector<std::unique_ptr<xml::Element>>& elements) {
+  std::vector<std::unique_ptr<xml::Element>> out;
+  out.reserve(elements.size());
+  for (const auto& el : elements) out.push_back(el->clone_element());
+  return out;
+}
+
+/// Materializes each child element of `parent` (when present) into `out`.
+void thaw_children(const xml::ArenaNode* parent,
+                   std::vector<std::unique_ptr<xml::Element>>& out) {
+  if (!parent) return;
+  for (const xml::ArenaNode* e = parent->first_child; e; e = e->next) {
+    if (e->kind == xml::NodeKind::kElement)
+      out.push_back(xml::ArenaDocument::to_dom(*e));
+  }
+}
+
 }  // namespace
+
+std::string* Envelope::Parts::text_header(const xml::QName& name) {
+  if (name.ns() != ns::kAddressing) return nullptr;
+  std::string* text = name.local() == "To"          ? &to
+                      : name.local() == "Action"    ? &action
+                      : name.local() == "MessageID" ? &message_id
+                      : name.local() == "RelatesTo" ? &relates_to
+                                                    : nullptr;
+  return text && !text->empty() ? text : nullptr;
+}
+
+const xml::Element* Envelope::Parts::header(const xml::QName& name) const {
+  for (const auto& h : headers) {
+    if (h->name() == name) return h.get();
+  }
+  return nullptr;
+}
 
 Envelope& Envelope::operator=(const Envelope& other) {
   if (this == &other) return *this;
-  parts_ = Parts{};
-  root_.reset();
-  view_.reset();
-  payload_dom_.reset();
-  header_cache_.clear();
-  signed_cache_.reset();
-  retired_.clear();
-  if (other.view_) {
-    // Share the immutable wire view; this copy materializes its own DOM
-    // lazily if and when it needs one.
-    view_ = other.view_;
-  } else {
-    root_ = other.dom().clone_element();
-  }
-  return *this;
-}
-
-std::unique_ptr<xml::Element> Envelope::build_dom() const {
-  auto root = std::make_unique<xml::Element>(env_name("Envelope"));
-  root->declare_prefix("soap", ns::kEnvelope);
-  root->declare_prefix("wsa", ns::kAddressing);
-  xml::Element& header = root->append_element(env_name("Header"));
-  append_text_header(header, "To", parts_.to);
-  append_text_header(header, "Action", parts_.action);
-  append_text_header(header, "MessageID", parts_.message_id);
-  append_text_header(header, "RelatesTo", parts_.relates_to);
-  for (auto& h : parts_.headers) header.append(std::move(h));
-  xml::Element& body = root->append_element(env_name("Body"));
-  for (auto& p : parts_.payload) body.append(std::move(p));
-  if (parts_.payload_octets) body.append(xml::parse_element(*parts_.payload_octets));
-  parts_ = Parts{};
-  return root;
+  Envelope copy;
+  copy.view_ = other.view_;  // immutable: shared
+  const Parts& from = other.parts_;
+  copy.parts_ = Parts{from.to,
+                      from.action,
+                      from.message_id,
+                      from.relates_to,
+                      clone_all(from.headers),
+                      clone_all(from.payload),
+                      from.payload_octets};
+  return *this = std::move(copy);
 }
 
 void Envelope::write_into(std::string& out) const {
-  if (!in_parts()) {
-    xml::write_into(out, *root_);
-    return;
-  }
-  // The frame build_dom's root declares: the writer pass below starts with
+  // The frame declares soap and wsa: the writer pass below starts with
   // these bindings in scope and no generated prefixes, as it would inside
-  // xml::write of that tree.
+  // xml::write of the whole envelope.
   static const xml::PrefixBindings kFrameBindings = {
       {"soap", ns::kEnvelope}, {"wsa", ns::kAddressing}};
   static const std::string kOpen = std::string("<soap:Envelope xmlns:soap=\"") +
@@ -106,100 +116,66 @@ void Envelope::write_into(std::string& out) const {
   out += "</soap:Envelope>";
 }
 
-xml::Element& Envelope::mut() {
-  if (!root_) root_ = view_ ? view_->to_dom() : build_dom();
-  view_.reset();
+Envelope::Parts& Envelope::mut() {
+  if (view_) {
+    thaw_children(view_header(), parts_.headers);
+    thaw_children(view_body(), parts_.payload);
+    view_.reset();
+  }
   // Previously handed-out subtree pointers must survive the transition.
   if (payload_dom_) retired_.push_back(std::move(payload_dom_));
   for (auto& h : header_cache_) retired_.push_back(std::move(h));
   header_cache_.clear();
   signed_cache_.reset();
-  return *root_;
+  return parts_;
 }
 
-const xml::Element& Envelope::dom() const {
-  // A view stays: it is still the wire form.
-  if (!root_) root_ = view_ ? view_->to_dom() : build_dom();
-  return *root_;
+Envelope::Parts& Envelope::mut_payload() {
+  Parts& parts = mut();
+  if (parts.payload_octets) {
+    parts.payload.push_back(xml::parse_element(*parts.payload_octets));
+    parts.payload_octets.reset();
+  }
+  return parts;
 }
 
 const xml::ArenaNode* Envelope::view_header() const {
-  if (!view_ || root_) return nullptr;
-  return view_->root().child(ns::kEnvelope, "Header");
+  return view_ ? view_->root().child(ns::kEnvelope, "Header") : nullptr;
 }
 
 const xml::ArenaNode* Envelope::view_body() const {
-  if (!view_ || root_) return nullptr;
-  return view_->root().child(ns::kEnvelope, "Body");
-}
-
-xml::Element& Envelope::header() {
-  xml::Element& r = mut();
-  xml::Element* h = r.child(env_name("Header"));
-  if (!h) h = &r.append_element(env_name("Header"));
-  return *h;
-}
-
-const xml::Element& Envelope::header() const {
-  // Materializes a DOM for the read but keeps the wire backing —
-  // only mutating accessors invalidate it. A missing Header is created on
-  // the materialized tree (legacy behavior for header-less documents).
-  xml::Element& r = const_cast<xml::Element&>(dom());
-  xml::Element* h = r.child(env_name("Header"));
-  if (!h) h = &r.append_element(env_name("Header"));
-  return *h;
-}
-
-xml::Element& Envelope::body() {
-  xml::Element& r = mut();
-  xml::Element* b = r.child(env_name("Body"));
-  if (!b) b = &r.append_element(env_name("Body"));
-  return *b;
-}
-
-const xml::Element& Envelope::body() const {
-  xml::Element& r = const_cast<xml::Element&>(dom());
-  xml::Element* b = r.child(env_name("Body"));
-  if (!b) b = &r.append_element(env_name("Body"));
-  return *b;
+  return view_ ? view_->root().child(ns::kEnvelope, "Body") : nullptr;
 }
 
 const xml::Element* Envelope::payload() const {
-  if (const xml::ArenaNode* b = view_body()) {
-    const xml::ArenaNode* p = b->first_element();
-    if (!p) return nullptr;
-    if (!payload_dom_) payload_dom_ = xml::ArenaDocument::to_dom(*p);
-    return payload_dom_.get();
+  if (!view_ && !parts_.payload.empty()) return parts_.payload.front().get();
+  if (!payload_dom_) {
+    if (const xml::ArenaNode* b = view_body()) {
+      if (const xml::ArenaNode* p = b->first_element())
+        payload_dom_ = xml::ArenaDocument::to_dom(*p);
+    } else if (!view_ && parts_.payload_octets) {
+      payload_dom_ = xml::parse_element(*parts_.payload_octets);
+    }
   }
-  if (in_parts() && !parts_.payload_octets) {
-    return parts_.payload.empty() ? nullptr : parts_.payload.front().get();
-  }
-  auto kids = body().child_elements();
-  return kids.empty() ? nullptr : kids.front();
+  return payload_dom_.get();
+}
+
+xml::Element* Envelope::payload() {
+  Parts& parts = mut_payload();
+  return parts.payload.empty() ? nullptr : parts.payload.front().get();
 }
 
 const xml::ArenaNode* Envelope::payload_view() const {
   if (!view_) {
     view_ = std::make_shared<const xml::ArenaDocument>(
         xml::ArenaDocument::parse(to_xml()));
-    if (!root_) {
-      // Built in-process: the view replaces the parts, and elements handed
-      // out stay alive.
-      for (auto& h : parts_.headers) retired_.push_back(std::move(h));
-      for (auto& p : parts_.payload) retired_.push_back(std::move(p));
-      parts_ = Parts{};
-    }
+    // The view replaces the parts; elements handed out stay alive.
+    for (auto& h : parts_.headers) retired_.push_back(std::move(h));
+    for (auto& p : parts_.payload) retired_.push_back(std::move(p));
+    parts_ = Parts{};
   }
-  const xml::ArenaNode* b = view_->root().child(ns::kEnvelope, "Body");
+  const xml::ArenaNode* b = view_body();
   return b ? b->first_element() : nullptr;
-}
-
-xml::Element* Envelope::payload() {
-  if (in_parts() && !parts_.payload_octets) {
-    return parts_.payload.empty() ? nullptr : parts_.payload.front().get();
-  }
-  auto kids = body().child_elements();
-  return kids.empty() ? nullptr : kids.front();
 }
 
 xml::Element& Envelope::add_payload(xml::QName name) {
@@ -210,40 +186,34 @@ xml::Element& Envelope::add_payload(xml::QName name) {
 }
 
 void Envelope::add_payload(std::unique_ptr<xml::Element> el) {
-  if (in_parts() && !parts_.payload_octets) {
-    parts_.payload.push_back(std::move(el));
-  } else {
-    body().append(std::move(el));
-  }
+  mut_payload().payload.push_back(std::move(el));
 }
 
 void Envelope::add_payload_octets(std::shared_ptr<const std::string> octets) {
-  if (in_parts() && !parts_.payload_octets) {
-    parts_.payload_octets = std::move(octets);
-  } else {
-    body().append(xml::parse_element(*octets));
-  }
+  mut_payload().payload_octets = std::move(octets);
 }
 
 void Envelope::write_addressing(MessageInfo info) {
-  if (in_parts() && !parts_.has_header()) {
-    parts_.to = std::move(info.to);
-    parts_.action = std::move(info.action);
-    parts_.message_id = std::move(info.message_id);
-    parts_.relates_to = std::move(info.relates_to);
-    if (!info.reply_to.empty())
-      parts_.headers.push_back(info.reply_to.to_xml(wsa_name("ReplyTo")));
-    for (auto& rh : info.reference_headers) parts_.headers.push_back(std::move(rh));
-    return;
+  Parts& parts = mut();
+  if (!parts.has_header()) {
+    parts.to = std::move(info.to);
+    parts.action = std::move(info.action);
+    parts.message_id = std::move(info.message_id);
+    parts.relates_to = std::move(info.relates_to);
+  } else {
+    // Headers already present come first: the text headers follow them.
+    auto append = [&](const char* local, std::string& text) {
+      if (!text.empty())
+        parts.headers.push_back(text_element(wsa_name(local), std::move(text)));
+    };
+    append("To", info.to);
+    append("Action", info.action);
+    append("MessageID", info.message_id);
+    append("RelatesTo", info.relates_to);
   }
-  // Headers already present come first: append after them in the tree.
-  xml::Element& h = header();
-  append_text_header(h, "To", info.to);
-  append_text_header(h, "Action", info.action);
-  append_text_header(h, "MessageID", info.message_id);
-  append_text_header(h, "RelatesTo", info.relates_to);
-  if (!info.reply_to.empty()) h.append(info.reply_to.to_xml(wsa_name("ReplyTo")));
-  for (auto& rh : info.reference_headers) h.append(std::move(rh));
+  if (!info.reply_to.empty())
+    parts.headers.push_back(info.reply_to.to_xml(wsa_name("ReplyTo")));
+  for (auto& rh : info.reference_headers) parts.headers.push_back(std::move(rh));
 }
 
 MessageInfo Envelope::read_addressing() const {
@@ -280,16 +250,22 @@ MessageInfo Envelope::read_addressing() const {
     info.received = view_;
     return info;
   }
-  const xml::Element& h = header();
-  if (const auto* e = h.child(wsa_name("To"))) info.to = e->text();
-  if (const auto* e = h.child(wsa_name("Action"))) info.action = e->text();
-  if (const auto* e = h.child(wsa_name("MessageID"))) info.message_id = e->text();
-  if (const auto* e = h.child(wsa_name("RelatesTo"))) info.relates_to = e->text();
-  if (const auto* e = h.child(wsa_name("ReplyTo")))
+  if (view_) return info;  // a received envelope without a Header
+  auto text = [&](const char* local) {
+    xml::QName name = wsa_name(local);
+    if (const std::string* t = parts_.text_header(name)) return *t;
+    const xml::Element* e = parts_.header(name);
+    return e ? e->text() : std::string();
+  };
+  info.to = text("To");
+  info.action = text("Action");
+  info.message_id = text("MessageID");
+  info.relates_to = text("RelatesTo");
+  if (const xml::Element* e = parts_.header(wsa_name("ReplyTo")))
     info.reply_to = EndpointReference::from_xml(*e);
-  for (const auto* e : h.child_elements()) {
-    if (e->name().ns() == ns::kAddressing || e->name().ns() == ns::kSecurity ||
-        e->name().ns() == ns::kDsig) {
+  for (const auto& e : parts_.headers) {
+    const std::string& ns = e->name().ns();
+    if (ns == ns::kAddressing || ns == ns::kSecurity || ns == ns::kDsig) {
       continue;  // addressing and security headers are not reference headers
     }
     info.reference_headers.push_back(e->clone_element());
@@ -298,54 +274,60 @@ MessageInfo Envelope::read_addressing() const {
 }
 
 const xml::Element* Envelope::header_child(const xml::QName& name) const {
-  if (const xml::ArenaNode* h = view_header()) {
-    const xml::ArenaNode* e = h->child(name.ns(), name.local());
-    if (!e) return nullptr;
-    for (const auto& cached : header_cache_) {
-      if (cached->name() == name) return cached.get();
-    }
-    header_cache_.push_back(xml::ArenaDocument::to_dom(*e));
-    return header_cache_.back().get();
+  for (const auto& cached : header_cache_) {
+    if (cached->name() == name) return cached.get();
   }
-  return header().child(name);
+  if (view_) {
+    const xml::ArenaNode* h = view_header();
+    const xml::ArenaNode* e = h ? h->child(name.ns(), name.local()) : nullptr;
+    if (!e) return nullptr;
+    header_cache_.push_back(xml::ArenaDocument::to_dom(*e));
+  } else if (const std::string* text = parts_.text_header(name)) {
+    header_cache_.push_back(text_element(name, *text));
+  } else {
+    return parts_.header(name);
+  }
+  return header_cache_.back().get();
 }
 
 std::optional<std::string> Envelope::header_child_attr(
     const xml::QName& name, std::string_view attr) const {
-  if (const xml::ArenaNode* h = view_header()) {
-    const xml::ArenaNode* e = h->child(name.ns(), name.local());
+  if (view_) {
+    const xml::ArenaNode* h = view_header();
+    const xml::ArenaNode* e = h ? h->child(name.ns(), name.local()) : nullptr;
     if (!e) return std::nullopt;
     if (auto v = e->attr_local(attr)) return std::string(*v);
     return std::nullopt;
   }
-  const xml::Element* e = header().child(name);
+  if (parts_.text_header(name)) return std::nullopt;  // text has no attributes
+  const xml::Element* e = parts_.header(name);
   if (!e) return std::nullopt;
   return e->attr(attr);
 }
 
 void Envelope::replace_header(std::unique_ptr<xml::Element> el) {
-  if (in_parts() && el->name().ns() != ns::kAddressing) {
-    auto& headers = parts_.headers;
+  Parts& parts = mut();
+  // The first header with this name, in document order: the text headers
+  // come first.
+  if (std::string* text = parts.text_header(el->name())) {
+    text->clear();
+  } else {
+    auto& headers = parts.headers;
     auto old = std::find_if(headers.begin(), headers.end(),
                             [&](const auto& h) { return h->name() == el->name(); });
     if (old != headers.end()) headers.erase(old);
-    headers.push_back(std::move(el));
-    return;
   }
-  xml::Element& header = this->header();
-  if (const xml::Element* old = header.child(el->name())) header.remove_child(*old);
-  header.append(std::move(el));
+  parts.headers.push_back(std::move(el));
 }
 
 bool Envelope::is_fault() const {
-  // An empty Body, or stored octets (never a fault).
-  if (in_parts() && parts_.payload.empty()) return false;
   if (const xml::ArenaNode* b = view_body()) {
     const xml::ArenaNode* p = b->first_element();
     return p && p->ns == ns::kEnvelope && p->local == "Fault";
   }
-  const xml::Element* p = payload();
-  return p && p->name() == env_name("Fault");
+  // Stored octets are never a fault.
+  return !view_ && !parts_.payload.empty() &&
+         parts_.payload.front()->name() == env_name("Fault");
 }
 
 Fault Envelope::fault() const {
@@ -392,7 +374,7 @@ void Envelope::throw_if_fault() const {
 }
 
 std::string Envelope::to_xml() const {
-  if (view_ && !root_) return std::string(view_->buffer());
+  if (view_) return std::string(view_->buffer());
   std::string out;
   write_into(out);
   return out;
@@ -400,7 +382,7 @@ std::string Envelope::to_xml() const {
 
 void Envelope::wire_chain(common::BufferChain& chain,
                           std::shared_ptr<std::string>* scratch) const {
-  if (view_ && !root_) {
+  if (view_) {
     // Alias the document so the buffer outlives this envelope.
     chain.append_shared(
         std::shared_ptr<const void>(view_, view_->buffer().data()),
@@ -423,22 +405,19 @@ const std::string& Envelope::canonical_signed_content() const {
   if (signed_cache_) return *signed_cache_;
   static constexpr const char* kSignedHeaders[] = {"To", "Action", "MessageID",
                                                    "RelatesTo"};
+  // Parts are canonicalized from their wire form, so both states sign
+  // exactly what the receiver's view canonicalizes.
+  std::optional<xml::ArenaDocument> written;
+  if (!view_) written.emplace(xml::ArenaDocument::parse(to_xml()));
+  const xml::ArenaNode& root = view_ ? view_->root() : written->root();
   auto out = std::make_unique<std::string>();
-  if (view_ && !root_) {
-    // Canonicalize straight off the arena view — no DOM nodes.
-    if (const xml::ArenaNode* b = view_body()) *out += xml::canonicalize_view(*b);
-    if (const xml::ArenaNode* h = view_header()) {
-      for (const char* name : kSignedHeaders) {
-        if (const xml::ArenaNode* e = h->child(ns::kAddressing, name)) {
-          *out += xml::canonicalize_view(*e);
-        }
-      }
-    }
-  } else {
-    *out = xml::canonicalize(body());
+  if (const xml::ArenaNode* b = root.child(ns::kEnvelope, "Body")) {
+    *out += xml::canonicalize_view(*b);
+  }
+  if (const xml::ArenaNode* h = root.child(ns::kEnvelope, "Header")) {
     for (const char* name : kSignedHeaders) {
-      if (const xml::Element* h = header().child(wsa_name(name))) {
-        *out += xml::canonicalize(*h);
+      if (const xml::ArenaNode* e = h->child(ns::kAddressing, name)) {
+        *out += xml::canonicalize_view(*e);
       }
     }
   }

@@ -43,78 +43,70 @@ class SoapFault : public std::runtime_error {
 /// with `to_xml`, re-parsed with `from_xml`), so every request/response in
 /// both stacks pays real serialization costs.
 ///
-/// Internally an envelope is in one of two states:
-///  - built in-process: until the first DOM access it keeps its parts —
-///    the WS-Addressing text headers as strings, the other header elements
-///    and the payload in lists — and serializes them with one writer pass
-///    inside a fixed Envelope/Header/Body frame. A DOM access (`root()`,
-///    `header()`, `body()`, signing) materializes the classic xml::Element
-///    tree, which from then on is the source of truth.
-///  - wire-backed: owns an immutable xml::ArenaDocument view of the exact
-///    received octets (what from_xml returns). Read accessors answer from the
-///    view, materializing at most the subtree they return; the first
-///    *mutating* access converts the whole view to a DOM.
-/// Both serialize byte-identically to `xml::write` of the materialized tree.
+/// An envelope is in one of two states:
+///  - parts: the WS-Addressing text headers as strings, the other header
+///    elements and the payload in lists, in document order. An envelope
+///    built in-process starts here; reads answer from the parts, and
+///    writing is one writer pass inside a fixed Envelope/Header/Body frame.
+///  - view: an immutable xml::ArenaDocument of the exact received octets
+///    (what from_xml returns). Reads answer from the view, materializing at
+///    most the subtree they return, and an unmutated envelope forwards its
+///    buffer. The first mutation thaws the view into parts: the Header's and
+///    the Body's child elements, in order (the frame and the whitespace
+///    between elements are normalized).
 ///
 /// Pointers returned by accessors stay valid for the envelope's lifetime
-/// (materializing moves elements into the tree, and retired subtrees are
-/// kept alive across state transitions), but reflect the state at the time
-/// of the call — don't hold them across a mutation. Lazy materialization is
-/// not synchronized: like the rest of the tree API, one envelope must not be
-/// accessed from two threads at once.
+/// (subtrees handed out before a state transition are kept alive), but
+/// reflect the state at the time of the call — don't hold them across a
+/// mutation. Lazy materialization is not synchronized: one envelope must
+/// not be accessed from two threads at once.
 class Envelope {
  public:
-  /// An empty envelope with Header and Body. The tree is built on first
-  /// DOM access, so an envelope that is only assigned over costs nothing.
+  /// An empty envelope: an empty Header and Body.
   Envelope() = default;
   Envelope(Envelope&&) noexcept = default;
   Envelope& operator=(Envelope&&) noexcept = default;
   Envelope(const Envelope& other) { *this = other; }
   Envelope& operator=(const Envelope& other);
 
-  xml::Element& root() { return mut(); }
-  const xml::Element& root() const { return dom(); }
-  xml::Element& header();
-  const xml::Element& header() const;
-  xml::Element& body();
-  const xml::Element& body() const;
-
   /// First child element of the Body (the operation payload), or nullptr.
-  /// The const overload answers from the wire view when possible,
-  /// materializing only the payload subtree.
+  /// The const overload answers from the parts (parsing stored octets once)
+  /// or materializes only the payload subtree of a view; the mutable one
+  /// thaws a view into parts.
   const xml::Element* payload() const;
+  xml::Element* payload();
   /// The payload as a read-only view of the envelope's octets, or nullptr
   /// when the Body is empty: no DOM is built. A received envelope answers
-  /// from its wire view; one built in-process is serialized and parsed once
-  /// (it is wire-backed from then on). The view lives until the envelope is
-  /// mutated or destroyed.
+  /// from its wire view; one in parts is serialized and parsed once (it is
+  /// a view from then on). The view lives until the envelope is mutated or
+  /// destroyed.
   const xml::ArenaNode* payload_view() const;
-  xml::Element* payload();
   /// Appends a payload element to the Body and returns it.
   xml::Element& add_payload(xml::QName name);
   void add_payload(std::unique_ptr<xml::Element> el);
   /// Appends an application payload (never a fault) given as serialized
   /// octets, written verbatim. The caller guarantees they are what the
   /// writer would produce at that position (e.g. database octets, which
-  /// round-trip through parse and write); a DOM access parses them.
+  /// round-trip through parse and write); reads parse them.
   void add_payload_octets(std::shared_ptr<const std::string> octets);
 
   // --- WS-Addressing ---------------------------------------------------------
 
-  /// Writes To/Action/MessageID/RelatesTo/ReplyTo headers plus the raw
-  /// reference headers from `info` (moved in when the caller is done with it).
-  /// On a fresh envelope the four text headers stay strings until written.
+  /// Appends To/Action/MessageID/RelatesTo/ReplyTo headers plus the raw
+  /// reference headers from `info` (moved in when the caller is done with
+  /// it) after any headers already present.
   void write_addressing(MessageInfo info);
-  /// Reads the addressing headers back out (inverse of write_addressing).
-  /// From a received envelope the reference headers stay in its wire view
-  /// (see MessageInfo::reference_header).
+  /// Reads the addressing headers back out (inverse of write_addressing):
+  /// each header is its first occurrence. From a received envelope the
+  /// reference headers stay in its wire view (see
+  /// MessageInfo::reference_header).
   MessageInfo read_addressing() const;
 
   /// First header child with this QName, or nullptr; from the wire view
   /// this materializes (and caches) only that header's subtree.
   const xml::Element* header_child(const xml::QName& name) const;
   /// Attribute of the first header child with this QName, matched by local
-  /// name — a fully view-backed read (no DOM nodes on the fast path).
+  /// name — no DOM nodes in either state.
   std::optional<std::string> header_child_attr(const xml::QName& name,
                                                std::string_view attr) const;
   /// Removes the first header child with `el`'s QName, if any, and appends
@@ -146,15 +138,16 @@ class Envelope {
 
   /// Canonical bytes of the signed content — the Body plus the To/Action/
   /// MessageID/RelatesTo headers, in that order (see security/xmlsig.cpp) —
-  /// computed straight from the wire view when available and memoized until
-  /// the envelope is mutated.
+  /// computed from the wire form in both states (so a signature made from
+  /// parts verifies against the received view) and memoized until the
+  /// envelope is mutated.
   const std::string& canonical_signed_content() const;
 
  private:
   explicit Envelope(std::shared_ptr<const xml::ArenaDocument> view)
       : view_(std::move(view)) {}
 
-  /// The parts of an envelope built in-process, in document order.
+  /// The parts, in document order.
   struct Parts {
     std::string to, action, message_id, relates_to;     // wsa text headers
     std::vector<std::unique_ptr<xml::Element>> headers;  // after those
@@ -165,34 +158,31 @@ class Envelope {
       return !to.empty() || !action.empty() || !message_id.empty() ||
              !relates_to.empty() || !headers.empty();
     }
+    /// The text header this QName names, when it holds a value (the parts
+    /// are mutable inside the const Envelope, so readers call this too).
+    std::string* text_header(const xml::QName& name);
+    /// First element of `headers` with this QName, or nullptr.
+    const xml::Element* header(const xml::QName& name) const;
   };
 
-  /// True while the parts are the source of truth (no DOM, no view).
-  bool in_parts() const noexcept { return !root_ && !view_; }
-  /// Moves the parts into a DOM tree: Envelope, Header (text headers, then
-  /// the header list), Body (the payload).
-  std::unique_ptr<xml::Element> build_dom() const;
-  /// Replaces `out` with the octets of an envelope that has parts or a DOM:
-  /// the parts with the direct writer, else xml::write of the tree.
+  /// The parts for a mutation: thaws a view into them, and drops every
+  /// cache derived from the envelope before it.
+  Parts& mut();
+  /// mut(), with stored payload octets parsed into the payload list, so an
+  /// edit of the Body keeps its order.
+  Parts& mut_payload();
+  /// Replaces `out` with the octets the parts write.
   void write_into(std::string& out) const;
-
-  /// Mutable DOM root: materializes if needed, drops the view backing and
-  /// every derived cache (they describe the pre-mutation doc).
-  xml::Element& mut();
-  /// Read-only DOM root: materializes lazily; the view (if any) is kept as
-  /// the still-valid wire form.
-  const xml::Element& dom() const;
-  const xml::ArenaNode* view_body() const;
   const xml::ArenaNode* view_header() const;
+  const xml::ArenaNode* view_body() const;
 
-  // At most one of root_/view_ is the source of truth (neither: the parts
-  // are); root_ is also set lazily (const reads) next to a live view_, in
-  // which case both describe the same bytes.
+  // The view, when set, is the source of truth; otherwise the parts are.
   mutable Parts parts_;
-  mutable std::unique_ptr<xml::Element> root_;
   mutable std::shared_ptr<const xml::ArenaDocument> view_;
 
-  mutable std::unique_ptr<xml::Element> payload_dom_;  // lazy payload subtree
+  // Subtrees built for reads: the payload (a view's, or parsed octets) and
+  // headers (a view's, or text headers as elements).
+  mutable std::unique_ptr<xml::Element> payload_dom_;
   mutable std::vector<std::unique_ptr<xml::Element>> header_cache_;
   mutable std::unique_ptr<std::string> signed_cache_;
   // Subtrees handed out before a state transition; kept alive so earlier

@@ -202,12 +202,13 @@ void MonitorProducer::publish(const std::string& topic,
 }
 
 net::HttpResponse MonitorConsumer::handle(const net::HttpRequest& request) {
-  soap::Envelope env;
+  soap::Envelope parsed;
   try {
-    env = soap::Envelope::from_xml(request.body);
+    parsed = soap::Envelope::from_xml(request.body);
   } catch (const std::exception& e) {
     return net::HttpResponse::error(400, "Bad Request", e.what());
   }
+  const soap::Envelope& env = parsed;  // read-only: builds only the payload
 
   const xml::Element* payload = env.payload();
   bool wrapped = false;

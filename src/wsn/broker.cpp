@@ -166,7 +166,7 @@ soap::EndpointReference BrokerProxy::register_publisher(
   request->append_element(wsnbr("Demand"))
       .set_text(demand_based ? "true" : "false");
 
-  soap::Envelope response =
+  const soap::Envelope response =
       invoke(broker_actions::kRegisterPublisher, std::move(request));
   const xml::Element* epr = response.payload();
   if (!epr || epr->name() != wsnbr("RegistrationEPR")) {

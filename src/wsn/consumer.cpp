@@ -11,12 +11,13 @@ xml::QName wsnt(const char* local) { return {soap::ns::kWsnBase, local}; }
 }  // namespace
 
 net::HttpResponse NotificationConsumer::handle(const net::HttpRequest& request) {
-  soap::Envelope env;
+  soap::Envelope parsed;
   try {
-    env = soap::Envelope::from_xml(request.body);
+    parsed = soap::Envelope::from_xml(request.body);
   } catch (const std::exception& e) {
     return net::HttpResponse::error(400, "Bad Request", e.what());
   }
+  const soap::Envelope& env = parsed;  // read-only: builds only the payload
 
   ReceivedNotification note;
   const xml::Element* payload = env.payload();

@@ -92,7 +92,7 @@ soap::EndpointReference ServiceGroupProxy::add(
     request->append_element(sg("InitialTerminationTime"))
         .set_text(std::to_string(termination_time));
   }
-  soap::Envelope response = invoke(sg_actions::kAdd, std::move(request));
+  const soap::Envelope response = invoke(sg_actions::kAdd, std::move(request));
   const xml::Element* epr = response.payload();
   if (!epr || epr->name() != sg("EntryEPR")) {
     throw soap::SoapFault("Receiver", "malformed Add response");
@@ -101,7 +101,7 @@ soap::EndpointReference ServiceGroupProxy::add(
 }
 
 std::vector<ServiceGroupProxy::Entry> ServiceGroupProxy::entries() {
-  soap::Envelope response = invoke(
+  const soap::Envelope response = invoke(
       sg_actions::kGetEntries, std::make_unique<xml::Element>(sg("GetEntries")));
   std::vector<Entry> out;
   const xml::Element* payload = response.payload();

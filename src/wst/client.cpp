@@ -9,21 +9,24 @@ xml::QName wst(const char* local) { return {soap::ns::kTransfer, local}; }
 TransferProxy::CreateResult TransferProxy::create(
     std::unique_ptr<xml::Element> representation) {
   const soap::Envelope response = invoke(actions::kCreate, std::move(representation));
-  const xml::Element* created = nullptr;
-  for (const xml::Element* el : response.body().child_elements()) {
-    if (el->name() == wst("ResourceCreated")) created = el;
+  // The reply's Body holds ResourceCreated and, optionally, Representation:
+  // read them off the wire view, materializing only what is returned.
+  const xml::ArenaNode* created = nullptr;
+  const xml::ArenaNode* returned = nullptr;
+  for (const xml::ArenaNode* el = response.payload_view(); el; el = el->next) {
+    if (el->kind != xml::NodeKind::kElement || el->ns != soap::ns::kTransfer) continue;
+    if (el->local == "ResourceCreated") created = el;
+    if (el->local == "Representation") returned = el;
   }
   if (!created) throw soap::SoapFault("Receiver", "malformed Create response");
-  const xml::Element* epr_el = created->child(wst("EndpointReference"));
+  const xml::ArenaNode* epr_el = created->child(soap::ns::kTransfer, "EndpointReference");
   if (!epr_el) throw soap::SoapFault("Receiver", "Create response has no EPR");
 
   CreateResult result;
-  result.resource = soap::EndpointReference::from_xml(*epr_el);
-  for (const xml::Element* el : response.body().child_elements()) {
-    if (el->name() == wst("Representation")) {
-      auto kids = el->child_elements();
-      if (!kids.empty()) result.representation = kids.front()->clone_element();
-    }
+  result.resource =
+      soap::EndpointReference::from_xml(*xml::ArenaDocument::to_dom(*epr_el));
+  if (const xml::ArenaNode* doc = returned ? returned->first_element() : nullptr) {
+    result.representation = xml::ArenaDocument::to_dom(*doc);
   }
   return result;
 }

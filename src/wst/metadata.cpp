@@ -105,7 +105,7 @@ void MetadataExtension::register_operation() {
 }
 
 std::map<std::string, xml::Schema> MetadataProxy::get_metadata() {
-  soap::Envelope response = invoke(mex::kGetMetadataAction);
+  const soap::Envelope response = invoke(mex::kGetMetadataAction);
   std::map<std::string, xml::Schema> out;
   const xml::Element* metadata = response.payload();
   if (!metadata) return out;

@@ -12,8 +12,10 @@
 #include "security/bignum.hpp"
 #include "security/sha256.hpp"
 #include "soap/envelope.hpp"
+#include "soap/namespaces.hpp"
 #include "xml/canonical.hpp"
 #include "xml/parser.hpp"
+#include "xml/pull.hpp"
 #include "xml/writer.hpp"
 #include "xml/xpath.hpp"
 
@@ -141,7 +143,7 @@ TEST_P(EnvelopeProperty, AddressingSurvivesTheWire) {
   reply.add_reference_property(xml::QName("urn:impl", "Key"), random_text());
   info.reply_to = reply;
   env.write_addressing(info);
-  env.body().append(random_tree(2));
+  env.add_payload(random_tree(2));
 
   soap::MessageInfo read =
       soap::Envelope::from_xml(env.to_xml()).read_addressing();
@@ -155,10 +157,45 @@ TEST_P(EnvelopeProperty, PayloadSurvivesTheWire) {
   soap::Envelope env;
   auto payload = random_tree(3);
   auto expected = payload->clone_element();
-  env.body().append(std::move(payload));
+  env.add_payload(std::move(payload));
   soap::Envelope back = soap::Envelope::from_xml(env.to_xml());
   ASSERT_NE(back.payload(), nullptr);
   EXPECT_TRUE(xml::Element::deep_equal(*expected, *back.payload()));
+}
+
+TEST_P(EnvelopeProperty, SignedContentOfPartsMatchesTheWire) {
+  // A signature made from an envelope's parts must verify against the view
+  // the receiver parses: both canonicalize to the same bytes, which are
+  // xml::canonicalize of the Body and the four addressing headers.
+  soap::Envelope env;
+  soap::MessageInfo info;
+  info.to = "http://host-" + std::to_string(pick(0, 99)) + "/svc";
+  info.action = "urn:act-" + random_text();
+  info.message_id = "urn:uuid:" + std::to_string(pick(0, 1 << 30));
+  if (pick(0, 1)) info.relates_to = "urn:uuid:" + std::to_string(pick(0, 99));
+  if (pick(0, 1)) {
+    soap::EndpointReference reply("http://reply-" + std::to_string(pick(0, 9)));
+    reply.add_reference_property(xml::QName("urn:impl", "Key"), random_text());
+    info.reply_to = reply;
+  }
+  for (int i = pick(0, 2); i > 0; --i) info.reference_headers.push_back(random_tree(1));
+  env.write_addressing(std::move(info));
+  if (pick(0, 1)) env.add_payload(random_tree(2));
+  if (pick(0, 1)) {
+    env.add_payload_octets(
+        std::make_shared<const std::string>(xml::write(*random_tree(2))));
+  }
+  const std::string wire = env.to_xml();
+
+  auto dom = xml::ArenaDocument::parse(wire).to_dom();
+  std::string expected = xml::canonicalize(*dom->child({soap::ns::kEnvelope, "Body"}));
+  const xml::Element* header = dom->child({soap::ns::kEnvelope, "Header"});
+  for (const char* name : {"To", "Action", "MessageID", "RelatesTo"}) {
+    if (const xml::Element* h = header->child({soap::ns::kAddressing, name}))
+      expected += xml::canonicalize(*h);
+  }
+  EXPECT_EQ(env.canonical_signed_content(), expected) << wire;
+  EXPECT_EQ(soap::Envelope::from_xml(wire).canonical_signed_content(), expected);
 }
 
 // --- base64 / hex -----------------------------------------------------------------

@@ -371,13 +371,38 @@ TEST(XmlSig, DetectsAddressingTampering) {
   SigningFixture fx;
   soap::Envelope env = fx.make_message();
   sign_envelope(env, fx.alice);
-  // Redirect the To header after signing: replay-style attack.
-  soap::Envelope received = soap::Envelope::from_xml(env.to_xml());
-  xml::Element* to = received.header().child(
-      xml::QName(soap::ns::kAddressing, "To"));
-  ASSERT_NE(to, nullptr);
-  to->set_text("http://evil/svc");
-  EXPECT_THROW(verify_envelope(received, fx.ca.root(), 500), SecurityError);
+  // Redirect the To header after signing: replay-style attack, on the wire
+  // and on the signed envelope itself.
+  std::string wire = env.to_xml();
+  const std::string to = "http://host/svc";
+  wire.replace(wire.find(to), to.size(), "http://evil/svc");
+  EXPECT_THROW(verify_envelope(soap::Envelope::from_xml(wire), fx.ca.root(), 500),
+               SecurityError);
+  auto evil = std::make_unique<xml::Element>(soap::ns::kAddressing, "To");
+  evil->set_text("http://evil/svc");
+  env.replace_header(std::move(evil));
+  EXPECT_THROW(verify_envelope(env, fx.ca.root(), 500), SecurityError);
+}
+
+TEST(XmlSig, TamperAfterVerifyIsDetectedInBothStates) {
+  // A verify memoizes the signed content; any later mutation must drop it,
+  // whether the envelope was built (parts) or received (view).
+  SigningFixture fx;
+  soap::Envelope built = fx.make_message();
+  sign_envelope(built, fx.alice);
+  soap::Envelope received = soap::Envelope::from_xml(built.to_xml());
+  for (soap::Envelope* env : {&built, &received}) {
+    EXPECT_NO_THROW(verify_envelope(*env, fx.ca.root(), 500));
+    env->payload()->set_text("tampered");
+    EXPECT_THROW(verify_envelope(*env, fx.ca.root(), 500), SecurityError);
+  }
+  soap::Envelope relayed = fx.make_message();
+  sign_envelope(relayed, fx.alice);
+  EXPECT_NO_THROW(verify_envelope(relayed, fx.ca.root(), 500));
+  soap::MessageInfo extra;
+  extra.relates_to = "urn:uuid:forged";
+  relayed.write_addressing(std::move(extra));  // the first RelatesTo now
+  EXPECT_THROW(verify_envelope(relayed, fx.ca.root(), 500), SecurityError);
 }
 
 TEST(XmlSig, RejectsUnsignedMessage) {
@@ -403,12 +428,11 @@ TEST(XmlSig, ResigningReplacesHeader) {
   env.payload()->set_text("v2");
   sign_envelope(env, fx.alice);  // re-sign after mutation
   EXPECT_NO_THROW(verify_envelope(env, fx.ca.root(), 500));
-  // Only one Security header present.
-  int count = 0;
-  for (const auto* el : env.header().child_elements()) {
-    if (el->name().local() == "Security") ++count;
-  }
-  EXPECT_EQ(count, 1);
+  // Only one Security header on the wire.
+  const std::string wire = env.to_xml();
+  const std::string open = "<wsse:Security";
+  EXPECT_EQ(wire.find(open), wire.rfind(open)) << wire;
+  EXPECT_NE(wire.find(open), std::string::npos);
 }
 
 // --- TLS-lite -----------------------------------------------------------------------

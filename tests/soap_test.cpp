@@ -10,9 +10,10 @@ namespace {
 
 TEST(Envelope, FreshEnvelopeHasHeaderAndBody) {
   Envelope env;
-  EXPECT_EQ(env.header().name(), xml::QName(ns::kEnvelope, "Header"));
-  EXPECT_EQ(env.body().name(), xml::QName(ns::kEnvelope, "Body"));
+  const std::string wire = env.to_xml();
+  EXPECT_NE(wire.find("<soap:Header/><soap:Body/>"), std::string::npos) << wire;
   EXPECT_EQ(env.payload(), nullptr);
+  EXPECT_EQ(Envelope::from_xml(wire).payload(), nullptr);
 }
 
 TEST(Envelope, PayloadAccess) {
