@@ -18,12 +18,20 @@
 // load case reads one of 256 cached documents per call, each thread
 // walking its own sequence of ids.
 //
+// The two wal_get cases read the same 256 documents straight from a
+// WalBackend over memory devices — what a WS-Transfer Get reaches through
+// XmlDatabase::load_octets — so they size the engine's table mutex, the
+// last lock both request threads write on that path. The _with_put case
+// runs one more thread that rewrites those documents with put() for the
+// whole case, so group-commit batch apply holds the same mutex.
+//
 // Hand-rolled main (one timed loop per case, median of 3 repetitions).
 // Prints ns/call and writes BENCH_request_overhead.json with one record per
 // (call, threads): ns_per_call and threads. Not gated.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <barrier>
 #include <chrono>
 #include <cstdio>
@@ -41,6 +49,8 @@
 #include "telemetry/trace.hpp"
 #include "xmldb/backend.hpp"
 #include "xmldb/database.hpp"
+#include "xmldb/log_device.hpp"
+#include "xmldb/wal.hpp"
 
 namespace {
 
@@ -50,6 +60,8 @@ struct Case {
   const char* name;
   long iterations;                    // per thread
   std::function<void()> call;
+  /// Runs on its own thread, in a loop, for as long as the case is timed.
+  std::function<void()> background = {};
 };
 
 /// Mean ns/call across `threads` threads that start together and each run
@@ -106,6 +118,17 @@ int main() {
     db.store("Counter", ids.back(), doc);
   }
 
+  xmldb::WalBackend wal(std::make_shared<xmldb::MemoryLogDevice>(),
+                        std::make_shared<xmldb::MemoryLogDevice>());
+  const std::string octets =
+      "<n1:Counter xmlns:n1=\"http://gridstacks.dev/counter\">"
+      "<n1:cv>42</n1:cv></n1:Counter>";
+  for (const std::string& id : ids) wal.put("Counter", id, octets);
+  auto wal_get = [&] {
+    thread_local std::size_t next = 0;
+    benchmark::DoNotOptimize(wal.get("Counter", ids[next++ % ids.size()]));
+  };
+
   const std::vector<Case> cases = {
       {"span_scope", 200'000,
        [] { telemetry::SpanScope span("http.receive", "net"); }},
@@ -130,11 +153,24 @@ int main() {
          thread_local std::size_t next = 0;
          benchmark::DoNotOptimize(db.load("Counter", ids[next++ % ids.size()]));
        }},
+      {"wal_get", 200'000, wal_get},
+      {"wal_get_with_put", 200'000, wal_get,
+       [&] {
+         static std::size_t next = 0;
+         wal.put("Counter", ids[next++ % ids.size()], octets);
+       }},
   };
 
   std::printf("request overhead (ns/call, median of 3):\n");
   std::printf("  %-24s %10s %10s\n", "call", "1 thread", "2 threads");
   for (const Case& c : cases) {
+    std::atomic<bool> stop{false};
+    std::thread background;
+    if (c.background) {
+      background = std::thread([&] {
+        while (!stop.load(std::memory_order_relaxed)) c.background();
+      });
+    }
     double row[2];
     for (int threads : {1, 2}) {
       std::vector<double> reps;
@@ -146,6 +182,8 @@ int main() {
           c.iterations * threads, {}, 0.0,
           {{"ns_per_call", reps[1]}, {"threads", threads}});
     }
+    stop = true;
+    if (background.joinable()) background.join();
     std::printf("  %-24s %10.1f %10.1f\n", c.name, row[0], row[1]);
   }
 

@@ -72,7 +72,8 @@ if [[ "${CONCURRENCY:-0}" == "1" ]]; then
 elif [[ "$TSAN_ONLY" == "1" ]]; then
   # Thread sanitizer runs the suites that exercise shared state under
   # threads: telemetry (sharded counters, span/event rings, monitor
-  # pub/sub), reliability (delivery queues + pools under faults),
+  # pub/sub), reliability (retries, injected faults, delivery eviction and
+  # the thread pool's task accounting),
   # concurrency (registry pins, per-resource locks, the 8-thread hammer),
   # scheduler (two-phase passes against JobRunner exit callbacks), and the
   # wire fast path (thread-local probes and scratch buffers, refcounted

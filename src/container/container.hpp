@@ -5,8 +5,8 @@
 // verification when configured), dispatch (wsa:Action -> operation) — over
 // the storage binding shared by the deployed services. One Container per
 // simulated host; it is a net::Endpoint, so it mounts on the virtual
-// network and on the real TCP HttpServer alike. Deployments may compose
-// their own chain (Container::chain / set_chain) before taking traffic.
+// network and on the real TCP HttpServer alike. Deployments may add stages
+// to the chain (Container::chain) before taking traffic.
 #pragma once
 
 #include <chrono>
@@ -84,10 +84,9 @@ class Container final : public net::Endpoint {
   const ServiceRegistry& registry() const noexcept { return registry_; }
   const ContainerMetrics& metrics() const noexcept { return metrics_; }
 
-  /// The request pipeline. Edit or replace at deployment time only —
-  /// running requests read the chain unsynchronized.
+  /// The request pipeline. Edit at deployment time only — running requests
+  /// read the chain unsynchronized.
   HandlerChain& chain() noexcept { return chain_; }
-  void set_chain(HandlerChain chain) { chain_ = std::move(chain); }
   /// The standard pipeline: parse, telemetry, lifetime-sweep, resolve,
   /// security, dispatch.
   static HandlerChain default_chain();

@@ -91,20 +91,6 @@ HandlerChain& HandlerChain::insert_after(std::string_view name,
   return *this;
 }
 
-bool HandlerChain::remove(std::string_view name) {
-  size_t at = index_of(name);
-  if (at == handlers_.size()) return false;
-  handlers_.erase(handlers_.begin() + static_cast<long>(at));
-  return true;
-}
-
-std::vector<std::string> HandlerChain::names() const {
-  std::vector<std::string> out;
-  out.reserve(handlers_.size());
-  for (const auto& h : handlers_) out.emplace_back(h->name());
-  return out;
-}
-
 void HandlerChain::run(PipelineContext& ctx) const { run_from(ctx, 0); }
 
 void HandlerChain::run_from(PipelineContext& ctx, size_t index) const {

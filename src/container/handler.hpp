@@ -5,8 +5,8 @@
 // shared storage. The chain makes that pipeline first-class: each stage is
 // a Handler that runs work on the way in, invokes the rest of the chain,
 // and sees the response on the way out (how signing and trace echo
-// naturally wrap the inner stages). Deployments can reorder, remove, or
-// insert stages per container without touching the core.
+// naturally wrap the inner stages). Deployments can append or insert
+// stages per container without touching the core.
 //
 // Default order (Container::default_chain):
 //   parse -> telemetry -> lifetime-sweep -> resolve -> security -> dispatch
@@ -103,11 +103,6 @@ class HandlerChain {
                               std::shared_ptr<Handler> handler);
   HandlerChain& insert_after(std::string_view name,
                              std::shared_ptr<Handler> handler);
-  /// Removes the named stage; false when absent.
-  bool remove(std::string_view name);
-
-  std::vector<std::string> names() const;
-  size_t size() const noexcept { return handlers_.size(); }
 
   void run(PipelineContext& ctx) const;
 

@@ -80,10 +80,10 @@ WstCounterClient::WstCounterClient(net::SoapCaller& caller,
       resource_(caller_, soap::EndpointReference(counter_address), security_) {}
 
 soap::EndpointReference WstCounterClient::create() {
-  wst::TransferProxy::CreateResult result =
-      resource_.create(CounterCore::make_document(0));
-  resource_.retarget(result.resource);
-  return result.resource;
+  soap::EndpointReference epr =
+      resource_.create(CounterCore::make_document(0)).resource;
+  resource_.retarget(epr);
+  return epr;
 }
 
 void WstCounterClient::attach(soap::EndpointReference epr) {

@@ -11,18 +11,6 @@ DeliveryQueue::DeliveryQueue(Config config) : config_(std::move(config)) {
   }
 }
 
-DeliveryQueue::~DeliveryQueue() {
-  std::unique_lock lock(mu_);
-  stopping_ = true;
-  for (auto& [destination, route] : routes_) route.backlog.clear();
-  cv_idle_.wait(lock, [this] {
-    for (const auto& [destination, route] : routes_) {
-      if (route.draining) return false;
-    }
-    return true;
-  });
-}
-
 bool DeliveryQueue::deliver(const std::string& destination,
                             const soap::Envelope& envelope) {
   auto started = std::chrono::steady_clock::now();
@@ -45,6 +33,11 @@ bool DeliveryQueue::deliver(const std::string& destination,
   return ok;
 }
 
+void DeliveryQueue::dead_letter_locked() {
+  ++dead_lettered_;
+  if (config_.dead_letters) config_.dead_letters->add();
+}
+
 void DeliveryQueue::dead_letter_event(const std::string& destination,
                                       const char* reason) {
   if (!config_.events) return;
@@ -53,151 +46,48 @@ void DeliveryQueue::dead_letter_event(const std::string& destination,
                        {{"destination", destination}, {"reason", reason}});
 }
 
-void DeliveryQueue::eviction_event(const std::string& destination,
-                                   std::size_t dropped) {
+void DeliveryQueue::eviction_event(const std::string& destination) {
   if (!config_.events) return;
   config_.events->emit(
       telemetry::Level::kError, config_.component, "destination evicted",
       {{"destination", destination},
        {"consecutive_failures",
-        std::to_string(config_.evict_after_consecutive_failures)},
-       {"backlog_dropped", std::to_string(dropped)}});
-}
-
-std::size_t DeliveryQueue::evict_locked(Route& route) {
-  route.evicted = true;
-  std::size_t dropped = route.backlog.size();
-  route.backlog.clear();
-  dead_lettered_ += dropped;
-  if (config_.dead_letters && dropped > 0)
-    config_.dead_letters->add(dropped);
-  if (config_.evictions) config_.evictions->add();
-  return dropped;
+        std::to_string(config_.evict_after_consecutive_failures)}});
 }
 
 DeliveryQueue::Submit DeliveryQueue::submit(const std::string& destination,
-                                            soap::Envelope envelope) {
-  if (!config_.pool) {
-    // Inline mode: one call sequence on the submitting thread.
-    bool evict_now = false;
-    bool rejected_evicted = false;
-    {
-      std::lock_guard lock(mu_);
-      Route& route = routes_[destination];
-      if (route.evicted) {
-        ++dead_lettered_;
-        if (config_.dead_letters) config_.dead_letters->add();
-        rejected_evicted = true;
-      }
-    }
-    if (rejected_evicted) {
-      dead_letter_event(destination, "destination evicted");
-      return Submit::kRejected;
-    }
-    bool ok = deliver(destination, envelope);
-    {
-      std::lock_guard lock(mu_);
-      Route& route = routes_[destination];
-      if (ok) {
-        route.consecutive_failures = 0;
-        return Submit::kDelivered;
-      }
-      ++dead_lettered_;
-      if (config_.dead_letters) config_.dead_letters->add();
-      ++route.consecutive_failures;
-      if (config_.evict_after_consecutive_failures > 0 && !route.evicted &&
-          route.consecutive_failures >= config_.evict_after_consecutive_failures) {
-        evict_locked(route);
-        evict_now = true;
-      }
-    }
-    dead_letter_event(destination, "delivery failed");
-    if (evict_now) {
-      eviction_event(destination, 0);
-      if (config_.on_evict) config_.on_evict(destination);
-    }
-    return Submit::kRejected;
-  }
-
-  bool start_drain = false;
-  const char* reject_reason = nullptr;
+                                            const soap::Envelope& envelope) {
+  bool was_evicted = false;
   {
     std::lock_guard lock(mu_);
-    if (stopping_) return Submit::kRejected;
-    Route& route = routes_[destination];
-    if (route.evicted ||
-        route.backlog.size() >= config_.max_queued_per_destination) {
-      ++dead_lettered_;
-      if (config_.dead_letters) config_.dead_letters->add();
-      reject_reason = route.evicted ? "destination evicted" : "backlog full";
-    } else {
-      route.backlog.push_back(std::move(envelope));
-      if (!route.draining) {
-        route.draining = true;
-        start_drain = true;
-      }
-    }
+    was_evicted = routes_[destination].evicted;
+    if (was_evicted) dead_letter_locked();
   }
-  if (reject_reason) {
-    dead_letter_event(destination, reject_reason);
+  if (was_evicted) {
+    dead_letter_event(destination, "destination evicted");
     return Submit::kRejected;
   }
-  if (start_drain) {
-    config_.pool->submit([this, destination] { drain(destination); });
-  }
-  return Submit::kQueued;
-}
-
-void DeliveryQueue::drain(const std::string& destination) {
-  for (;;) {
-    soap::Envelope envelope;
-    {
-      std::lock_guard lock(mu_);
-      Route& route = routes_[destination];
-      if (route.backlog.empty() || stopping_) {
-        route.draining = false;
-        cv_idle_.notify_all();
-        return;
-      }
-      envelope = std::move(route.backlog.front());
-      route.backlog.pop_front();
+  bool ok = deliver(destination, envelope);
+  bool evict_now = false;
+  {
+    std::lock_guard lock(mu_);
+    Route& route = routes_[destination];
+    if (ok) {
+      route.consecutive_failures = 0;
+      return Submit::kDelivered;
     }
-    bool ok = deliver(destination, envelope);
-    bool evict_now = false;
-    std::size_t dropped = 0;
-    {
-      std::lock_guard lock(mu_);
-      Route& route = routes_[destination];
-      if (ok) {
-        route.consecutive_failures = 0;
-      } else {
-        ++dead_lettered_;
-        if (config_.dead_letters) config_.dead_letters->add();
-        ++route.consecutive_failures;
-        if (config_.evict_after_consecutive_failures > 0 && !route.evicted &&
-            route.consecutive_failures >=
-                config_.evict_after_consecutive_failures) {
-          dropped = evict_locked(route);
-          evict_now = true;
-        }
-      }
-    }
-    if (!ok) dead_letter_event(destination, "delivery failed");
-    if (evict_now) {
-      eviction_event(destination, dropped);
-      if (config_.on_evict) config_.on_evict(destination);
+    dead_letter_locked();
+    ++route.consecutive_failures;
+    if (config_.evict_after_consecutive_failures > 0 && !route.evicted &&
+        route.consecutive_failures >= config_.evict_after_consecutive_failures) {
+      route.evicted = true;
+      if (config_.evictions) config_.evictions->add();
+      evict_now = true;
     }
   }
-}
-
-void DeliveryQueue::flush() {
-  std::unique_lock lock(mu_);
-  cv_idle_.wait(lock, [this] {
-    for (const auto& [destination, route] : routes_) {
-      if (route.draining || !route.backlog.empty()) return false;
-    }
-    return true;
-  });
+  dead_letter_event(destination, "delivery failed");
+  if (evict_now) eviction_event(destination);
+  return Submit::kRejected;
 }
 
 bool DeliveryQueue::evicted(const std::string& destination) const {
@@ -217,15 +107,6 @@ void DeliveryQueue::reinstate(const std::string& destination) {
 std::uint64_t DeliveryQueue::dead_lettered() const {
   std::lock_guard lock(mu_);
   return dead_lettered_;
-}
-
-std::size_t DeliveryQueue::queued() const {
-  std::lock_guard lock(mu_);
-  std::size_t total = 0;
-  for (const auto& [destination, route] : routes_) {
-    total += route.backlog.size();
-  }
-  return total;
 }
 
 }  // namespace gs::net

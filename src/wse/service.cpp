@@ -164,8 +164,6 @@ NotificationManager::NotificationManager(SubscriptionStore& store,
       clock_(clock),
       queue_(net::DeliveryQueue::Config{
           .caller = &sink_caller,
-          .pool = options.pool,
-          .max_queued_per_destination = options.max_queued_per_sink,
           .evict_after_consecutive_failures = options.evict_after_failures,
           .delivered = &telemetry::MetricsRegistry::global().counter("wse.events"),
           .failures = &telemetry::MetricsRegistry::global().counter(
@@ -176,7 +174,6 @@ NotificationManager::NotificationManager(SubscriptionStore& store,
               "wse.sinks_evicted"),
           .dead_letters =
               &telemetry::MetricsRegistry::global().counter("wse.dead_letters"),
-          .on_evict = {},
           .events = &telemetry::EventLog::global(),
           .component = "wse.delivery",
       }) {}
@@ -197,7 +194,7 @@ size_t NotificationManager::notify(const std::string& topic,
     env.write_addressing(std::move(info));
     xml::Element& end = env.add_payload(wse("SubscriptionEnd"));
     end.append_element(wse("Status")).set_text("SourceCancelling");
-    queue_.submit(ended.end_to.address(), std::move(env));
+    queue_.submit(ended.end_to.address(), env);
   }
 
   size_t delivered = 0;
@@ -216,7 +213,7 @@ size_t NotificationManager::notify(const std::string& topic,
     telemetry::SpanScope span("wse.deliver", "delivery");
     telemetry::write_trace_header(env, span.context());
     net::DeliveryQueue::Submit result =
-        queue_.submit(sub.notify_to.address(), std::move(env));
+        queue_.submit(sub.notify_to.address(), env);
     if (result != net::DeliveryQueue::Submit::kRejected) ++delivered;
   }
   return delivered;

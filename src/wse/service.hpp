@@ -67,15 +67,12 @@ class EventSourceService : public container::Service {
 /// event source to trigger notifications".
 class NotificationManager {
  public:
-  /// Delivery-reliability knobs. Defaults preserve the historical shape:
-  /// inline synchronous delivery, no eviction. With a pool, delivery fans
-  /// out asynchronously per sink; with a threshold, a sink that fails that
-  /// many consecutive call sequences is evicted (wse.sinks_evicted, dead
-  /// messages tallied in wse.dead_letters). Wrap `sink_caller` in a
+  /// Delivery reliability. Delivery is inline on the publishing thread.
+  /// With a threshold, a sink that fails that many consecutive call
+  /// sequences is evicted (wse.sinks_evicted, dead messages tallied in
+  /// wse.dead_letters); the default never evicts. Wrap `sink_caller` in a
   /// net::RetryingCaller to retry transport failures within each sequence.
   struct Options {
-    common::ThreadPool* pool = nullptr;
-    std::size_t max_queued_per_sink = 64;
     int evict_after_failures = 0;  // consecutive; 0 = never evict
   };
 
@@ -87,14 +84,10 @@ class NotificationManager {
   /// Delivers `event` to every live subscription whose filter accepts
   /// (topic, event), through the per-sink delivery queue. `action` is the
   /// wsa:Action stamped on the event messages. Returns the number
-  /// delivered (inline) or accepted for delivery (pooled). Expired
-  /// subscriptions are purged and their EndTo sinks receive
-  /// SubscriptionEnd.
+  /// delivered. Expired subscriptions are purged and their EndTo sinks
+  /// receive SubscriptionEnd.
   size_t notify(const std::string& topic, const xml::Element& event,
                 const std::string& action);
-
-  /// Barrier for pooled delivery; immediate when inline.
-  void flush() { queue_.flush(); }
 
   /// The reliability queue (eviction state, dead-letter tally,
   /// reinstating a sink after re-subscribe).

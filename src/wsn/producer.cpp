@@ -22,15 +22,12 @@ NotificationProducer::NotificationProducer(Config config, TopicNamespace topics)
   telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::global();
   queue_ = std::make_unique<net::DeliveryQueue>(net::DeliveryQueue::Config{
       .caller = config_.sink_caller,
-      .pool = config_.delivery_pool,
-      .max_queued_per_destination = config_.max_queued_per_subscriber,
       .evict_after_consecutive_failures = config_.evict_after_failures,
       .delivered = &registry.counter("wsn.notifications"),
       .failures = &registry.counter("wsn.delivery_failures"),
       .deliver_us = &registry.histogram("wsn.deliver_us"),
       .evictions = &registry.counter("wsn.subscribers_evicted"),
       .dead_letters = &registry.counter("wsn.dead_letters"),
-      .on_evict = {},
       .events = &telemetry::EventLog::global(),
       .component = "wsn.delivery",
   });
@@ -180,7 +177,7 @@ size_t NotificationProducer::notify(const std::string& topic,
     // unreachable consumer still cannot fail the publish or starve the
     // other subscribers.
     net::DeliveryQueue::Submit result =
-        queue_->submit(sub.consumer.address(), std::move(env));
+        queue_->submit(sub.consumer.address(), env);
     if (result != net::DeliveryQueue::Submit::kRejected) ++delivered;
   }
   return delivered;

@@ -36,13 +36,10 @@ class NotificationProducer {
     const common::Clock* clock = &common::RealClock::instance();
 
     // --- delivery reliability -------------------------------------------------
-    // All delivery routes through a per-subscriber net::DeliveryQueue. The
-    // defaults preserve the historical shape: inline synchronous delivery,
-    // no eviction. Wire a pool for async fan-out and a threshold to shed
-    // sinks that stay dark (counted as wsn.subscribers_evicted, with every
-    // undeliverable message tallied in wsn.dead_letters).
-    common::ThreadPool* delivery_pool = nullptr;
-    std::size_t max_queued_per_subscriber = 64;
+    // All delivery routes through a per-subscriber net::DeliveryQueue, inline
+    // on the publishing thread. Set a threshold to shed sinks that stay dark
+    // (counted as wsn.subscribers_evicted, with every undeliverable message
+    // tallied in wsn.dead_letters); the default never evicts.
     int evict_after_failures = 0;  // consecutive; 0 = never evict
   };
 
@@ -56,14 +53,9 @@ class NotificationProducer {
   /// Publishes: evaluates every live subscription's filter against
   /// (topic, payload, producer_properties) and delivers to the accepting,
   /// non-paused ones through the delivery queue. Returns the number
-  /// delivered (inline mode) or accepted for delivery (pooled mode) —
-  /// evicted subscribers count as neither.
+  /// delivered; failed and evicted subscribers do not count.
   size_t notify(const std::string& topic, const xml::Element& payload,
                 const xml::Element* producer_properties = nullptr);
-
-  /// Blocks until every accepted notification has been delivered or
-  /// dead-lettered (a barrier for pooled delivery; immediate inline).
-  void flush_delivery() { queue_->flush(); }
 
   /// The reliability queue (tests inspect eviction state through this).
   net::DeliveryQueue& delivery_queue() noexcept { return *queue_; }

@@ -7,7 +7,8 @@
 // MemoryLogDevice's seeded kill points; "reboot" means constructing a
 // fresh engine over what the crash left durable. FileLogDevice gets an
 // append/sync/reset round trip across reopens in a temporary directory, and
-// a recovery that must fail when its log file is gone or unreadable.
+// a recovery that must fail when its log file is gone or unreadable; the
+// file engine (WalBackend::open) gets a reopen after compaction.
 #include <gtest/gtest.h>
 
 #include <stdlib.h>
@@ -133,6 +134,47 @@ TEST(FileLogDevice, UnreadableLogFailsRecovery) {
   std::filesystem::create_directory(log_path);
   EXPECT_THROW(log->contents(), LogDeviceError);
   EXPECT_THROW({ WalBackend wal(log, snapshot); }, LogDeviceError);
+}
+
+// The file engine a deployment would run: wal.log and wal.snap under one
+// directory. A small compaction threshold splits the documents between the
+// snapshot and the log, with an overwrite and a remove of snapshot
+// documents in the log after the last compaction. A fresh open of the
+// directory returns every document byte for byte.
+TEST(Wal, OpenRecoversEveryDocumentFromLogAndSnapshotFiles) {
+  TempDir dir;
+  const std::filesystem::path engine = dir.path / "engine";
+  const WalOptions options{.compact_threshold_bytes = 1024};
+  std::map<std::string, std::string> expected;
+  {
+    std::unique_ptr<WalBackend> wal = WalBackend::open(engine, options);
+    for (int i = 0; i < 12; ++i) {
+      std::string id = "d" + std::to_string(i);
+      std::string octets = "<doc n=\"" + std::to_string(i) + "\">" +
+                           std::string(150, static_cast<char>('a' + i)) +
+                           "\xc3\xa9\r\n</doc>";
+      wal->put("docs", id, octets);
+      expected[id] = octets;
+    }
+    ASSERT_GE(wal->stats().compactions, 1u);
+    wal->put("docs", "d0", "<doc>rewritten</doc>");
+    expected["d0"] = "<doc>rewritten</doc>";
+    ASSERT_TRUE(wal->remove("docs", "d1"));
+    expected.erase("d1");
+    EXPECT_GT(wal->log_bytes(), 0u);
+    EXPECT_GT(wal->snapshot_bytes(), 0u);
+  }
+  EXPECT_GT(std::filesystem::file_size(engine / "wal.log"), 0u);
+  EXPECT_GT(std::filesystem::file_size(engine / "wal.snap"), 0u);
+
+  std::unique_ptr<WalBackend> reopened = WalBackend::open(engine, options);
+  EXPECT_GT(reopened->stats().recovered_records, 0u);
+  EXPECT_EQ(reopened->stats().corrupt_records, 0u);
+  EXPECT_EQ(reopened->list("docs").size(), expected.size());
+  EXPECT_FALSE(reopened->contains("docs", "d1"));
+  for (const auto& [id, octets] : expected) {
+    EXPECT_EQ(reopened->get("docs", id), octets) << id;
+  }
 }
 
 // --- the WAL engine itself ---------------------------------------------------------

@@ -282,8 +282,6 @@ TEST(DeliveryQueue, InlineModeEvictsAfterConsecutiveFailures) {
   DeliveryQueue queue(
       {.caller = &sink, .evict_after_consecutive_failures = 3});
   std::string dest = "http://dark/s";
-  std::string evicted_dest;
-  // (on_evict is only settable at construction; exercise the accessor path.)
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(queue.submit(dest, make_message("m")),
               DeliveryQueue::Submit::kRejected);
@@ -299,7 +297,6 @@ TEST(DeliveryQueue, InlineModeEvictsAfterConsecutiveFailures) {
   EXPECT_EQ(queue.submit(dest, make_message("back")),
             DeliveryQueue::Submit::kDelivered);
   EXPECT_EQ(sink.texts, (std::vector<std::string>{"back"}));
-  (void)evicted_dest;
 }
 
 TEST(DeliveryQueue, SuccessResetsTheFailureStreak) {
@@ -313,64 +310,6 @@ TEST(DeliveryQueue, SuccessResetsTheFailureStreak) {
   queue.submit(dest, make_message("3"));  // success -> streak resets
   queue.submit(dest, make_message("4"));  // success
   EXPECT_FALSE(queue.evicted(dest));
-}
-
-TEST(DeliveryQueue, PooledModeDrainsInOrderPerDestination) {
-  common::ThreadPool pool(3);
-  ScriptedCaller sink;
-  DeliveryQueue queue({.caller = &sink, .pool = &pool});
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(queue.submit("http://c/s", make_message(std::to_string(i))),
-              DeliveryQueue::Submit::kQueued);
-  }
-  queue.flush();
-  EXPECT_EQ(sink.texts, (std::vector<std::string>{"0", "1", "2", "3", "4", "5",
-                                                  "6", "7"}));
-}
-
-TEST(DeliveryQueue, PooledModeBoundsTheBacklog) {
-  common::ThreadPool pool(1);
-  // Blocks the first delivery until released, so submits pile up.
-  class BlockingCaller final : public SoapCaller {
-   public:
-    soap::Envelope call(const std::string&, const soap::Envelope&) override {
-      std::unique_lock lock(mu);
-      ++in_flight;
-      cv.notify_all();
-      cv.wait(lock, [this] { return released; });
-      soap::Envelope response;
-      response.add_payload(xml::QName("urn:t", "Ok"));
-      return response;
-    }
-    void wait_in_flight() {
-      std::unique_lock lock(mu);
-      cv.wait(lock, [this] { return in_flight > 0; });
-    }
-    void release() {
-      std::lock_guard lock(mu);
-      released = true;
-      cv.notify_all();
-    }
-    std::mutex mu;
-    std::condition_variable cv;
-    int in_flight = 0;
-    bool released = false;
-  } sink;
-
-  DeliveryQueue queue(
-      {.caller = &sink, .pool = &pool, .max_queued_per_destination = 2});
-  EXPECT_EQ(queue.submit("http://c/s", make_message("0")),
-            DeliveryQueue::Submit::kQueued);
-  sink.wait_in_flight();  // "0" popped off the backlog, delivery blocked
-  EXPECT_EQ(queue.submit("http://c/s", make_message("1")),
-            DeliveryQueue::Submit::kQueued);
-  EXPECT_EQ(queue.submit("http://c/s", make_message("2")),
-            DeliveryQueue::Submit::kQueued);
-  EXPECT_EQ(queue.submit("http://c/s", make_message("3")),
-            DeliveryQueue::Submit::kRejected);  // backlog full
-  EXPECT_EQ(queue.dead_lettered(), 1u);
-  sink.release();
-  queue.flush();
 }
 
 TEST(DeliveryQueue, RequiresACaller) {
@@ -528,48 +467,6 @@ TEST(Reliability, HardPartitionEvictsSubscriberAfterConsecutiveFailures) {
   // so one more publish delivers to c once and dark twice.
   EXPECT_EQ(fx.producer->notify("job/done", *ev), 3u);
   EXPECT_TRUE(fx.dark_consumer.wait_for(2, 1000));
-}
-
-TEST(Reliability, PooledDeliveryFansOutAndFlushes) {
-  common::ThreadPool pool(2);
-  common::ManualClock clock{1000};
-  net::VirtualNetwork net;
-  xmldb::XmlDatabase db{std::make_unique<xmldb::MemoryBackend>(), {}};
-  container::Container container{{.clock = &clock}};
-  wsrf::ResourceHome sub_home{db, "subs", &container.lifetime()};
-  SubscriptionManagerService manager(sub_home, "http://p/Subscriptions");
-  container::Service source("Source");
-  net::VirtualCaller caller(net, {});
-  net::VirtualCaller sink(net, {.keep_alive = false});
-  TopicNamespace topics;
-  topics.add("job/done");
-  NotificationProducer producer(
-      NotificationProducer::Config{.sink_caller = &sink,
-                                   .producer_address = "http://p/Source",
-                                   .manager = &manager,
-                                   .clock = &clock,
-                                   .delivery_pool = &pool},
-      std::move(topics));
-  producer.register_into(source);
-  container.deploy("/Source", source);
-  container.deploy("/Subscriptions", manager);
-  NotificationConsumer consumer;
-  net.bind("p", container);
-  net.bind("c", consumer);
-
-  Filter f;
-  f.set_topic(
-      TopicExpression::parse(TopicExpression::Dialect::kConcrete, "job/done"));
-  NotificationProducerProxy proxy(caller,
-                                  soap::EndpointReference("http://p/Source"));
-  proxy.subscribe(soap::EndpointReference("http://c/sink"), f);
-
-  auto ev = std::make_unique<xml::Element>(app("Event"));
-  size_t accepted = 0;
-  for (int i = 0; i < 10; ++i) accepted += producer.notify("job/done", *ev);
-  EXPECT_EQ(accepted, 10u);  // pooled mode: accepted, not yet delivered
-  producer.flush_delivery();
-  EXPECT_TRUE(consumer.wait_for(10, 1000));
 }
 
 }  // namespace
