@@ -2,7 +2,8 @@
 // its own telemetry over a different stack — WS-Notification from one,
 // WS-Eventing from the other — into a MonitorConsumer per stack. The
 // monitoring traffic itself rides the delivery queues and retry machinery,
-// including through an injected 20%-drop route.
+// including through an injected 20%-drop route. Each container's alerts
+// come from one-tick threshold objectives judged on its sampled series.
 //
 // On exit the run dumps a Chrome trace (open chrome://tracing or
 // https://ui.perfetto.dev and load the printed path) plus the event log.
@@ -18,6 +19,8 @@
 #include "telemetry/event_log.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/monitor.hpp"
+#include "telemetry/slo.hpp"
+#include "telemetry/timeseries.hpp"
 #include "telemetry/trace.hpp"
 #include "wse/service.hpp"
 #include "wsn/consumer.hpp"
@@ -103,24 +106,39 @@ int main() {
   net.set_fault_policy("ops-wse", {.drop_probability = 0.2, .seed = 43});
   std::printf("subscribed a MonitorConsumer per stack; both routes drop 20%%\n\n");
 
+  // Each producer samples its registry into a series store every tick and
+  // judges a one-tick threshold objective (0 ms windows: this tick's
+  // point) on it: A's request rate, B's dispatch p99 in µs.
+  telemetry::TimeSeriesStore series_a({.registry = &registry_a, .clock = &clock});
+  telemetry::TimeSeriesStore series_b({.registry = &registry_b, .clock = &clock});
+  telemetry::SloTracker slo_a(&series_a, &clock);
+  telemetry::SloTracker slo_b(&series_b, &clock);
+  slo_a.add_objective({.name = "request-surge",
+                       .kind = telemetry::SloObjective::Kind::kThreshold,
+                       .series = "app.requests",
+                       .threshold = 100.0,
+                       .short_window_ms = 0,
+                       .long_window_ms = 0});
+  slo_b.add_objective({.name = "slow-dispatch",
+                       .kind = telemetry::SloObjective::Kind::kThreshold,
+                       .series = "app.dispatch.p99",
+                       .threshold = 5000.0,
+                       .short_window_ms = 0,
+                       .long_window_ms = 0});
   telemetry::MonitorProducer producer_a({.registry = &registry_a,
                                          .producer_address = "http://grid-a/Source",
                                          .wsn = &wsn_producer,
                                          .clock = &clock,
-                                         .interval_ms = 1000});
+                                         .interval_ms = 1000,
+                                         .series = &series_a,
+                                         .slo = &slo_a});
   telemetry::MonitorProducer producer_b({.registry = &registry_b,
                                          .producer_address = "http://grid-b/Events",
                                          .wse = &notifier,
                                          .clock = &clock,
-                                         .interval_ms = 1000});
-  producer_a.add_rule({.name = "request-surge",
-                       .metric = "app.requests",
-                       .kind = telemetry::AlertRule::Kind::kCounterRate,
-                       .threshold = 100.0});
-  producer_b.add_rule({.name = "slow-dispatch",
-                       .metric = "app.dispatch",
-                       .kind = telemetry::AlertRule::Kind::kHistogramP99,
-                       .threshold = 5000.0});
+                                         .interval_ms = 1000,
+                                         .series = &series_b,
+                                         .slo = &slo_b});
 
   // --- simulate three monitoring intervals of grid activity ----------------
   for (int interval = 1; interval <= 3; ++interval) {

@@ -34,8 +34,8 @@
 // a container.inflight gauge, and an edge-triggered "shedding engaged" /
 // "shedding released" EventLog pair (one event per episode, not per
 // rejection — a shedding container must not drown its own event ring).
-// Point a telemetry::AlertRule at container.shed_total to surface
-// engagement through the PR-4 monitor.
+// A one-tick telemetry::SloObjective (kThreshold on container.shed_total,
+// 0 ms windows) surfaces engagement through the MonitorProducer.
 #pragma once
 
 #include <cstddef>

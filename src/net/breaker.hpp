@@ -19,8 +19,9 @@
 // Metrics: net.breaker_opened (transitions to open), net.breaker_closed
 // (recoveries), net.breaker_fast_fails (calls refused while open),
 // net.breaker_probes (half-open trial calls), and a net.breaker_open_routes
-// gauge — alert rules on net.breaker_opened surface collapse through the
-// PR-4 monitor from the client side too.
+// gauge — a one-tick threshold objective (telemetry/slo.hpp) on
+// net.breaker_opened surfaces collapse through the MonitorProducer from
+// the client side too.
 #pragma once
 
 #include <cstdint>

@@ -60,7 +60,8 @@ DeliveryQueue::Submit DeliveryQueue::submit(const std::string& destination,
   bool was_evicted = false;
   {
     std::lock_guard lock(mu_);
-    was_evicted = routes_[destination].evicted;
+    auto it = routes_.find(destination);
+    was_evicted = it != routes_.end() && it->second.evicted;
     if (was_evicted) dead_letter_locked();
   }
   if (was_evicted) {
@@ -71,11 +72,14 @@ DeliveryQueue::Submit DeliveryQueue::submit(const std::string& destination,
   bool evict_now = false;
   {
     std::lock_guard lock(mu_);
-    Route& route = routes_[destination];
     if (ok) {
-      route.consecutive_failures = 0;
+      // A healthy destination needs no route: a route with no failures
+      // that is not evicted behaves as none, so the table holds only
+      // destinations with a live failure streak.
+      routes_.erase(destination);
       return Submit::kDelivered;
     }
+    Route& route = routes_[destination];
     dead_letter_locked();
     ++route.consecutive_failures;
     if (config_.evict_after_consecutive_failures > 0 && !route.evicted &&
@@ -98,10 +102,12 @@ bool DeliveryQueue::evicted(const std::string& destination) const {
 
 void DeliveryQueue::reinstate(const std::string& destination) {
   std::lock_guard lock(mu_);
-  auto it = routes_.find(destination);
-  if (it == routes_.end()) return;
-  it->second.evicted = false;
-  it->second.consecutive_failures = 0;
+  routes_.erase(destination);
+}
+
+std::size_t DeliveryQueue::routes() const {
+  std::lock_guard lock(mu_);
+  return routes_.size();
 }
 
 std::uint64_t DeliveryQueue::dead_lettered() const {

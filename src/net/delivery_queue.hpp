@@ -8,7 +8,8 @@
 // destination (a subscriber's sink address) keeps a failure streak; one
 // that fails `evict_after_consecutive_failures` sequences in a row is
 // evicted: further submits are rejected cheaply and dead-lettered, and the
-// eviction counter increments.
+// eviction counter increments. Only such destinations are tracked: a
+// successful delivery forgets its destination's streak.
 #pragma once
 
 #include <cstdint>
@@ -65,6 +66,8 @@ class DeliveryQueue {
   void reinstate(const std::string& destination);
 
   std::uint64_t dead_lettered() const;
+  /// Destinations with a failure streak or an eviction on record.
+  std::size_t routes() const;
 
  private:
   struct Route {

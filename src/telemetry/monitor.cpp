@@ -18,21 +18,20 @@ namespace {
 xml::QName t(const char* local) { return {kTelemetryNs, local}; }
 xml::QName wsnt(const char* local) { return {soap::ns::kWsnBase, local}; }
 
-// One <t:Alert>. Threshold rules end it with the tick's seq, SLO
-// transitions with whether the objective is firing.
-std::unique_ptr<xml::Element> alert_element(
-    const std::string& producer, const std::string& rule,
-    const std::string& metric, double value, double threshold,
-    const char* last_attr, const std::string& last_value, std::string text) {
+// Every <t:Alert>: one objective's transition, with rule = "slo:<name>",
+// value = the short-window burn and threshold = the burn it was judged
+// against (burn is already normalized to budget).
+std::unique_ptr<xml::Element> alert_element(const std::string& producer,
+                                            const SloAlert& transition) {
   auto alert = std::make_unique<xml::Element>(t("Alert"));
   alert->declare_prefix("t", kTelemetryNs);
   alert->set_attr("producer", producer);
-  alert->set_attr("rule", rule);
-  alert->set_attr("metric", metric);
-  alert->set_attr("value", format_us(value));
-  alert->set_attr("threshold", format_us(threshold));
-  alert->set_attr(last_attr, last_value);
-  alert->set_text(std::move(text));
+  alert->set_attr("rule", "slo:" + transition.objective);
+  alert->set_attr("metric", "slo." + transition.objective + ".burn");
+  alert->set_attr("value", format_us(transition.burn_short));
+  alert->set_attr("threshold", format_us(transition.burn_threshold));
+  alert->set_attr("firing", transition.firing ? "true" : "false");
+  alert->set_text(transition.detail);
   return alert;
 }
 
@@ -68,32 +67,28 @@ MonitorProducer::MonitorProducer(Config config) : config_(std::move(config)) {
   }
 }
 
-void MonitorProducer::add_rule(AlertRule rule) {
-  std::lock_guard lock(mu_);
-  rules_.push_back(std::move(rule));
-  rule_breached_.push_back(false);
-}
-
 void MonitorProducer::tick() {
-  // Retention first: the series the SLOs judge must include this tick's
-  // interval. Both calls synchronize internally and never take mu_.
-  if (config_.series) config_.series->sample();
+  // Retention first: the objectives judge the series at the instant it
+  // was sampled. sample() synchronizes internally and never takes mu_.
+  std::optional<common::TimeMs> sampled;
+  if (config_.series) sampled = config_.series->sample();
 
   std::unique_ptr<xml::Element> snapshot_el;
-  std::vector<std::unique_ptr<xml::Element>> alert_els;
+  common::TimeMs now;
   {
     std::lock_guard lock(mu_);
     MetricsSnapshot now_snap = config_.registry->snapshot();
     MetricsSnapshot d = delta(last_, now_snap);
     last_ = std::move(now_snap);
     ++seq_;
-    last_cycle_ = config_.clock->now();
+    now = config_.clock->now();
+    last_cycle_ = now;
 
     snapshot_el = std::make_unique<xml::Element>(t("TelemetrySnapshot"));
     snapshot_el->declare_prefix("t", kTelemetryNs);
     snapshot_el->set_attr("producer", config_.producer_address);
     snapshot_el->set_attr("seq", std::to_string(seq_));
-    snapshot_el->set_attr("ts_ms", std::to_string(*last_cycle_));
+    snapshot_el->set_attr("ts_ms", std::to_string(now));
     for (const auto& [name, value] : d.counters) {
       xml::Element& el = snapshot_el->append_element(t("Counter"));
       el.set_attr("name", name);
@@ -108,62 +103,23 @@ void MonitorProducer::tick() {
     for (const auto& [name, h] : d.histograms) {
       append_histogram(*snapshot_el, name, h);
     }
-
-    // Threshold rules fire edge-triggered: one alert when a rule starts
-    // breaching, re-armed only after a clean tick — a stuck-high metric
-    // does not flood subscribers with one alert per interval.
-    for (std::size_t i = 0; i < rules_.size(); ++i) {
-      const AlertRule& rule = rules_[i];
-      double value = 0.0;
-      switch (rule.kind) {
-        case AlertRule::Kind::kCounterRate: {
-          auto it = d.counters.find(rule.metric);
-          value = it == d.counters.end() ? 0.0
-                                         : static_cast<double>(it->second);
-          break;
-        }
-        case AlertRule::Kind::kHistogramP99: {
-          auto it = d.histograms.find(rule.metric);
-          value = (it == d.histograms.end() || it->second.count == 0)
-                      ? 0.0
-                      : it->second.percentile(99);
-          break;
-        }
-      }
-      bool breached = value > rule.threshold;
-      if (breached && !rule_breached_[i]) {
-        alert_els.push_back(alert_element(
-            config_.producer_address, rule.name, rule.metric, value,
-            rule.threshold, "seq", std::to_string(seq_),
-            "rule '" + rule.name + "' breached: " + rule.metric + " = " +
-                format_us(value) + " > " + format_us(rule.threshold)));
-        ++alerts_fired_;
-      }
-      rule_breached_[i] = breached;
-    }
   }
 
-  // SLO burn rates are judged on the freshly-sampled series. Transitions
-  // leave as the same `<t:Alert>` shape threshold rules use, so consumers
-  // need no new handling: rule = "slo:<objective>", value = the short
-  // burn, threshold = 1 (burn is already normalized to budget).
+  std::vector<SloAlert> transitions;
   if (config_.slo) {
-    for (const SloAlert& slo_alert : config_.slo->evaluate()) {
-      alert_els.push_back(alert_element(
-          config_.producer_address, "slo:" + slo_alert.objective,
-          "slo." + slo_alert.objective + ".burn", slo_alert.burn_short, 1.0,
-          "firing", slo_alert.firing ? "true" : "false", slo_alert.detail));
-      std::lock_guard lock(mu_);
-      ++alerts_fired_;
-    }
+    transitions = config_.slo->evaluate(sampled.value_or(now));
+    std::lock_guard lock(mu_);
+    alerts_fired_ += transitions.size();
   }
 
   // Publishing happens outside mu_: delivery may block on retries, and it
   // records into the very registry the next tick will snapshot.
   publish(kTelemetryTopic, *snapshot_el, snapshot_action());
-  for (const auto& alert : alert_els) {
+  for (const SloAlert& transition : transitions) {
+    auto alert = alert_element(config_.producer_address, transition);
     EventLog::global().emit(
-        Level::kWarn, "telemetry.monitor", "alert fired",
+        transition.firing ? Level::kWarn : Level::kInfo, "telemetry.monitor",
+        transition.firing ? "alert fired" : "alert recovered",
         {{"producer", config_.producer_address},
          {"rule", *alert->attr("rule")},
          {"metric", *alert->attr("metric")},

@@ -9,8 +9,11 @@
 // publishes it on the `gs:Telemetry` topic through wsn and/or wse — so
 // monitoring traffic rides the same delivery queues, retries, and eviction
 // machinery as application traffic, including under injected faults.
-// Threshold rules turn deltas into `gs:Telemetry/Alert` notifications
-// (edge-triggered: one alert per breach, re-armed when the rule clears).
+// Alerts come from one engine, an SloTracker judging the TimeSeriesStore
+// the tick samples: each objective's transitions (one when it starts
+// firing, one when it recovers) leave as `gs:Telemetry/Alert`
+// notifications. A one-tick threshold rule is a kThreshold objective
+// with 0 ms windows.
 //
 // MonitorConsumer is the other end: a network endpoint that accepts
 // snapshot/alert messages from either stack (wrapped wsn Notify or raw
@@ -49,19 +52,6 @@ std::string alert_action();
 /// the wsn::NotificationProducer that will carry telemetry.
 wsn::TopicNamespace monitor_topics();
 
-/// Threshold rule evaluated against each tick's delta.
-struct AlertRule {
-  enum class Kind {
-    kCounterRate,    // counter increments this tick > threshold
-    kHistogramP99,   // p99 of samples recorded this tick > threshold (µs)
-  };
-
-  std::string name;    // stamped into the alert ("dispatch-latency")
-  std::string metric;  // registry name ("container.faults")
-  Kind kind = Kind::kCounterRate;
-  double threshold = 0.0;
-};
-
 class MonitorProducer {
  public:
   struct Config {
@@ -79,19 +69,18 @@ class MonitorProducer {
     /// Optional retention: each tick also samples this store, so series
     /// history advances on the same cadence as published snapshots.
     TimeSeriesStore* series = nullptr;
-    /// Optional judgment: each tick evaluates these objectives (after
-    /// sampling `series`) and publishes burn-rate transitions as
+    /// Optional judgment: each tick evaluates these objectives at the
+    /// instant it sampled `series` and publishes their transitions as
     /// `gs:Telemetry/Alert` notifications on both stacks, with an EventLog
-    /// entry per transition.
+    /// entry per transition (Warn when firing, Info on recovery).
     SloTracker* slo = nullptr;
   };
 
   explicit MonitorProducer(Config config);
 
-  void add_rule(AlertRule rule);
-
-  /// One monitoring cycle: snapshot → delta → publish snapshot on both
-  /// stacks → evaluate rules → publish newly-breached alerts.
+  /// One monitoring cycle: sample `series` → snapshot → delta → evaluate
+  /// objectives → publish the snapshot, then each transition, on both
+  /// stacks.
   void tick();
 
   /// tick() if `interval_ms` elapsed since the last cycle (per the
@@ -111,8 +100,6 @@ class MonitorProducer {
   MetricsSnapshot last_;
   std::uint64_t seq_ = 0;
   std::uint64_t alerts_fired_ = 0;
-  std::vector<AlertRule> rules_;
-  std::vector<bool> rule_breached_;  // edge-trigger latch, parallel to rules_
   std::optional<common::TimeMs> last_cycle_;
 };
 
@@ -129,7 +116,7 @@ class MonitorConsumer final : public net::Endpoint {
     std::map<std::string, std::uint64_t> counter_totals;
     std::map<std::string, std::int64_t> gauges;
     std::map<std::string, double> histogram_p99_us;
-    std::string last_alert;  // most recent rule name, empty if none
+    std::string last_alert;  // most recent alert's rule, empty if none
     common::TimeMs last_ts_ms = 0;  // producer clock of the last snapshot
   };
 

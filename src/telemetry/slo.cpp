@@ -52,15 +52,15 @@ double SloTracker::error_ratio(const SloObjective& objective,
       double total = good + bad;
       return total <= 0.0 ? 0.0 : bad / total;
     }
-    case SloObjective::Kind::kLatency: {
-      TimeSeriesStore::Window w = series_->query(
-          objective.latency_metric + ".p99", now - window_ms, now);
+    case SloObjective::Kind::kThreshold: {
+      TimeSeriesStore::Window w =
+          series_->query(objective.series, now - window_ms, now);
       if (w.points.empty()) return 0.0;
-      std::size_t slow = 0;
+      std::size_t over = 0;
       for (const SeriesPoint& p : w.points) {
-        if (p.value > objective.threshold_us) ++slow;
+        if (p.value > objective.threshold) ++over;
       }
-      return static_cast<double>(slow) / static_cast<double>(w.points.size());
+      return static_cast<double>(over) / static_cast<double>(w.points.size());
     }
   }
   return 0.0;
@@ -81,8 +81,7 @@ SloStatus SloTracker::evaluate_locked(const SloObjective& objective,
   return s;
 }
 
-std::vector<SloAlert> SloTracker::evaluate() {
-  common::TimeMs now = clock_->now();
+std::vector<SloAlert> SloTracker::evaluate(common::TimeMs now) {
   std::lock_guard lock(mu_);
   std::vector<SloAlert> transitions;
   for (std::size_t i = 0; i < objectives_.size(); ++i) {
@@ -94,11 +93,12 @@ std::vector<SloAlert> SloTracker::evaluate() {
     alert.firing = s.firing;
     alert.burn_short = s.burn_short;
     alert.burn_long = s.burn_long;
+    alert.burn_threshold = objectives_[i].burn_threshold;
     alert.detail = "slo '" + s.objective +
                    (s.firing ? "' burning: " : "' recovered: ") + "burn short=" +
                    format_burn(s.burn_short) + " long=" +
                    format_burn(s.burn_long) + " threshold=" +
-                   format_burn(objectives_[i].burn_threshold);
+                   format_burn(alert.burn_threshold);
     transitions.push_back(std::move(alert));
   }
   return transitions;

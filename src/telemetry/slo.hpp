@@ -1,8 +1,7 @@
-// Service-level objectives evaluated as multi-window burn rates over the
-// TimeSeriesStore.
+// Service-level objectives evaluated as burn rates over the
+// TimeSeriesStore: the monitoring plane's one alert engine.
 //
-// A single threshold rule (PR 4's AlertRule) fires on one bad tick; an
-// objective asks the operator's real question — "are we spending error
+// An objective asks the operator's question — "are we spending error
 // budget fast enough to miss the target?". Burn rate is the standard SRE
 // formulation:
 //
@@ -10,16 +9,19 @@
 //
 // evaluated over TWO windows: a short one for detection speed and a long
 // one to reject blips. An objective fires only when BOTH windows burn
-// above the threshold, and alerts are edge-triggered transitions (one on
-// fire, one on clear), mirroring the monitor's latch discipline so a
-// stuck-bad objective cannot flood subscribers.
+// above the threshold. Alerts are edge-triggered transitions through one
+// latch per objective (one on fire, one on recovery), so a stuck-bad
+// objective cannot flood subscribers.
 //
 //   * kAvailability: error ratio = bad / (good + bad), where good and bad
 //     are counter-rate series (samples-weighted sums over the window) —
 //     e.g. good = container.admitted, bad = container.shed_* + faults.
-//   * kLatency: error ratio = fraction of the window's intervals whose
-//     `latency_metric`.p99 point exceeded threshold_us (interval-level
-//     SLIs; an empty-interval gap counts as good).
+//   * kThreshold: error ratio = fraction of the window's points of
+//     `series` above `threshold` (an empty window counts as good). On a
+//     histogram's `<name>.p99` series this is a latency objective. With
+//     both windows at 0 ms it is a one-tick threshold rule: the query is
+//     inclusive at both ends, so the window holds only the point sampled
+//     at `now`, and any breach burns at 1 / (1 - target).
 //
 // The tracker only reads; firing side effects (EventLog entries, wsn/wse
 // Alert publication) belong to the MonitorProducer driving evaluate().
@@ -36,7 +38,7 @@
 namespace gs::telemetry {
 
 struct SloObjective {
-  enum class Kind { kAvailability, kLatency };
+  enum class Kind { kAvailability, kThreshold };
 
   std::string name;  // stamped into alerts ("availability")
   Kind kind = Kind::kAvailability;
@@ -45,10 +47,11 @@ struct SloObjective {
   std::string good_metric;
   std::vector<std::string> bad_metrics;
 
-  /// kLatency: histogram base name (the `.p99` series is consulted) and
-  /// the per-interval threshold.
-  std::string latency_metric;
-  double threshold_us = 0.0;
+  /// kThreshold: the series judged point by point ("app.requests" for a
+  /// counter rate, "container.dispatch_us.p99" for a latency) and the
+  /// value a point must exceed to count as bad.
+  std::string series;
+  double threshold = 0.0;
 
   /// SLO target as a fraction of good outcomes (0.999 = "three nines");
   /// allowed error ratio is 1 - target.
@@ -77,6 +80,7 @@ struct SloAlert {
   bool firing = false;  // true = started breaching, false = recovered
   double burn_short = 0.0;
   double burn_long = 0.0;
+  double burn_threshold = 0.0;  // the objective's, judged against
   std::string detail;
 };
 
@@ -87,9 +91,11 @@ class SloTracker {
 
   void add_objective(SloObjective objective);
 
-  /// Evaluates every objective against the store's current windows and
+  /// Evaluates every objective over the windows ending at `now` and
   /// returns the TRANSITIONS since the previous call (edge-triggered).
-  std::vector<SloAlert> evaluate();
+  /// Pass the instant the store last sampled: a later clock read would
+  /// miss that point in a 0 ms window.
+  std::vector<SloAlert> evaluate(common::TimeMs now);
 
   /// Current burn rates per objective, without touching the latches.
   std::vector<SloStatus> status() const;

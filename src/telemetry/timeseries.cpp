@@ -63,8 +63,10 @@ void TimeSeriesStore::push_locked(const std::string& name, SeriesPoint p) {
   }
 }
 
-void TimeSeriesStore::sample() {
-  sample_snapshot(config_.registry->snapshot(), config_.clock->now());
+common::TimeMs TimeSeriesStore::sample() {
+  common::TimeMs now = config_.clock->now();
+  sample_snapshot(config_.registry->snapshot(), now);
+  return now;
 }
 
 bool TimeSeriesStore::poll() {

@@ -86,8 +86,9 @@ class TimeSeriesStore {
   explicit TimeSeriesStore(TimeSeriesConfig config);
 
   /// One sampling cycle: snapshot the registry at the clock's current
-  /// time, append a point per metric.
-  void sample();
+  /// time, append a point per metric. Returns the instant stamped on the
+  /// points.
+  common::TimeMs sample();
 
   /// sample() if `interval_ms` elapsed since the last cycle; returns
   /// whether a cycle ran. No internal thread — call from any periodic

@@ -7,8 +7,9 @@
 // MemoryLogDevice's seeded kill points; "reboot" means constructing a
 // fresh engine over what the crash left durable. FileLogDevice gets an
 // append/sync/reset round trip across reopens in a temporary directory, and
-// a recovery that must fail when its log file is gone or unreadable; the
-// file engine (WalBackend::open) gets a reopen after compaction.
+// a recovery that must fail when its log file is gone or unreadable, and a
+// write failure (on /dev/full) that fails the device; the file engine
+// (WalBackend::open) gets a reopen after compaction.
 #include <gtest/gtest.h>
 
 #include <stdlib.h>
@@ -134,6 +135,18 @@ TEST(FileLogDevice, UnreadableLogFailsRecovery) {
   std::filesystem::create_directory(log_path);
   EXPECT_THROW(log->contents(), LogDeviceError);
   EXPECT_THROW({ WalBackend wal(log, snapshot); }, LogDeviceError);
+}
+
+// A write the medium refuses: /dev/full fails every write with ENOSPC.
+// The first append throws, and the device has failed, so every later
+// append and sync throws too. (Never read /dev/full: reads never end.)
+TEST(FileLogDevice, WriteFailureFailsTheDevice) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  xmldb::FileLogDevice device("/dev/full");
+  EXPECT_THROW(device.append("record"), LogDeviceError);
+  EXPECT_THROW(device.append("next"), LogDeviceError);
+  EXPECT_THROW(device.sync(), LogDeviceError);
+  EXPECT_EQ(device.size(), 0u);
 }
 
 // The file engine a deployment would run: wal.log and wal.snap under one

@@ -1,9 +1,10 @@
 // Tests for the push-based monitoring layer: MonitorProducer snapshots and
-// threshold alerts delivered over BOTH stacks through a 30%-drop route, the
+// objective alerts delivered over BOTH stacks through a 30%-drop route, the
 // Chrome trace export for a distributed gridbox request, and adopt_remote
 // trace propagation across a brokered-notification hop.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <cstring>
 #include <filesystem>
@@ -39,13 +40,16 @@ xml::QName app(const char* local) { return {"urn:app", local}; }
 // ---------------------------------------------------------------------------
 // Dual-stack monitoring fixture: one MonitorProducer publishing the same
 // registry over wsn AND wse, one MonitorConsumer per stack, each reached
-// through its own faulty route.
+// through its own faulty route. The producer samples `series` and judges
+// the objectives added to `slo` on every tick.
 // ---------------------------------------------------------------------------
 
 struct MonitorFixture {
   common::ManualClock clock{1000};
   net::VirtualNetwork net;
   MetricsRegistry registry;  // local: deltas independent of global activity
+  TimeSeriesStore series{{.registry = &registry, .clock = &clock}};
+  SloTracker slo{&series, &clock};
 
   // --- wsn producer side (container at "p") ---
   xmldb::XmlDatabase db{std::make_unique<xmldb::MemoryBackend>(), {}};
@@ -126,6 +130,8 @@ struct MonitorFixture {
         .wse = notifier.get(),
         .clock = &clock,
         .interval_ms = 1000,
+        .series = &series,
+        .slo = &slo,
     });
   }
 
@@ -137,43 +143,51 @@ struct MonitorFixture {
 
 // The issue's acceptance scenario: across routes dropping 30% of exchanges
 // (seeded, deterministic), a MonitorConsumer on each stack still receives
-// every snapshot and exactly one threshold alert — monitoring traffic rides
-// the same retry machinery as application traffic.
+// every snapshot and exactly one fire and one recovery of a one-tick
+// threshold objective — monitoring traffic rides the same retry machinery
+// as application traffic.
 TEST(Monitor, EachStackDeliversSnapshotsAndOneAlertThroughFaultyRoute) {
   MonitorFixture fx;
   fx.subscribe_both();
   fx.net.set_fault_policy("cw", {.drop_probability = 0.3, .seed = 1234});
   fx.net.set_fault_policy("ce", {.drop_probability = 0.3, .seed = 4321});
 
-  fx.producer->add_rule({.name = "high-request-rate",
-                         .metric = "app.requests",
-                         .kind = AlertRule::Kind::kCounterRate,
-                         .threshold = 10.0});
+  fx.slo.add_objective({.name = "high-request-rate",
+                        .kind = SloObjective::Kind::kThreshold,
+                        .series = "app.requests",
+                        .threshold = 10.0,
+                        .short_window_ms = 0,
+                        .long_window_ms = 0});
 
   std::uint64_t warns_before = EventLog::global().count(Level::kWarn);
 
+  // One tick per second, so the store's counter rate is the tick's delta.
   Counter& requests = fx.registry.counter("app.requests");
-  fx.producer->tick();  // delta 0: quiet
+  auto tick = [&] {
+    fx.clock.advance(1000);
+    fx.producer->tick();
+  };
+  tick();  // first sample: no rate yet, quiet
   requests.add(5);
-  fx.producer->tick();  // delta 5: under threshold
+  tick();  // 5/s: under threshold
   requests.add(20);
-  fx.producer->tick();  // delta 20: breach -> the one alert
+  tick();  // 20/s: breach -> fires
   requests.add(20);
-  fx.producer->tick();  // delta 20: still breached, latched -> no alert
+  tick();  // 20/s: still breached, latched -> no alert
   requests.add(2);
-  fx.producer->tick();  // delta 2: clean tick re-arms the rule
+  tick();  // 2/s: recovers -> the recovery alert
 
   EXPECT_EQ(fx.producer->snapshots_published(), 5u);
-  EXPECT_EQ(fx.producer->alerts_fired(), 1u);
+  EXPECT_EQ(fx.producer->alerts_fired(), 2u);
 
   for (MonitorConsumer* monitor : {&fx.wsn_monitor, &fx.wse_monitor}) {
     EXPECT_TRUE(monitor->wait_for_snapshots(3, 0));
     EXPECT_EQ(monitor->snapshot_count(), 5u);
-    EXPECT_EQ(monitor->alert_count(), 1u);
+    EXPECT_EQ(monitor->alert_count(), 2u);
     auto state = monitor->state_for("http://p/Source");
     ASSERT_TRUE(state.has_value());
     EXPECT_EQ(state->last_seq, 5u);
-    EXPECT_EQ(state->last_alert, "high-request-rate");
+    EXPECT_EQ(state->last_alert, "slo:high-request-rate");
     EXPECT_EQ(state->counter_totals.at("app.requests"), 47u);
   }
   // Each consumer saw its own stack's framing, never the other's.
@@ -182,18 +196,23 @@ TEST(Monitor, EachStackDeliversSnapshotsAndOneAlertThroughFaultyRoute) {
   EXPECT_GT(fx.wse_monitor.state_for("http://p/Source")->via_wse, 0u);
   EXPECT_EQ(fx.wse_monitor.state_for("http://p/Source")->via_wsn, 0u);
 
-  // The alert and the injected faults both landed in the event log.
+  // The alert, its recovery and the injected faults all landed in the
+  // event log.
   EXPECT_GT(EventLog::global().count(Level::kWarn), warns_before);
-  bool saw_alert = false, saw_fault = false;
+  bool saw_alert = false, saw_recovery = false, saw_fault = false;
   for (const Event& e : EventLog::global().snapshot()) {
     if (e.component == "telemetry.monitor" && e.message == "alert fired") {
       saw_alert = true;
+    }
+    if (e.component == "telemetry.monitor" && e.message == "alert recovered") {
+      saw_recovery = e.level == Level::kInfo;
     }
     if (e.component == "net.fabric" && e.message == "injected fault") {
       saw_fault = true;
     }
   }
   EXPECT_TRUE(saw_alert);
+  EXPECT_TRUE(saw_recovery);
   EXPECT_TRUE(saw_fault);
 }
 
@@ -228,8 +247,9 @@ class CapturingConsumer final : public net::Endpoint {
   }
 };
 
-// One ManualClock tick publishes a snapshot, a threshold alert and an SLO
-// alert; their octets are wire contract for every consumer.
+// One ManualClock tick publishes a snapshot and the firing alerts of a
+// one-tick threshold objective and an availability objective; their
+// octets are wire contract for every consumer.
 TEST(Monitor, SnapshotAndAlertOctetsArePinned) {
   MonitorFixture fx;
   CapturingConsumer cap;
@@ -241,6 +261,12 @@ TEST(Monitor, SnapshotAndAlertOctetsArePinned) {
   series_config.clock = &fx.clock;
   TimeSeriesStore series(series_config);
   SloTracker slo(&series, &fx.clock);
+  slo.add_objective({.name = "high-request-rate",
+                     .kind = SloObjective::Kind::kThreshold,
+                     .series = "app.requests",
+                     .threshold = 10.0,
+                     .short_window_ms = 0,
+                     .long_window_ms = 0});
   SloObjective availability;
   availability.name = "availability";
   availability.good_metric = "svc.ok";
@@ -253,6 +279,10 @@ TEST(Monitor, SnapshotAndAlertOctetsArePinned) {
     series.ingest("svc.ok", s * 1000, 10.0);
     series.ingest("svc.err", s * 1000, 10.0);
   }
+  // The store rates counters from its second sample on: prime it one
+  // second before the tick, so the tick's point is 20 requests/s.
+  fx.clock.set(9'000);
+  series.sample();
   fx.clock.set(10'000);
 
   fx.registry.counter("app.requests").add(20);
@@ -266,10 +296,6 @@ TEST(Monitor, SnapshotAndAlertOctetsArePinned) {
                             .clock = &fx.clock,
                             .series = &series,
                             .slo = &slo});
-  producer.add_rule({.name = "high-request-rate",
-                     .metric = "app.requests",
-                     .kind = AlertRule::Kind::kCounterRate,
-                     .threshold = 10.0});
   producer.tick();
 
   ASSERT_EQ(cap.payloads.size(), 3u);
@@ -283,9 +309,10 @@ TEST(Monitor, SnapshotAndAlertOctetsArePinned) {
             R"( p99_us="128.0"/></t:TelemetrySnapshot>)");
   EXPECT_EQ(cap.payloads[1],
             R"(<t:Alert xmlns:t="http://gridstacks.dev/telemetry")"
-            R"( producer="http://p/Source" rule="high-request-rate")"
-            R"( metric="app.requests" value="20.0" threshold="10.0" seq="1">)"
-            R"(rule 'high-request-rate' breached: app.requests = 20.0 &gt; 10.0)"
+            R"( producer="http://p/Source" rule="slo:high-request-rate")"
+            R"( metric="slo.high-request-rate.burn" value="1000.0")"
+            R"( threshold="1.0" firing="true">slo 'high-request-rate')"
+            R"( burning: burn short=1000.00 long=1000.00 threshold=1.00)"
             R"(</t:Alert>)");
   EXPECT_EQ(cap.payloads[2],
             R"(<t:Alert xmlns:t="http://gridstacks.dev/telemetry")"
@@ -295,6 +322,74 @@ TEST(Monitor, SnapshotAndAlertOctetsArePinned) {
             R"( long=5.00 threshold=1.00</t:Alert>)");
   EXPECT_EQ(cap.consumer.snapshot_count(), 1u);
   EXPECT_EQ(cap.consumer.alert_count(), 2u);
+}
+
+// An alert's threshold attribute is the burn its objective was judged
+// against, not a constant.
+TEST(Monitor, AlertThresholdIsTheObjectivesBurnThreshold) {
+  MonitorFixture fx;
+  CapturingConsumer cap;
+  fx.net.bind("cap", cap);
+  cap.consumer.subscribe_wse(*fx.caller, "http://s/Events", "http://cap/sink");
+  fx.slo.add_objective({.name = "availability",
+                        .good_metric = "svc.ok",
+                        .bad_metrics = {"svc.err"},
+                        .target = 0.9,
+                        .short_window_ms = 3000,
+                        .long_window_ms = 10'000,
+                        .burn_threshold = 2.0});
+  for (int s = 1; s <= 10; ++s) {
+    fx.series.ingest("svc.ok", s * 1000, 10.0);
+    fx.series.ingest("svc.err", s * 1000, 10.0);
+  }
+  fx.clock.set(10'000);
+  fx.producer->tick();
+
+  ASSERT_EQ(cap.payloads.size(), 2u);  // the snapshot, then the alert
+  EXPECT_NE(cap.payloads[1].find(R"( rule="slo:availability")"
+                                 R"( metric="slo.availability.burn")"
+                                 R"( value="5.0" threshold="2.0")"
+                                 R"( firing="true">)"),
+            std::string::npos)
+      << cap.payloads[1];
+}
+
+// Reads 1 ms later on every now(), as a real clock moves between reads.
+class SteppingClock final : public common::Clock {
+ public:
+  explicit SteppingClock(common::TimeMs start) : next_(start) {}
+  common::TimeMs now() const override { return next_++; }
+
+ private:
+  mutable std::atomic<common::TimeMs> next_;
+};
+
+// A 0 ms window holds only the point sampled at its instant, so the
+// producer judges objectives at the instant the store stamped — a second
+// clock read would find the window empty and never fire.
+TEST(Monitor, OneTickThresholdObjectiveJudgesTheSampledInstant) {
+  SteppingClock clock(1000);
+  MetricsRegistry registry;
+  TimeSeriesStore series({.registry = &registry, .clock = &clock});
+  SloTracker slo(&series, &clock);
+  slo.add_objective({.name = "high-request-rate",
+                     .kind = SloObjective::Kind::kThreshold,
+                     .series = "app.requests",
+                     .threshold = 10.0,
+                     .short_window_ms = 0,
+                     .long_window_ms = 0});
+  MonitorProducer producer({.registry = &registry,
+                            .producer_address = "http://p/Source",
+                            .clock = &clock,
+                            .series = &series,
+                            .slo = &slo});
+
+  Counter& requests = registry.counter("app.requests");
+  producer.tick();  // first sample: the store's counter baseline
+  requests.add(20);
+  producer.tick();  // 20 requests within a few ms: far above 10/s
+  EXPECT_EQ(producer.alerts_fired(), 1u);
+  EXPECT_TRUE(slo.status()[0].firing);
 }
 
 // The consumer is a network endpoint: numbers in a posted snapshot are read

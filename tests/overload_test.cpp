@@ -12,6 +12,8 @@
 #include "net/virtual_network.hpp"
 #include "telemetry/event_log.hpp"
 #include "telemetry/monitor.hpp"
+#include "telemetry/slo.hpp"
+#include "telemetry/timeseries.hpp"
 
 namespace gs {
 namespace {
@@ -457,6 +459,14 @@ TEST(Admission, ShedRateFiresMonitorAlert) {
       .queue_depth = [] { return std::size_t{100}; },
       .metrics = &reg,
   });
+  telemetry::TimeSeriesStore series({.registry = &reg, .clock = &clock});
+  telemetry::SloTracker slo(&series, &clock);
+  slo.add_objective({.name = "shedding",
+                     .kind = telemetry::SloObjective::Kind::kThreshold,
+                     .series = "container.shed_total",
+                     .threshold = 5.0,
+                     .short_window_ms = 0,
+                     .long_window_ms = 0});
   telemetry::MonitorProducer producer(telemetry::MonitorProducer::Config{
       .registry = &reg,
       .producer_address = "http://p/Mon",
@@ -464,25 +474,26 @@ TEST(Admission, ShedRateFiresMonitorAlert) {
       .wse = nullptr,
       .clock = &clock,
       .interval_ms = 1000,
+      .series = &series,
+      .slo = &slo,
   });
-  producer.add_rule({.name = "shedding",
-                     .metric = "container.shed_total",
-                     .kind = telemetry::AlertRule::Kind::kCounterRate,
-                     .threshold = 5.0});
 
   telemetry::EventLog& log = telemetry::EventLog::global();
   producer.tick();  // baseline: quiet
   std::uint64_t warns = log.count(telemetry::Level::kWarn);
 
   for (int i = 0; i < 10; ++i) ctl.admit(Priority::kBulk, "t", "/Svc");
+  clock.advance(1000);
   producer.tick();
   // The "shedding engaged" episode event plus the monitor's alert.
   EXPECT_EQ(log.count(telemetry::Level::kWarn), warns + 2);
 
-  // Edge-triggered at the monitor too: a still-breached next tick with no
-  // NEW sheds is quiet.
+  // A next tick with no NEW sheds recovers the objective, which is logged
+  // at Info: no further warn.
+  clock.advance(1000);
   producer.tick();
   EXPECT_EQ(log.count(telemetry::Level::kWarn), warns + 2);
+  EXPECT_EQ(producer.alerts_fired(), 2u);
 }
 
 }  // namespace

@@ -312,6 +312,36 @@ TEST(DeliveryQueue, SuccessResetsTheFailureStreak) {
   EXPECT_FALSE(queue.evicted(dest));
 }
 
+// Only a destination with a failure streak or an eviction keeps a route,
+// so the table is bounded by the failing sinks, not by every sink ever
+// notified.
+TEST(DeliveryQueue, RouteTableHoldsOnlyFailingDestinations) {
+  class DarkSinkCaller final : public SoapCaller {
+   public:
+    soap::Envelope call(const std::string& address,
+                        const soap::Envelope&) override {
+      if (address == "http://dark/s") throw NetworkError("dark sink");
+      return soap::Envelope();
+    }
+  } sink;
+  DeliveryQueue queue(
+      {.caller = &sink, .evict_after_consecutive_failures = 2});
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(queue.submit("http://sink" + std::to_string(i) + "/s",
+                           make_message("m")),
+              DeliveryQueue::Submit::kDelivered);
+  }
+  EXPECT_EQ(queue.routes(), 0u);
+
+  for (int i = 0; i < 3; ++i) queue.submit("http://dark/s", make_message("m"));
+  EXPECT_TRUE(queue.evicted("http://dark/s"));
+  EXPECT_EQ(queue.routes(), 1u);
+
+  queue.reinstate("http://dark/s");
+  EXPECT_FALSE(queue.evicted("http://dark/s"));
+  EXPECT_EQ(queue.routes(), 0u);
+}
+
 TEST(DeliveryQueue, RequiresACaller) {
   EXPECT_THROW(DeliveryQueue queue({}), std::invalid_argument);
 }

@@ -62,7 +62,7 @@ TEST(Slo, AvailabilityBurnNeedsBothWindowsOverThreshold) {
     store.ingest("svc.err", t * 1000, 0.0);
   }
   clock.set(10'000);
-  EXPECT_TRUE(slo.evaluate().empty());
+  EXPECT_TRUE(slo.evaluate(clock.now()).empty());
   auto status = slo.status();
   ASSERT_EQ(status.size(), 1u);
   EXPECT_FALSE(status[0].firing);
@@ -76,13 +76,13 @@ TEST(Slo, AvailabilityBurnNeedsBothWindowsOverThreshold) {
     store.ingest("svc.err", t * 1000, 10.0);
   }
   clock.set(13'000);
-  auto alerts = slo.evaluate();
+  auto alerts = slo.evaluate(clock.now());
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_TRUE(alerts[0].firing);
   EXPECT_EQ(alerts[0].objective, "availability");
   EXPECT_GT(alerts[0].burn_short, 1.0);
   EXPECT_NE(alerts[0].detail.find("burning"), std::string::npos);
-  EXPECT_TRUE(slo.evaluate().empty());  // latched: no re-fire while bad
+  EXPECT_TRUE(slo.evaluate(clock.now()).empty());  // latched while bad
   EXPECT_TRUE(slo.status()[0].firing);
 
   // Healthy again: the short window clears first, which is enough to end
@@ -92,11 +92,11 @@ TEST(Slo, AvailabilityBurnNeedsBothWindowsOverThreshold) {
     store.ingest("svc.err", t * 1000, 0.0);
   }
   clock.set(17'000);
-  auto cleared = slo.evaluate();
+  auto cleared = slo.evaluate(clock.now());
   ASSERT_EQ(cleared.size(), 1u);
   EXPECT_FALSE(cleared[0].firing);
   EXPECT_NE(cleared[0].detail.find("recovered"), std::string::npos);
-  EXPECT_TRUE(slo.evaluate().empty());
+  EXPECT_TRUE(slo.evaluate(clock.now()).empty());
 }
 
 TEST(Slo, LatencyObjectiveCountsSlowIntervalsAgainstP99Series) {
@@ -105,9 +105,9 @@ TEST(Slo, LatencyObjectiveCountsSlowIntervalsAgainstP99Series) {
   TimeSeriesStore store(store_config(reg, clock));
   SloTracker slo(&store, &clock);
   slo.add_objective({.name = "latency",
-                     .kind = SloObjective::Kind::kLatency,
-                     .latency_metric = "svc.us",
-                     .threshold_us = 1000.0,
+                     .kind = SloObjective::Kind::kThreshold,
+                     .series = "svc.us.p99",
+                     .threshold = 1000.0,
                      .target = 0.5,  // half the intervals may be slow
                      .short_window_ms = 4000,
                      .long_window_ms = 8000});
@@ -119,11 +119,11 @@ TEST(Slo, LatencyObjectiveCountsSlowIntervalsAgainstP99Series) {
   // Short window [4000, 8000]: p99 points at 4000(fast),5000..8000(slow) ->
   // 4/5 slow, burn 1.6; long window: 4/8... the t=4000 fast point is in
   // both. Long [0,8000]: 4 slow of 8 -> ratio 0.5, burn 1.0, NOT over.
-  EXPECT_TRUE(slo.evaluate().empty());
+  EXPECT_TRUE(slo.evaluate(clock.now()).empty());
   // One more slow interval pushes the long window over budget too.
   store.ingest("svc.us.p99", 9000, 5000.0);
   clock.set(9000);
-  auto alerts = slo.evaluate();
+  auto alerts = slo.evaluate(clock.now());
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_TRUE(alerts[0].firing);
   EXPECT_EQ(alerts[0].objective, "latency");
@@ -432,7 +432,10 @@ TEST(Slo, BurnAlertFiresOverBothStacksAndIsQueryableOverTheWire) {
   EXPECT_GT(anon->total.faults, 70u);
 
   // Phase 3: recovery. The short window clears; exactly one clearing
-  // transition is published — edge-triggered in both directions.
+  // transition is published — edge-triggered in both directions — and
+  // logged at Info, not as a warning.
+  std::uint64_t warns_before_recovery = EventLog::global().count(Level::kWarn);
+  std::uint64_t seq_before_recovery = EventLog::global().last_seq();
   for (int i = 0; i < 5; ++i) {
     for (int j = 0; j < 5; ++j) fx.good_request();
     fx.clock.advance(1000);
@@ -442,6 +445,15 @@ TEST(Slo, BurnAlertFiresOverBothStacksAndIsQueryableOverTheWire) {
   EXPECT_EQ(fx.wsn_monitor.alert_count(), 2u);
   EXPECT_EQ(fx.wse_monitor.alert_count(), 2u);
   EXPECT_FALSE(fx.slo.status()[0].firing);
+  EXPECT_EQ(EventLog::global().count(Level::kWarn), warns_before_recovery);
+  int recoveries = 0;
+  for (const Event& e : EventLog::global().events_since(seq_before_recovery)) {
+    if (e.component == "telemetry.monitor" && e.message == "alert recovered" &&
+        e.level == Level::kInfo) {
+      ++recoveries;
+    }
+  }
+  EXPECT_EQ(recoveries, 1);
 }
 
 }  // namespace

@@ -280,7 +280,7 @@ TEST(TimeSeries, ConcurrentWritersSamplerAndSloReaderAreRaceFree) {
     for (int i = 0; i < kIters / 4; ++i) {
       (void)store.query("hammer.ok");
       (void)slo.status();
-      (void)slo.evaluate();
+      (void)slo.evaluate(common::RealClock::instance().now());
     }
   });
   for (auto& th : threads) th.join();
