@@ -159,7 +159,9 @@ int main() {
   }
 
   // --- exit: dump the Chrome trace + event log ------------------------------
-  auto dir = std::filesystem::temp_directory_path();
+  // Into the working directory: runs from different build trees must not
+  // share a file.
+  auto dir = std::filesystem::current_path();
   auto trace_path = dir / "grid_monitor.trace.json";
   auto events_path = dir / "grid_monitor.events.log";
   {

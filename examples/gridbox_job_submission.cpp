@@ -55,7 +55,9 @@ int main() {
       .reservation_ttl_ms = 4LL * 3600 * 1000,
       .admin_dn = "CN=admin,O=VO",
   });
-  auto scratch = std::filesystem::temp_directory_path() / "gs-example-gridbox";
+  // Job files go under the working directory, so runs from different build
+  // trees do not clobber each other.
+  auto scratch = std::filesystem::current_path() / "gs-example-gridbox";
   std::filesystem::remove_all(scratch);
   grid.add_host({.host = "node1",
                  .base = "http://node1.example",

@@ -1,13 +1,40 @@
 #include "security/bignum.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace gs::security {
 
+namespace {
+
+using Limb = std::uint64_t;
+__extension__ typedef unsigned __int128 Wide;
+
+constexpr size_t kLimbBits = 64;
+
+Limb lo(Wide v) { return static_cast<Limb>(v); }
+Limb hi(Wide v) { return static_cast<Limb>(v >> kLimbBits); }
+
+// a[0..n) / d for a single-limb divisor: writes the quotient to q (when
+// given, n limbs) and returns the remainder.
+Limb div_limb(const Limb* a, size_t n, Limb d, Limb* q) {
+  Limb rem = 0;
+  for (size_t i = n; i-- > 0;) {
+    Wide cur = (static_cast<Wide>(rem) << kLimbBits) | a[i];
+    if (q) q[i] = lo(cur / d);
+    rem = lo(cur % d);
+  }
+  return rem;
+}
+
+// Low 32 bits of one draw: the unit every random number is built from.
+Limb draw32(std::mt19937_64& rng) { return rng() & 0xFFFFFFFFu; }
+
+}  // namespace
+
 BigUint::BigUint(std::uint64_t v) {
-  if (v != 0) limbs_.push_back(static_cast<std::uint32_t>(v));
-  if (v >> 32) limbs_.push_back(static_cast<std::uint32_t>(v >> 32));
+  if (v != 0) limbs_.push_back(v);
 }
 
 void BigUint::trim() {
@@ -16,67 +43,61 @@ void BigUint::trim() {
 
 BigUint BigUint::from_bytes(std::span<const std::uint8_t> bytes) {
   BigUint out;
-  for (std::uint8_t b : bytes) {
-    out = (out << 8) + BigUint(b);
+  out.limbs_.assign((bytes.size() + 7) / 8, 0);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    out.limbs_[i / 8] |= static_cast<Limb>(bytes[bytes.size() - 1 - i])
+                         << (8 * (i % 8));
   }
+  out.trim();
   return out;
 }
 
 std::vector<std::uint8_t> BigUint::to_bytes() const {
   if (is_zero()) return {0};
-  std::vector<std::uint8_t> out;
-  for (size_t i = limbs_.size(); i-- > 0;) {
-    for (int shift = 24; shift >= 0; shift -= 8) {
-      out.push_back(static_cast<std::uint8_t>(limbs_[i] >> shift));
-    }
+  std::vector<std::uint8_t> out((bit_length() + 7) / 8);
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[out.size() - 1 - i] =
+        static_cast<std::uint8_t>(limbs_[i / 8] >> (8 * (i % 8)));
   }
-  size_t skip = 0;
-  while (skip + 1 < out.size() && out[skip] == 0) ++skip;
-  out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(skip));
   return out;
 }
 
 BigUint BigUint::from_hex(std::string_view hex) {
   BigUint out;
-  for (char c : hex) {
-    int v;
-    if (c >= '0' && c <= '9') v = c - '0';
-    else if (c >= 'a' && c <= 'f') v = c - 'a' + 10;
-    else if (c >= 'A' && c <= 'F') v = c - 'A' + 10;
+  out.limbs_.assign((hex.size() + 15) / 16, 0);
+  for (size_t i = 0; i < hex.size(); ++i) {
+    char c = hex[hex.size() - 1 - i];
+    Limb v;
+    if (c >= '0' && c <= '9') v = static_cast<Limb>(c - '0');
+    else if (c >= 'a' && c <= 'f') v = static_cast<Limb>(c - 'a' + 10);
+    else if (c >= 'A' && c <= 'F') v = static_cast<Limb>(c - 'A' + 10);
     else throw std::invalid_argument("invalid hex digit");
-    out = (out << 4) + BigUint(static_cast<std::uint64_t>(v));
+    out.limbs_[i / 16] |= v << (4 * (i % 16));
   }
+  out.trim();
   return out;
 }
 
 std::string BigUint::to_hex() const {
   if (is_zero()) return "0";
   static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  for (size_t i = limbs_.size(); i-- > 0;) {
-    for (int shift = 28; shift >= 0; shift -= 4) {
-      out += kHex[(limbs_[i] >> shift) & 0xF];
-    }
+  std::string out((bit_length() + 3) / 4, '0');
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[out.size() - 1 - i] = kHex[(limbs_[i / 16] >> (4 * (i % 16))) & 0xF];
   }
-  size_t skip = out.find_first_not_of('0');
-  return out.substr(skip == std::string::npos ? out.size() - 1 : skip);
+  return out;
 }
 
 size_t BigUint::bit_length() const noexcept {
   if (limbs_.empty()) return 0;
-  std::uint32_t top = limbs_.back();
-  size_t bits = (limbs_.size() - 1) * 32;
-  while (top) {
-    ++bits;
-    top >>= 1;
-  }
-  return bits;
+  return (limbs_.size() - 1) * kLimbBits +
+         static_cast<size_t>(std::bit_width(limbs_.back()));
 }
 
 bool BigUint::bit(size_t i) const noexcept {
-  size_t limb = i / 32;
+  size_t limb = i / kLimbBits;
   if (limb >= limbs_.size()) return false;
-  return (limbs_[limb] >> (i % 32)) & 1;
+  return (limbs_[limb] >> (i % kLimbBits)) & 1;
 }
 
 int BigUint::compare(const BigUint& other) const noexcept {
@@ -90,18 +111,19 @@ int BigUint::compare(const BigUint& other) const noexcept {
 }
 
 BigUint operator+(const BigUint& a, const BigUint& b) {
+  const BigUint& big = a.limbs_.size() >= b.limbs_.size() ? a : b;
+  const BigUint& small = &big == &a ? b : a;
   BigUint out;
-  size_t n = std::max(a.limbs_.size(), b.limbs_.size());
-  out.limbs_.resize(n);
-  std::uint64_t carry = 0;
-  for (size_t i = 0; i < n; ++i) {
-    std::uint64_t sum = carry;
-    if (i < a.limbs_.size()) sum += a.limbs_[i];
-    if (i < b.limbs_.size()) sum += b.limbs_[i];
-    out.limbs_[i] = static_cast<std::uint32_t>(sum);
-    carry = sum >> 32;
+  out.limbs_.resize(big.limbs_.size() + 1);
+  Limb carry = 0;
+  for (size_t i = 0; i < big.limbs_.size(); ++i) {
+    Wide sum = static_cast<Wide>(big.limbs_[i]) + carry;
+    if (i < small.limbs_.size()) sum += small.limbs_[i];
+    out.limbs_[i] = lo(sum);
+    carry = hi(sum);
   }
-  if (carry) out.limbs_.push_back(static_cast<std::uint32_t>(carry));
+  out.limbs_.back() = carry;
+  out.trim();
   return out;
 }
 
@@ -109,17 +131,12 @@ BigUint operator-(const BigUint& a, const BigUint& b) {
   if (a < b) throw std::underflow_error("BigUint subtraction underflow");
   BigUint out;
   out.limbs_.resize(a.limbs_.size());
-  std::int64_t borrow = 0;
+  Limb borrow = 0;
   for (size_t i = 0; i < a.limbs_.size(); ++i) {
-    std::int64_t diff = static_cast<std::int64_t>(a.limbs_[i]) - borrow -
-                        (i < b.limbs_.size() ? b.limbs_[i] : 0);
-    if (diff < 0) {
-      diff += (1LL << 32);
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    out.limbs_[i] = static_cast<std::uint32_t>(diff);
+    Wide diff = static_cast<Wide>(a.limbs_[i]) - borrow -
+                (i < b.limbs_.size() ? b.limbs_[i] : 0);
+    out.limbs_[i] = lo(diff);
+    borrow = hi(diff) & 1;  // a wrapped difference has every high bit set
   }
   out.trim();
   return out;
@@ -128,23 +145,17 @@ BigUint operator-(const BigUint& a, const BigUint& b) {
 BigUint operator*(const BigUint& a, const BigUint& b) {
   if (a.is_zero() || b.is_zero()) return BigUint();
   BigUint out;
-  out.limbs_.assign(a.limbs_.size() + b.limbs_.size(), 0);
+  const size_t nb = b.limbs_.size();
+  out.limbs_.assign(a.limbs_.size() + nb, 0);
   for (size_t i = 0; i < a.limbs_.size(); ++i) {
-    std::uint64_t carry = 0;
-    for (size_t j = 0; j < b.limbs_.size(); ++j) {
-      std::uint64_t cur = out.limbs_[i + j] +
-                          static_cast<std::uint64_t>(a.limbs_[i]) * b.limbs_[j] +
-                          carry;
-      out.limbs_[i + j] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
+    Limb carry = 0;
+    const Limb ai = a.limbs_[i];
+    for (size_t j = 0; j < nb; ++j) {
+      Wide cur = static_cast<Wide>(ai) * b.limbs_[j] + out.limbs_[i + j] + carry;
+      out.limbs_[i + j] = lo(cur);
+      carry = hi(cur);
     }
-    size_t k = i + b.limbs_.size();
-    while (carry) {
-      std::uint64_t cur = out.limbs_[k] + carry;
-      out.limbs_[k] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
-      ++k;
-    }
+    out.limbs_[i + nb] = carry;
   }
   out.trim();
   return out;
@@ -152,32 +163,32 @@ BigUint operator*(const BigUint& a, const BigUint& b) {
 
 BigUint BigUint::operator<<(size_t bits) const {
   if (is_zero()) return BigUint();
-  size_t limb_shift = bits / 32;
-  size_t bit_shift = bits % 32;
+  size_t limb_shift = bits / kLimbBits;
+  size_t bit_shift = bits % kLimbBits;
   BigUint out;
   out.limbs_.assign(limbs_.size() + limb_shift + 1, 0);
   for (size_t i = 0; i < limbs_.size(); ++i) {
-    std::uint64_t v = static_cast<std::uint64_t>(limbs_[i]) << bit_shift;
-    out.limbs_[i + limb_shift] |= static_cast<std::uint32_t>(v);
-    out.limbs_[i + limb_shift + 1] |= static_cast<std::uint32_t>(v >> 32);
+    out.limbs_[i + limb_shift] |= limbs_[i] << bit_shift;
+    if (bit_shift) {
+      out.limbs_[i + limb_shift + 1] |= limbs_[i] >> (kLimbBits - bit_shift);
+    }
   }
   out.trim();
   return out;
 }
 
 BigUint BigUint::operator>>(size_t bits) const {
-  size_t limb_shift = bits / 32;
-  size_t bit_shift = bits % 32;
+  size_t limb_shift = bits / kLimbBits;
+  size_t bit_shift = bits % kLimbBits;
   if (limb_shift >= limbs_.size()) return BigUint();
   BigUint out;
   out.limbs_.assign(limbs_.size() - limb_shift, 0);
   for (size_t i = 0; i < out.limbs_.size(); ++i) {
-    std::uint64_t v = limbs_[i + limb_shift] >> bit_shift;
+    Limb v = limbs_[i + limb_shift] >> bit_shift;
     if (bit_shift && i + limb_shift + 1 < limbs_.size()) {
-      v |= static_cast<std::uint64_t>(limbs_[i + limb_shift + 1])
-           << (32 - bit_shift);
+      v |= limbs_[i + limb_shift + 1] << (kLimbBits - bit_shift);
     }
-    out.limbs_[i] = static_cast<std::uint32_t>(v);
+    out.limbs_[i] = v;
   }
   out.trim();
   return out;
@@ -187,142 +198,198 @@ std::pair<BigUint, BigUint> BigUint::divmod(const BigUint& a, const BigUint& b) 
   if (b.is_zero()) throw std::domain_error("BigUint division by zero");
   if (a < b) return {BigUint(), a};
 
-  // Bitwise long division: adequate because divisions are off the RSA hot
-  // path (Montgomery handles the modexp inner loop).
   BigUint quotient;
-  size_t shift = a.bit_length() - b.bit_length();
-  BigUint divisor = b << shift;
-  BigUint remainder = a;
-  quotient.limbs_.assign((shift + 32) / 32, 0);
-  for (size_t i = shift + 1; i-- > 0;) {
-    if (remainder >= divisor) {
-      remainder = remainder - divisor;
-      quotient.limbs_[i / 32] |= (1u << (i % 32));
+  const size_t n = b.limbs_.size();
+  const size_t m = a.limbs_.size() - n;
+  quotient.limbs_.assign(m + 1, 0);
+  if (n == 1) {
+    Limb rem = div_limb(a.limbs_.data(), a.limbs_.size(), b.limbs_[0],
+                        quotient.limbs_.data());
+    quotient.trim();
+    return {std::move(quotient), BigUint(rem)};
+  }
+
+  // Knuth's Algorithm D (TAOCP 4.3.1): normalize so the divisor's top limb
+  // has its high bit set, estimate each quotient limb from the top two
+  // remainder limbs, correct it, multiply-subtract, and add back on the
+  // rare overshoot.
+  const int shift = std::countl_zero(b.limbs_.back());
+  auto normalize = [shift](const std::vector<Limb>& src, std::vector<Limb>& dst) {
+    for (size_t i = 0; i < src.size(); ++i) {
+      dst[i] |= src[i] << shift;
+      if (shift) dst[i + 1] = src[i] >> (kLimbBits - shift);
     }
-    divisor = divisor >> 1;
+  };
+  std::vector<Limb> v(n + 1, 0), u(a.limbs_.size() + 1, 0);
+  normalize(b.limbs_, v);
+  normalize(a.limbs_, u);
+  const Limb vtop = v[n - 1], vnext = v[n - 2];
+
+  for (size_t j = m + 1; j-- > 0;) {
+    Wide num = (static_cast<Wide>(u[j + n]) << kLimbBits) | u[j + n - 1];
+    Wide qhat = num / vtop;
+    Wide rhat = num % vtop;
+    while (hi(qhat) != 0 ||
+           qhat * vnext > ((rhat << kLimbBits) | u[j + n - 2])) {
+      --qhat;
+      rhat += vtop;
+      if (hi(rhat) != 0) break;
+    }
+
+    Limb mul_carry = 0, borrow = 0;
+    for (size_t i = 0; i < n; ++i) {
+      Wide p = qhat * v[i] + mul_carry;
+      mul_carry = hi(p);
+      Wide diff = static_cast<Wide>(u[i + j]) - lo(p) - borrow;
+      u[i + j] = lo(diff);
+      borrow = hi(diff) & 1;
+    }
+    Wide diff = static_cast<Wide>(u[j + n]) - mul_carry - borrow;
+    u[j + n] = lo(diff);
+    Limb q = lo(qhat);
+    if (hi(diff) & 1) {  // qhat was one too large: add the divisor back
+      --q;
+      Limb carry = 0;
+      for (size_t i = 0; i < n; ++i) {
+        Wide sum = static_cast<Wide>(u[i + j]) + v[i] + carry;
+        u[i + j] = lo(sum);
+        carry = hi(sum);
+      }
+      u[j + n] += carry;
+    }
+    quotient.limbs_[j] = q;
   }
   quotient.trim();
+
+  BigUint remainder;
+  remainder.limbs_.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    remainder.limbs_[i] = u[i] >> shift;
+    if (shift) remainder.limbs_[i] |= u[i + 1] << (kLimbBits - shift);
+  }
+  remainder.trim();
   return {std::move(quotient), std::move(remainder)};
 }
 
-namespace {
-
-// Montgomery (CIOS) context for an odd modulus.
-class Montgomery {
+// Montgomery (CIOS) context for an odd modulus > 1. Products run on raw
+// limb arrays in scratch the caller owns; pow() allocates that scratch once.
+class BigUint::Montgomery {
  public:
-  explicit Montgomery(const BigUint& n) : n_(n.limbs()), k_(n.limbs().size()) {
-    // n0inv = -n^{-1} mod 2^32 via Newton iteration.
-    std::uint32_t x = n_[0];
-    std::uint32_t inv = x;  // 3 bits correct
+  explicit Montgomery(const BigUint& n) : n_(n), k_(n.limbs_.size()) {
+    // n0inv = -n^{-1} mod 2^64 via Newton iteration (each step doubles the
+    // correct low bits: 3 -> 6 -> ... -> 96).
+    Limb x = n.limbs_[0];
+    Limb inv = x;
     for (int i = 0; i < 5; ++i) inv *= 2 - x * inv;
-    n0inv_ = ~inv + 1;  // negate mod 2^32
+    n0inv_ = ~inv + 1;
 
-    // R^2 mod n where R = 2^(32k), computed via shifting.
-    BigUint r2 = BigUint(1) << (64 * k_);
-    r2_ = (r2 % n).limbs();
+    // R^2 mod n where R = 2^(64k), by one word-level division.
+    r2_ = ((BigUint(1) << (2 * kLimbBits * k_)) % n).limbs_;
     r2_.resize(k_, 0);
   }
 
-  // Montgomery product: a*b*R^{-1} mod n. Inputs/outputs are k-limb vectors.
-  std::vector<std::uint32_t> mul(const std::vector<std::uint32_t>& a,
-                                 const std::vector<std::uint32_t>& b) const {
-    std::vector<std::uint64_t> t(k_ + 2, 0);
-    for (size_t i = 0; i < k_; ++i) {
-      std::uint64_t carry = 0;
-      std::uint64_t ai = a[i];
-      for (size_t j = 0; j < k_; ++j) {
-        std::uint64_t cur = t[j] + ai * b[j] + carry;
-        t[j] = cur & 0xFFFFFFFFULL;
-        carry = cur >> 32;
+  // out = a*b*R^{-1} mod n over k-limb operands; `t` is k+2 limbs of
+  // scratch. `out` may alias `a` or `b`.
+  void mul(Limb* out, const Limb* a, const Limb* b, Limb* t) const {
+    const size_t k = k_;
+    const Limb* n = n_.limbs_.data();
+    std::fill(t, t + k + 2, 0);
+    for (size_t i = 0; i < k; ++i) {
+      Limb carry = 0;
+      const Limb ai = a[i];
+      for (size_t j = 0; j < k; ++j) {
+        Wide cur = static_cast<Wide>(ai) * b[j] + t[j] + carry;
+        t[j] = lo(cur);
+        carry = hi(cur);
       }
-      std::uint64_t cur = t[k_] + carry;
-      t[k_] = cur & 0xFFFFFFFFULL;
-      t[k_ + 1] = cur >> 32;
+      Wide top = static_cast<Wide>(t[k]) + carry;
+      t[k] = lo(top);
+      t[k + 1] = hi(top);
 
-      std::uint32_t m = static_cast<std::uint32_t>(t[0]) * n0inv_;
-      carry = 0;
-      std::uint64_t first = t[0] + static_cast<std::uint64_t>(m) * n_[0];
-      carry = first >> 32;
-      for (size_t j = 1; j < k_; ++j) {
-        std::uint64_t cur2 = t[j] + static_cast<std::uint64_t>(m) * n_[j] + carry;
-        t[j - 1] = cur2 & 0xFFFFFFFFULL;
-        carry = cur2 >> 32;
+      const Limb m = t[0] * n0inv_;
+      carry = hi(static_cast<Wide>(m) * n[0] + t[0]);
+      for (size_t j = 1; j < k; ++j) {
+        Wide cur = static_cast<Wide>(m) * n[j] + t[j] + carry;
+        t[j - 1] = lo(cur);
+        carry = hi(cur);
       }
-      std::uint64_t cur2 = t[k_] + carry;
-      t[k_ - 1] = cur2 & 0xFFFFFFFFULL;
-      t[k_] = t[k_ + 1] + (cur2 >> 32);
-      t[k_ + 1] = 0;
+      top = static_cast<Wide>(t[k]) + carry;
+      t[k - 1] = lo(top);
+      t[k] = t[k + 1] + hi(top);
     }
-    std::vector<std::uint32_t> out(k_);
-    for (size_t i = 0; i < k_; ++i) out[i] = static_cast<std::uint32_t>(t[i]);
-    // Conditional final subtraction.
-    bool ge = t[k_] != 0;
-    if (!ge) {
-      ge = true;
-      for (size_t i = k_; i-- > 0;) {
-        if (out[i] != n_[i]) {
-          ge = out[i] > n_[i];
-          break;
-        }
-      }
+    // The product is below 2n: subtract n once, and keep t instead when
+    // that borrows past t's top limb (t < n).
+    Limb borrow = 0;
+    for (size_t i = 0; i < k; ++i) {
+      Wide diff = static_cast<Wide>(t[i]) - n[i] - borrow;
+      out[i] = lo(diff);
+      borrow = hi(diff) & 1;
     }
-    if (ge) {
-      std::int64_t borrow = 0;
-      for (size_t i = 0; i < k_; ++i) {
-        std::int64_t diff = static_cast<std::int64_t>(out[i]) - n_[i] - borrow;
-        if (diff < 0) {
-          diff += (1LL << 32);
-          borrow = 1;
-        } else {
-          borrow = 0;
-        }
-        out[i] = static_cast<std::uint32_t>(diff);
-      }
-    }
-    return out;
+    if (borrow > t[k]) std::copy(t, t + k, out);
   }
 
-  // base^exp mod n (left-to-right square-and-multiply in the Montgomery
-  // domain).
+  // base^exp mod n, exp > 0: left-to-right fixed-window exponentiation in the
+  // Montgomery domain. Short exponents (the public e) use 1-bit windows so
+  // they pay for no table.
   BigUint pow(const BigUint& base, const BigUint& exp) const {
-    std::vector<std::uint32_t> b = (base % to_big(n_)).limbs();
-    b.resize(k_, 0);
-    std::vector<std::uint32_t> bm = mul(b, r2_);  // to Montgomery domain
+    const size_t k = k_;
+    const size_t bits = exp.bit_length();
+    const size_t w = bits <= 32 ? 1 : 4;
+    const size_t entries = size_t{1} << w;
 
-    // one = R mod n = mont(1, R^2).
-    std::vector<std::uint32_t> one(k_, 0);
+    // One allocation: the window table, the accumulator, a plain 1 and the
+    // product scratch.
+    std::vector<Limb> work((entries + 3) * k + 2, 0);
+    Limb* table = work.data();
+    Limb* acc = table + entries * k;
+    Limb* one = acc + k;
+    Limb* t = one + k;
     one[0] = 1;
-    std::vector<std::uint32_t> acc = mul(one, r2_);
 
-    size_t bits = exp.bit_length();
-    for (size_t i = bits; i-- > 0;) {
-      acc = mul(acc, acc);
-      if (exp.bit(i)) acc = mul(acc, bm);
+    // table[i] = base^i in Montgomery form. Slot 0 stays unused: a zero
+    // window multiplies by nothing.
+    if (base < n_) {
+      std::copy(base.limbs_.begin(), base.limbs_.end(), acc);
+    } else {
+      const BigUint reduced = base % n_;
+      std::copy(reduced.limbs_.begin(), reduced.limbs_.end(), acc);
     }
-    acc = mul(acc, one);  // out of Montgomery domain (multiply by 1)
-    BigUint out = to_big(acc);
+    mul(table + k, acc, r2_.data(), t);
+    for (size_t i = 2; i < entries; ++i) {
+      mul(table + i * k, table + (i - 1) * k, table + k, t);
+    }
+
+    // Windows are aligned to the exponent's low end; the top one may be
+    // short.
+    size_t pos = (bits - 1) / w * w;
+    auto window = [&](size_t at) {
+      size_t value = 0;
+      for (size_t b = std::min(at + w, bits); b-- > at;) {
+        value = (value << 1) | (exp.bit(b) ? 1 : 0);
+      }
+      return value;
+    };
+    const Limb* top = table + window(pos) * k;
+    std::copy(top, top + k, acc);
+    while (pos > 0) {
+      pos -= w;
+      for (size_t s = 0; s < w; ++s) mul(acc, acc, acc, t);
+      if (size_t v = window(pos)) mul(acc, acc, table + v * k, t);
+    }
+    mul(acc, acc, one, t);  // out of the Montgomery domain
+
+    BigUint out;
+    out.limbs_.assign(acc, acc + k);
+    out.trim();
     return out;
   }
 
  private:
-  static BigUint to_big(const std::vector<std::uint32_t>& limbs) {
-    BigUint out = BigUint();
-    std::vector<std::uint8_t> bytes;
-    for (size_t i = limbs.size(); i-- > 0;) {
-      for (int shift = 24; shift >= 0; shift -= 8) {
-        bytes.push_back(static_cast<std::uint8_t>(limbs[i] >> shift));
-      }
-    }
-    return BigUint::from_bytes(bytes);
-  }
-
-  std::vector<std::uint32_t> n_;
+  BigUint n_;
   size_t k_;
-  std::uint32_t n0inv_;
-  std::vector<std::uint32_t> r2_;
+  Limb n0inv_;
+  std::vector<Limb> r2_;
 };
-
-}  // namespace
 
 BigUint BigUint::mod_exp(const BigUint& base, const BigUint& exp,
                          const BigUint& modulus) {
@@ -332,7 +399,7 @@ BigUint BigUint::mod_exp(const BigUint& base, const BigUint& exp,
   if (modulus.is_odd()) {
     return Montgomery(modulus).pow(base, exp);
   }
-  // Fallback: plain square-and-multiply (rare path; RSA moduli are odd).
+  // Plain square-and-multiply (rare path; RSA moduli are odd).
   BigUint result(1);
   BigUint b = base % modulus;
   for (size_t i = exp.bit_length(); i-- > 0;) {
@@ -376,25 +443,31 @@ BigUint BigUint::mod_inverse(const BigUint& a, const BigUint& m) {
 
 BigUint BigUint::random_bits(size_t bits, std::mt19937_64& rng) {
   if (bits == 0) return BigUint();
+  const size_t words = (bits + 31) / 32;
   BigUint out;
-  out.limbs_.resize((bits + 31) / 32);
-  for (auto& limb : out.limbs_) limb = static_cast<std::uint32_t>(rng());
-  size_t top_bit = (bits - 1) % 32;
-  std::uint32_t mask = top_bit == 31 ? 0xFFFFFFFFu : ((1u << (top_bit + 1)) - 1);
-  out.limbs_.back() &= mask;
-  out.limbs_.back() |= (1u << top_bit);  // force exact bit length
+  out.limbs_.assign((words + 1) / 2, 0);
+  for (size_t i = 0; i < words; ++i) {
+    out.limbs_[i / 2] |= draw32(rng) << (32 * (i % 2));
+  }
+  const size_t top_bit = (bits - 1) % kLimbBits;
+  if (top_bit != kLimbBits - 1) out.limbs_.back() &= (Limb{1} << (top_bit + 1)) - 1;
+  out.limbs_.back() |= Limb{1} << top_bit;  // force exact bit length
   return out;
 }
 
 BigUint BigUint::random_below(const BigUint& bound, std::mt19937_64& rng) {
   if (bound.is_zero()) throw std::domain_error("random_below: zero bound");
-  size_t bits = bound.bit_length();
+  const size_t bits = bound.bit_length();
+  const size_t words = (bits + 31) / 32;
+  const size_t extra = words * 32 - bits;  // dropped from the top draw
   for (;;) {
     BigUint candidate;
-    candidate.limbs_.resize((bits + 31) / 32);
-    for (auto& limb : candidate.limbs_) limb = static_cast<std::uint32_t>(rng());
-    size_t extra = candidate.limbs_.size() * 32 - bits;
-    if (extra > 0) candidate.limbs_.back() >>= extra;
+    candidate.limbs_.assign((words + 1) / 2, 0);
+    for (size_t i = 0; i < words; ++i) {
+      Limb word = draw32(rng);
+      if (i + 1 == words) word >>= extra;
+      candidate.limbs_[i / 2] |= word << (32 * (i % 2));
+    }
     candidate.trim();
     if (candidate < bound) return candidate;
   }
@@ -403,11 +476,11 @@ BigUint BigUint::random_below(const BigUint& bound, std::mt19937_64& rng) {
 bool BigUint::is_probable_prime(const BigUint& n, int rounds,
                                 std::mt19937_64& rng) {
   if (n < BigUint(2)) return false;
-  static const std::uint32_t kSmallPrimes[] = {2,  3,  5,  7,  11, 13, 17, 19,
-                                               23, 29, 31, 37, 41, 43, 47};
-  for (std::uint32_t p : kSmallPrimes) {
+  static const Limb kSmallPrimes[] = {2,  3,  5,  7,  11, 13, 17, 19,
+                                      23, 29, 31, 37, 41, 43, 47};
+  for (Limb p : kSmallPrimes) {
     if (n == BigUint(p)) return true;
-    if ((n % BigUint(p)).is_zero()) return false;
+    if (div_limb(n.limbs_.data(), n.limbs_.size(), p, nullptr) == 0) return false;
   }
   // n - 1 = d * 2^s with d odd.
   BigUint n_minus_1 = n - BigUint(1);
@@ -442,11 +515,6 @@ BigUint BigUint::random_prime(size_t bits, std::mt19937_64& rng) {
   }
 }
 
-std::uint64_t BigUint::to_u64() const {
-  std::uint64_t out = 0;
-  if (!limbs_.empty()) out = limbs_[0];
-  if (limbs_.size() > 1) out |= static_cast<std::uint64_t>(limbs_[1]) << 32;
-  return out;
-}
+std::uint64_t BigUint::to_u64() const { return limbs_.empty() ? 0 : limbs_[0]; }
 
 }  // namespace gs::security

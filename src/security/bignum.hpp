@@ -1,9 +1,11 @@
 // Arbitrary-precision unsigned integers and modular arithmetic for RSA.
 //
-// Little-endian 32-bit limbs, schoolbook multiplication, bitwise long
-// division for the occasional reduction, and Montgomery (CIOS)
-// exponentiation for the hot path (sign/verify). Sized for the RSA-1024
-// keys the paper's WSE X.509 profile used.
+// Little-endian 64-bit limbs with 128-bit products, schoolbook
+// multiplication, word-level (Knuth D) division, and windowed Montgomery
+// (CIOS) exponentiation whose products run in one caller-owned scratch
+// buffer, so an exponentiation allocates a fixed number of times whatever
+// the exponent's length. Sized for the RSA-1024 keys the paper's WSE X.509
+// profile used.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +26,8 @@ class BigUint {
   static BigUint from_bytes(std::span<const std::uint8_t> bytes);
   std::vector<std::uint8_t> to_bytes() const;
 
+  /// Linear in the digit count; throws std::invalid_argument on a non-hex
+  /// digit.
   static BigUint from_hex(std::string_view hex);
   std::string to_hex() const;
 
@@ -68,8 +72,8 @@ class BigUint {
     return divmod(a, b).second;
   }
 
-  /// base^exp mod modulus. Uses Montgomery exponentiation when the modulus
-  /// is odd (the RSA case), plain square-and-multiply otherwise.
+  /// base^exp mod modulus. Uses windowed Montgomery exponentiation when the
+  /// modulus is odd (the RSA case), plain square-and-multiply otherwise.
   static BigUint mod_exp(const BigUint& base, const BigUint& exp,
                          const BigUint& modulus);
 
@@ -77,9 +81,11 @@ class BigUint {
   /// gcd(a, m) != 1.
   static BigUint mod_inverse(const BigUint& a, const BigUint& m);
 
-  /// Uniform random integer with exactly `bits` bits (msb set).
+  /// Uniform random integer with exactly `bits` bits (msb set). Draws one
+  /// rng() per 32 bits and keeps its low half, so a seed yields the same
+  /// number whatever the limb width.
   static BigUint random_bits(size_t bits, std::mt19937_64& rng);
-  /// Uniform random integer in [0, bound).
+  /// Uniform random integer in [0, bound), drawn like random_bits.
   static BigUint random_below(const BigUint& bound, std::mt19937_64& rng);
 
   /// Miller-Rabin probable-prime test with `rounds` random bases.
@@ -90,12 +96,12 @@ class BigUint {
 
   std::uint64_t to_u64() const;  // low 64 bits
 
-  const std::vector<std::uint32_t>& limbs() const noexcept { return limbs_; }
-
  private:
+  class Montgomery;
+
   void trim();
   // Little-endian limbs; empty == zero.
-  std::vector<std::uint32_t> limbs_;
+  std::vector<std::uint64_t> limbs_;
 };
 
 }  // namespace gs::security

@@ -1,6 +1,7 @@
 #include "security/cert.hpp"
 
 #include <limits>
+#include <stdexcept>
 
 #include "common/encoding.hpp"
 #include "common/parse.hpp"
@@ -12,6 +13,22 @@ namespace gs::security {
 namespace {
 constexpr const char* kCertNs = "http://gridstacks.dev/security/cert";
 xml::QName cert_name(const char* local) { return {kCertNs, local}; }
+
+constexpr size_t kMaxModulusBits = 4096;
+
+// A key number from a peer-supplied token: at most `max_bits` bits of hex,
+// checked before parsing, so an oversized field costs one length test.
+BigUint parse_key_hex(const std::string& hex, size_t max_bits, const char* what) {
+  if (hex.size() > (max_bits + 3) / 4) {
+    throw SecurityError(std::string("certificate ") + what + " exceeds " +
+                        std::to_string(max_bits) + " bits");
+  }
+  try {
+    return BigUint::from_hex(hex);
+  } catch (const std::invalid_argument&) {
+    throw SecurityError(std::string("certificate ") + what + " is not hex");
+  }
+}
 }  // namespace
 
 std::string Certificate::tbs() const {
@@ -48,8 +65,9 @@ Certificate Certificate::from_xml(const xml::Element& el) {
   const xml::Element* mod = key->child(cert_name("Modulus"));
   const xml::Element* exp = key->child(cert_name("Exponent"));
   if (!mod || !exp) throw SecurityError("certificate PublicKey incomplete");
-  out.subject_key.n = BigUint::from_hex(mod->text());
-  out.subject_key.e = BigUint::from_hex(exp->text());
+  out.subject_key.n = parse_key_hex(mod->text(), kMaxModulusBits, "Modulus");
+  out.subject_key.e =
+      parse_key_hex(exp->text(), out.subject_key.n.bit_length(), "Exponent");
   // Validity bounds arrive inside a peer-supplied token: a malformed value
   // must reject the certificate, not abort the process out of std::stoll.
   auto not_before = common::parse_number<common::TimeMs>(text_of("NotBefore"));

@@ -15,8 +15,15 @@ RsaKeyPair RsaKeyPair::generate(size_t bits, std::mt19937_64& rng) {
     if (n.bit_length() != bits) continue;
     BigUint phi = (p - BigUint(1)) * (q - BigUint(1));
     if ((phi % e).is_zero()) continue;  // e must be coprime with phi
-    BigUint d = BigUint::mod_inverse(e, phi);
-    return RsaKeyPair{{std::move(n), e}, std::move(d)};
+    RsaKeyPair key;
+    key.pub = {std::move(n), e};
+    key.d = BigUint::mod_inverse(e, phi);
+    key.dp = key.d % (p - BigUint(1));
+    key.dq = key.d % (q - BigUint(1));
+    key.qinv = BigUint::mod_inverse(q, p);
+    key.p = std::move(p);
+    key.q = std::move(q);
+    return key;
   }
 }
 
@@ -37,6 +44,18 @@ BigUint pad_digest(const Digest256& digest, size_t modulus_bytes) {
   return BigUint::from_bytes(em);
 }
 
+// x^d mod n by the Chinese remainder theorem (Garner's recombination):
+// two half-size exponentiations instead of one full-size one.
+BigUint private_op(const RsaKeyPair& key, const BigUint& x) {
+  BigUint mp = BigUint::mod_exp(x % key.p, key.dp, key.p);
+  BigUint mq = BigUint::mod_exp(x % key.q, key.dq, key.q);
+  // h = qinv * (mp - mq) mod p, taking the difference mod p first.
+  BigUint mq_mod_p = mq % key.p;
+  BigUint diff = mp >= mq_mod_p ? mp - mq_mod_p : mp + key.p - mq_mod_p;
+  BigUint h = (key.qinv * diff) % key.p;
+  return mq + h * key.q;
+}
+
 std::vector<std::uint8_t> to_fixed_bytes(const BigUint& v, size_t size) {
   std::vector<std::uint8_t> bytes = v.to_bytes();
   if (bytes.size() > size) throw std::logic_error("RSA value exceeds modulus size");
@@ -49,7 +68,7 @@ std::vector<std::uint8_t> to_fixed_bytes(const BigUint& v, size_t size) {
 
 std::vector<std::uint8_t> rsa_sign(const RsaKeyPair& key, const Digest256& digest) {
   BigUint em = pad_digest(digest, key.pub.modulus_bytes());
-  BigUint sig = BigUint::mod_exp(em, key.d, key.pub.n);
+  BigUint sig = private_op(key, em);
   return to_fixed_bytes(sig, key.pub.modulus_bytes());
 }
 
@@ -73,7 +92,7 @@ std::vector<std::uint8_t> rsa_decrypt(const RsaKeyPair& key,
                                       std::span<const std::uint8_t> ciphertext) {
   BigUint c = BigUint::from_bytes(ciphertext);
   if (c >= key.pub.n) throw std::invalid_argument("RSA ciphertext too large");
-  return BigUint::mod_exp(c, key.d, key.pub.n).to_bytes();
+  return private_op(key, c).to_bytes();
 }
 
 }  // namespace gs::security

@@ -23,13 +23,17 @@ struct RsaPublicKey {
 struct RsaKeyPair {
   RsaPublicKey pub;
   BigUint d;  // private exponent
+  // The CRT form of d that signing and decryption use: the primes, d mod
+  // (p-1), d mod (q-1) and q^-1 mod p.
+  BigUint p, q, dp, dq, qinv;
 
   /// Generates a keypair with a `bits`-bit modulus. `rng` is the entropy
   /// source; pass a fixed-seed generator for reproducible test fixtures.
   static RsaKeyPair generate(size_t bits, std::mt19937_64& rng);
 };
 
-/// Signs a SHA-256 digest: EMSA-PKCS1-v1_5-shaped padding, then RSA-d.
+/// Signs a SHA-256 digest: EMSA-PKCS1-v1_5-shaped padding, then RSA-d by
+/// the Chinese remainder theorem.
 std::vector<std::uint8_t> rsa_sign(const RsaKeyPair& key, const Digest256& digest);
 
 /// Verifies a signature over a SHA-256 digest.

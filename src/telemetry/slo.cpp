@@ -83,6 +83,7 @@ SloStatus SloTracker::evaluate_locked(const SloObjective& objective,
 
 std::vector<SloAlert> SloTracker::evaluate(common::TimeMs now) {
   std::lock_guard lock(mu_);
+  last_evaluated_ = now;
   std::vector<SloAlert> transitions;
   for (std::size_t i = 0; i < objectives_.size(); ++i) {
     SloStatus s = evaluate_locked(objectives_[i], now);
@@ -105,8 +106,11 @@ std::vector<SloAlert> SloTracker::evaluate(common::TimeMs now) {
 }
 
 std::vector<SloStatus> SloTracker::status() const {
-  common::TimeMs now = clock_->now();
   std::lock_guard lock(mu_);
+  // Judge at the instant the latches were last set, so the burn shown is
+  // the burn that fired; the clock only stands in before the first
+  // evaluate().
+  common::TimeMs now = last_evaluated_ ? *last_evaluated_ : clock_->now();
   std::vector<SloStatus> out;
   out.reserve(objectives_.size());
   for (std::size_t i = 0; i < objectives_.size(); ++i) {

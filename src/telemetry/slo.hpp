@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -97,7 +98,8 @@ class SloTracker {
   /// miss that point in a 0 ms window.
   std::vector<SloAlert> evaluate(common::TimeMs now);
 
-  /// Current burn rates per objective, without touching the latches.
+  /// Burn rates per objective at the last evaluate() instant (the clock's
+  /// now before the first), without touching the latches.
   std::vector<SloStatus> status() const;
 
  private:
@@ -111,6 +113,7 @@ class SloTracker {
   mutable std::mutex mu_;
   std::vector<SloObjective> objectives_;
   std::vector<bool> firing_;  // latch, parallel to objectives_
+  std::optional<common::TimeMs> last_evaluated_;  // instant of the latches
 };
 
 }  // namespace gs::telemetry

@@ -6,10 +6,12 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/encoding.hpp"
 #include "container/container.hpp"
 #include "container/proxy.hpp"
 #include "net/virtual_network.hpp"
 #include "telemetry/event_log.hpp"
+#include "xml/writer.hpp"
 
 namespace gs::container {
 namespace {
@@ -199,6 +201,36 @@ TEST(SecurityHandler, X509ModeRejectsTamperedRequests) {
   security::sign_envelope(req, fx.alice);
   req.payload()->set_text("tampered");
   EXPECT_TRUE(container.process(req, "/Ping").is_fault());
+  EXPECT_EQ(svc.pings, 0);
+}
+
+TEST(SecurityHandler, X509ModeRejectsATokenWithBadKeyHex) {
+  // A non-hex digit in the token's Modulus must come back as the security
+  // fault, not escape the handler as an untyped exception.
+  X509Fixture fx;
+  Container container({.security = SecurityMode::kX509,
+                       .anchor = &fx.ca.root(),
+                       .credential = &fx.service_cred});
+  PingService svc;
+  container.deploy("/Ping", svc);
+  soap::Envelope req = make_request("urn:test/Ping");
+  security::sign_envelope(req, fx.alice);
+
+  const std::string good_token = fx.alice.cert.to_token();
+  auto cert_xml = fx.alice.cert.to_xml();
+  xml::Element* modulus = cert_xml->child_local("PublicKey")->child_local("Modulus");
+  modulus->set_text("z" + modulus->text().substr(1));
+  const std::string bad_token =
+      common::base64_encode(common::as_bytes(xml::write(*cert_xml)));
+  std::string wire = req.to_xml();
+  ASSERT_NE(wire.find(good_token), std::string::npos);
+  wire.replace(wire.find(good_token), good_token.size(), bad_token);
+
+  soap::Envelope r = container.process(soap::Envelope::from_xml(wire), "/Ping");
+  ASSERT_TRUE(r.is_fault());
+  EXPECT_NE(r.fault().reason.find("security policy rejected request"),
+            std::string::npos);
+  EXPECT_NE(r.fault().reason.find("Modulus"), std::string::npos);
   EXPECT_EQ(svc.pings, 0);
 }
 

@@ -2,6 +2,8 @@
 // certificates, XML signing and the TLS-lite channel.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "common/encoding.hpp"
 #include "security/cert.hpp"
 #include "security/chacha20.hpp"
@@ -10,6 +12,7 @@
 #include "security/xmlsig.hpp"
 #include "soap/envelope.hpp"
 #include "soap/namespaces.hpp"
+#include "xml/writer.hpp"
 
 namespace gs::security {
 namespace {
@@ -314,6 +317,58 @@ TEST(Cert, MalformedValidityBoundsAreRejectedNotFatal) {
   EXPECT_THROW(Certificate::from_xml(*doc), SecurityError);
   // Untampered round trip still parses.
   EXPECT_NO_THROW(Certificate::from_xml(*cred.cert.to_xml()));
+}
+
+// The key numbers in a peer's token are bounded and typed: an oversized
+// Modulus costs a length check, not a quadratic parse, and a bad digit is a
+// rejected certificate, not a std::invalid_argument the container does not
+// catch.
+std::string token_with_key(const Certificate& cert, const std::string& modulus,
+                           const std::string& exponent) {
+  auto doc = cert.to_xml();
+  xml::Element* key = doc->child_local("PublicKey");
+  key->child_local("Modulus")->set_text(modulus);
+  key->child_local("Exponent")->set_text(exponent);
+  return common::base64_encode(common::as_bytes(xml::write(*doc)));
+}
+
+TEST(Cert, OversizedModulusIsRejectedFast) {
+  std::mt19937_64 rng(12);
+  auto ca = CertificateAuthority::create("CN=TestCA", 512, rng);
+  const std::string huge(1 << 20, 'f');  // 1 MiB of hex: 4 Mbit
+  EXPECT_THROW(Certificate::from_token(token_with_key(ca.root(), huge, "10001")),
+               SecurityError);
+  // The certificate decoder rejects it in bounded time. Timed on the parsed
+  // element: the base64 and XML layers in front of it are linear with their
+  // own limits, and under sanitizers they alone take longer than 50 ms.
+  auto doc = ca.root().to_xml();
+  doc->child_local("PublicKey")->child_local("Modulus")->set_text(huge);
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(Certificate::from_xml(*doc), SecurityError);
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(50));
+  // 4096 bits is the ceiling: one more digit is over it.
+  const std::string at_cap = "8" + std::string(1023, '1');
+  EXPECT_EQ(Certificate::from_token(token_with_key(ca.root(), at_cap, "10001"))
+                .subject_key.n.bit_length(),
+            4096u);
+  EXPECT_THROW(Certificate::from_token(token_with_key(ca.root(), at_cap + "1", "3")),
+               SecurityError);
+}
+
+TEST(Cert, MalformedKeyHexIsASecurityError) {
+  std::mt19937_64 rng(13);
+  auto ca = CertificateAuthority::create("CN=TestCA", 512, rng);
+  const std::string n = ca.root().subject_key.n.to_hex();
+  EXPECT_THROW(Certificate::from_token(token_with_key(ca.root(), n + "g", "10001")),
+               SecurityError);
+  EXPECT_THROW(Certificate::from_token(token_with_key(ca.root(), n, "1 0001")),
+               SecurityError);
+  // The exponent may not be longer than the modulus.
+  EXPECT_THROW(Certificate::from_token(token_with_key(ca.root(), n, n + "1")),
+               SecurityError);
+  EXPECT_EQ(Certificate::from_token(token_with_key(ca.root(), n, "10001")).subject_key,
+            ca.root().subject_key);
 }
 
 TEST(Cert, RootIsSelfSigned) {

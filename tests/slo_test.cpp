@@ -129,6 +129,38 @@ TEST(Slo, LatencyObjectiveCountsSlowIntervalsAgainstP99Series) {
   EXPECT_EQ(alerts[0].objective, "latency");
 }
 
+TEST(Slo, StatusBetweenTicksReportsTheBurnThatFired) {
+  // A one-tick threshold rule (0 ms windows) sees only the point sampled at
+  // the evaluated instant. status() read later on the clock must judge at
+  // that instant too, or a firing objective reads burn 0 between ticks.
+  MetricsRegistry reg;
+  common::ManualClock clock{0};
+  TimeSeriesStore store(store_config(reg, clock));
+  SloTracker slo(&store, &clock);
+  SloObjective hot;
+  hot.name = "hot";
+  hot.kind = SloObjective::Kind::kThreshold;
+  hot.series = "svc.load";
+  hot.threshold = 10.0;
+  hot.target = 0.5;
+  hot.short_window_ms = 0;
+  hot.long_window_ms = 0;
+  slo.add_objective(hot);
+  store.ingest("svc.load", 1000, 50.0);
+  clock.set(1000);
+  auto alerts = slo.evaluate(clock.now());
+  ASSERT_EQ(alerts.size(), 1u);
+  ASSERT_TRUE(alerts[0].firing);
+
+  clock.advance(400);  // between ticks: no point at the clock's now
+  auto status = slo.status();
+  ASSERT_EQ(status.size(), 1u);
+  EXPECT_TRUE(status[0].firing);
+  EXPECT_DOUBLE_EQ(status[0].burn_short, alerts[0].burn_short);
+  EXPECT_DOUBLE_EQ(status[0].burn_long, alerts[0].burn_long);
+  EXPECT_DOUBLE_EQ(status[0].error_ratio_short, 1.0);
+}
+
 // --- the acceptance scenario: dual-stack, over the wire --------------------
 
 xml::QName t(const char* local) { return {kTelemetryNs, local}; }
