@@ -372,6 +372,8 @@ int main() {
       std::make_shared<container::AdmissionController>(
           container::AdmissionConfig{
               .queue_depth = [&queue] { return queue.size(); },
+              .per_tenant = {},
+              .tenant_overrides = {},
           });
   guarded->container().chain().insert_before(
       "parse", std::make_shared<container::AdmissionHandler>(

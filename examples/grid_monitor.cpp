@@ -115,12 +115,16 @@ int main() {
   telemetry::SloTracker slo_b(&series_b, &clock);
   slo_a.add_objective({.name = "request-surge",
                        .kind = telemetry::SloObjective::Kind::kThreshold,
+                       .good_metric = {},
+                       .bad_metrics = {},
                        .series = "app.requests",
                        .threshold = 100.0,
                        .short_window_ms = 0,
                        .long_window_ms = 0});
   slo_b.add_objective({.name = "slow-dispatch",
                        .kind = telemetry::SloObjective::Kind::kThreshold,
+                       .good_metric = {},
+                       .bad_metrics = {},
                        .series = "app.dispatch.p99",
                        .threshold = 5000.0,
                        .short_window_ms = 0,

@@ -55,10 +55,10 @@ cmake --build "$BUILD_DIR" -j"$(nproc)"
 
 if [[ "${CONCURRENCY:-0}" == "1" ]]; then
   # Concurrency gate, part one: the multi-threaded suites under TSan
-  # (registry pins and the 8-thread hammer, plus the scheduler's two-phase
-  # pass / JobRunner callback interplay).
+  # (registry pins, the 8-thread hammer, and the JobRunner callback
+  # contracts the Grid-in-a-Box Exec service relies on).
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \
-    -R 'concurrency|scheduler'
+    -R 'concurrency'
   # Part two: the scaling benchmark from an unsanitized build (sanitizer
   # CPU overhead would mask the overlap being measured). It exits nonzero
   # unless 8 client threads reach >= 3x single-thread throughput, and
@@ -74,9 +74,8 @@ elif [[ "$TSAN_ONLY" == "1" ]]; then
   # threads: telemetry (sharded counters, span/event rings, monitor
   # pub/sub), reliability (retries, injected faults, delivery eviction and
   # the thread pool's task accounting),
-  # concurrency (registry pins, per-resource locks, the 8-thread hammer),
-  # scheduler (two-phase passes against JobRunner exit callbacks), and the
-  # wire fast path (thread-local probes and scratch buffers, refcounted
+  # concurrency (registry pins, per-resource locks, the 8-thread hammer,
+  # JobRunner exit callbacks), the wire fast path (thread-local probes and scratch buffers, refcounted
   # buffer-chain segments) with its xml and soap substrate, the
   # observability layer (sampler vs request threads,
   # SLO evaluation against a concurrently-fed store), and the durable
@@ -88,7 +87,7 @@ elif [[ "$TSAN_ONLY" == "1" ]]; then
   # lifetime manager (a sweep reads its earliest-deadline atomic without
   # the lock while other threads schedule and sweep).
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \
-    -R 'telemetry|reliability|monitor|concurrency|scheduler|xml|soap|wire|overload|timeseries|slo|durability|net|wsn|wse|container|stress'
+    -R 'telemetry|reliability|monitor|concurrency|xml|soap|wire|overload|timeseries|slo|durability|net|wsn|wse|container|stress'
 elif [[ "${OVERLOAD:-0}" == "1" ]]; then
   # Overload gate, part one: the admission/breaker suite.
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \

@@ -156,9 +156,9 @@ bool JobRunner::kill(const std::string& pid) {
     it->second.status.ended = clock_.now();
     it->second.status.exit_code = -9;
     // A killed job completes like any other: subscribers (notification
-    // producers, the scheduler's preemption path) hear about it. Fired
-    // outside mu_, like poll()'s callbacks, so the callback may call back
-    // into the runner.
+    // producers, the Exec service's automatic unreserve) hear about it.
+    // Fired outside mu_, like poll()'s callbacks, so the callback may call
+    // back into the runner.
     cb = it->second.on_exit;
     ended = it->second.status;
   }
@@ -213,15 +213,6 @@ size_t JobRunner::poll() {
     if (cb) cb(pid, status);
   }
   return callbacks.size();
-}
-
-size_t JobRunner::running_count() const {
-  std::lock_guard lock(mu_);
-  size_t n = 0;
-  for (const auto& [pid, job] : jobs_) {
-    if (job.status.state == State::kRunning) ++n;
-  }
-  return n;
 }
 
 }  // namespace gs::app

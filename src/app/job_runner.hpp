@@ -55,8 +55,6 @@ class JobRunner {
   /// Returns the number retired.
   size_t poll();
 
-  size_t running_count() const;
-
  private:
   struct Job {
     std::string command;
@@ -69,7 +67,7 @@ class JobRunner {
   };
 
   const common::Clock& clock_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::map<std::string, Job> jobs_;
   std::uint64_t next_pid_ = 1000;
 };

@@ -92,11 +92,11 @@ class Container final : public net::Endpoint {
   static HandlerChain default_chain();
 
   /// Registers a named recovery hook. Deployments register one per
-  /// stateful layer (wsrf home, subscription stores, sched state) while
-  /// wiring up; recover() runs them in registration order, which is
-  /// therefore the cross-layer recovery order — register foundations
-  /// (resource properties) before the layers that reference them
-  /// (subscriptions pointing at resources, jobs pointing at partitions).
+  /// stateful layer (wsrf home, subscription stores) while wiring up;
+  /// recover() runs them in registration order, which is therefore the
+  /// cross-layer recovery order — register foundations (resource
+  /// properties) before the layers that reference them (subscriptions
+  /// pointing at resources).
   void add_recovery(std::string name, std::function<void()> hook);
 
   /// The explicit recovery phase: replays every registered hook against

@@ -33,6 +33,5 @@ inline constexpr const char* kDsig = "http://www.w3.org/2000/09/xmldsig#";
 // This repository's own service namespaces.
 inline constexpr const char* kCounter = "http://gridstacks.dev/counter";
 inline constexpr const char* kGridBox = "http://gridstacks.dev/gridbox";
-inline constexpr const char* kSched = "http://gridstacks.dev/sched";
 
 }  // namespace gs::soap::ns

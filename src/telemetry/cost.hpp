@@ -13,7 +13,7 @@
 //   * `tenant.<id>.*` metrics in the registry (requests counter, wall_us
 //     histogram, bytes_in/bytes_out counters) so tenant spend is visible
 //     to everything downstream of the registry — series, SLOs, monitor
-//     snapshots, the Prometheus endpoint;
+//     snapshots;
 //   * an exact per-tenant / per-service table behind `<t:Tenants>` in the
 //     telemetry document, where integer totals (nodes, bytes, faults)
 //     stay lossless.

@@ -201,19 +201,13 @@ std::unique_ptr<xml::Element> telemetry_document(
       el.set_attr("name", name);
       el.set_text(std::to_string(value));
     }
-    // Circuit breaker (PR 8) and batch scheduler (PR 6) rollups, present
-    // when those subsystems write into this registry.
+    // Circuit breaker rollup, present when the breakers write into this
+    // registry.
     {
       auto breaker = std::make_unique<xml::Element>(t("Breaker"));
       bool any = attrs_from_prefix(*breaker, snap.gauges, "net.breaker_");
       any |= attrs_from_prefix(*breaker, snap.counters, "net.breaker_");
       if (any) health.append(std::move(breaker));
-    }
-    {
-      auto sched = std::make_unique<xml::Element>(t("Scheduler"));
-      if (attrs_from_prefix(*sched, snap.gauges, "sched.")) {
-        health.append(std::move(sched));
-      }
     }
     // Durable storage engine (PR 10): WAL commit/recovery counters, absent
     // when the deployment runs on a volatile backend. wal_corrupt_records

@@ -45,8 +45,6 @@ namespace gs::telemetry {
 ///       <t:Evictions name="wsn.subscribers_evicted">0</t:Evictions>
 ///       <t:Breaker open_routes=".." opened=".." fast_fails=".."
 ///                  closed=".." probes=".."/>
-///       <t:Scheduler queue_depth=".." jobs_running=".." nodes_up=".."
-///                    nodes_down=".." cpus_used=".." cpus_total=".."/>
 ///       <t:LastError ts_us=".." component="..">message</t:LastError>
 ///     </t:Health>
 ///     <t:Series name="container.faults" resolution="raw" interval_ms="..">

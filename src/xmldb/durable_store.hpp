@@ -1,10 +1,10 @@
 // The facade every stateful layer persists through.
 //
 // Before this, each subsystem serialized to xmldb ad hoc: the wsrf home
-// wrote property documents, the wse store wrote a flat file, sched kept
-// everything in memory. DurableStore unifies them behind one contract: a
-// layer opens its collection with a schema name and version, and the
-// store records that header in a `_meta` collection. On a restart over a
+// wrote property documents and the wse store wrote a flat file.
+// DurableStore unifies them behind one contract: a layer opens its
+// collection with a schema name and version, and the store records that
+// header in a `_meta` collection. On a restart over a
 // durable backend the header is checked first — a version drift runs the
 // caller's migration hook (or fails loudly) BEFORE any document is
 // parsed, so schema evolution is an explicit step, never a parse error

@@ -467,8 +467,8 @@ TEST(BindingEquivalence, GridAccountsAndSitesIdenticalAcrossStacks) {
 }
 
 // ---------------------------------------------------------------------------
-// JobRunner edge cases: the exec-substrate contracts the batch scheduler
-// leans on — kill fires the exit callback, reap refuses running jobs,
+// JobRunner edge cases: the exec-substrate contracts Grid-in-a-Box's Exec
+// service leans on — kill fires the exit callback, reap refuses running jobs,
 // callbacks run outside the runner lock, and misconfigured submissions are
 // visible instead of silently "succeeding".
 // ---------------------------------------------------------------------------
@@ -504,10 +504,11 @@ TEST(JobRunnerEdge, ReapRefusesRunningJobs) {
   std::string pid = runner.spawn("sim:duration=60000,exit=0", "");
   // Still running: reap must refuse — the slot stays until the job ends.
   EXPECT_FALSE(runner.reap(pid));
-  EXPECT_EQ(runner.running_count(), 1u);
+  ASSERT_TRUE(runner.status(pid).has_value());
+  EXPECT_EQ(runner.status(pid)->state, app::JobRunner::State::kRunning);
   ASSERT_TRUE(runner.kill(pid));
   EXPECT_TRUE(runner.reap(pid));
-  EXPECT_EQ(runner.running_count(), 0u);
+  EXPECT_FALSE(runner.status(pid).has_value());
 }
 
 TEST(JobRunnerEdge, ExitCallbacksMayReenterTheRunner) {
@@ -516,7 +517,8 @@ TEST(JobRunnerEdge, ExitCallbacksMayReenterTheRunner) {
 
   // A callback that calls straight back into the runner (reap itself and
   // spawn a successor) would deadlock if callbacks fired under the lock —
-  // this is exactly what the scheduler's on_runner_exit path does.
+  // this is what the Exec service's exit callback does when it publishes
+  // completion and destroys the reservation.
   std::string chained;
   std::string pid = runner.spawn(
       "sim:duration=1000,exit=0", "",
@@ -528,7 +530,8 @@ TEST(JobRunnerEdge, ExitCallbacksMayReenterTheRunner) {
   clock.advance(1000);
   EXPECT_EQ(runner.poll(), 1u);
   ASSERT_FALSE(chained.empty());
-  EXPECT_EQ(runner.running_count(), 1u);
+  ASSERT_TRUE(runner.status(chained).has_value());
+  EXPECT_EQ(runner.status(chained)->state, app::JobRunner::State::kRunning);
   EXPECT_FALSE(runner.status(pid).has_value());  // reaped from the callback
 
   // The kill path fires callbacks outside the lock too.
@@ -593,7 +596,6 @@ TEST(JobRunnerEdge, ConcurrentKillPollAndSpawnStayConsistent) {
   runner.poll();
 
   EXPECT_EQ(exits.load(), kJobs);
-  EXPECT_EQ(runner.running_count(), 0u);
   for (const std::string& pid : pids) {
     auto status = runner.status(pid);
     ASSERT_TRUE(status.has_value());

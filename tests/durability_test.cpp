@@ -2,10 +2,10 @@
 // group-commit/recovery contract ("after a crash at any byte offset,
 // exactly the acknowledged writes are visible"), snapshot compaction,
 // DurableStore schema headers, and the container recovery phase that
-// rehydrates WSRF resources, WSN/WSE subscriptions and scheduler state
-// after a simulated kill -9. Crashes are injected through
-// MemoryLogDevice's seeded kill points; "reboot" means constructing a
-// fresh engine over what the crash left durable. FileLogDevice gets an
+// rehydrates WSRF resources and WSN/WSE subscriptions after a simulated
+// kill -9. Crashes are injected through MemoryLogDevice's seeded kill
+// points; "reboot" means constructing a fresh engine over what the crash
+// left durable. FileLogDevice gets an
 // append/sync/reset round trip across reopens in a temporary directory, and
 // a recovery that must fail when its log file is gone or unreadable, and a
 // write failure (on /dev/full) that fails the device; the file engine
@@ -27,8 +27,6 @@
 
 #include "counter/wsrf_counter.hpp"
 #include "counter/wst_counter.hpp"
-#include "sched/durable.hpp"
-#include "sched/scheduler.hpp"
 #include "wsn/consumer.hpp"
 #include "wsrf/resource.hpp"
 #include "wst/service.hpp"
@@ -735,87 +733,6 @@ TEST(Durability, WseSubscriptionsSurviveRestart) {
   client.attach(epr);
   client.set(7);
   EXPECT_TRUE(consumer.wait_for(1, 2000));
-}
-
-// Scheduler state: a RUNNING job is requeued as PENDING with reason
-// "container_restart" (its node allocation died with the machine), a
-// pending job stays pending, partitions and nodes come back, and the
-// restored scheduler can place work again.
-TEST(Durability, SchedulerStateSurvivesRestart) {
-  common::ManualClock clock{1000};
-  Medium medium;
-  std::string running_id, pending_id;
-  {
-    xmldb::XmlDatabase db(medium.open());
-    xmldb::DurableStore store(db);
-    app::JobRunner runner{clock};
-    sched::NodeRegistry nodes;
-    telemetry::MetricsRegistry registry;
-    sched::Scheduler sched({.clock = &clock,
-                            .runner = &runner,
-                            .nodes = &nodes,
-                            .metrics = &registry});
-    sched::DurableSchedStore dstore(store, sched);
-    dstore.attach();
-
-    sched::Partition batch{.name = "batch"};
-    sched.add_partition(batch);
-    dstore.save_partition(batch);
-    nodes.upsert("n0", {"batch"}, 2, 1024, clock.now());
-    dstore.save_node(*nodes.info("n0"));
-
-    sched::JobSpec spec;
-    spec.partition = "batch";
-    spec.command = "sim:duration=60000";
-    spec.cpus = 2;
-    running_id = sched.submit(spec).at(0);
-    sched.schedule_pass();
-    ASSERT_EQ(sched.info(running_id)->state, sched::JobState::kRunning);
-    pending_id = sched.submit(spec).at(0);  // node full: stays pending
-    ASSERT_EQ(sched.info(pending_id)->state, sched::JobState::kPending);
-    medium.log->crash_now();
-  }
-
-  Medium boot = medium.after_crash();
-  xmldb::XmlDatabase db(boot.open());
-  xmldb::DurableStore store(db);
-  app::JobRunner runner{clock};
-  sched::NodeRegistry nodes;
-  telemetry::MetricsRegistry registry;
-  sched::Scheduler sched({.clock = &clock,
-                          .runner = &runner,
-                          .nodes = &nodes,
-                          .metrics = &registry});
-  sched::DurableSchedStore dstore(store, sched);
-  sched::RestoreSummary summary = dstore.restore();
-  dstore.attach();
-  EXPECT_EQ(summary.partitions, 1u);
-  EXPECT_EQ(summary.nodes, 1u);
-  EXPECT_EQ(summary.jobs, 2u);
-
-  // The job that was RUNNING when the container died is pending again,
-  // its placement cleared, with the restart recorded as the reason.
-  auto restored = sched.info(running_id);
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->state, sched::JobState::kPending);
-  EXPECT_EQ(restored->reason, "container_restart");
-  EXPECT_TRUE(restored->node.empty());
-  EXPECT_EQ(sched.info(pending_id)->state, sched::JobState::kPending);
-
-  // And the restored controller schedules: the requeued job lands on the
-  // restored node.
-  nodes.heartbeat("n0", clock.now());
-  sched::Scheduler::PassResult pass = sched.schedule_pass();
-  EXPECT_GE(pass.placed, 1u);
-  EXPECT_EQ(sched.info(running_id)->state, sched::JobState::kRunning);
-
-  // New submissions don't collide with restored ids.
-  sched::JobSpec spec;
-  spec.partition = "batch";
-  spec.command = "sim:duration=10";
-  std::string fresh = sched.submit(spec).at(0);
-  EXPECT_NE(fresh, running_id);
-  EXPECT_NE(fresh, pending_id);
 }
 
 }  // namespace

@@ -310,9 +310,12 @@ TEST(WsrfGrid, DestroyKillsRunningJob) {
   auto job = alice.start_job(fx.grid->exec_address("node1"),
                              "sim:duration=1000000,exit=0", reservation,
                              directory);
-  EXPECT_EQ(fx.grid->job_runner("node1").running_count(), 1u);
+  EXPECT_EQ(alice.job_status(job), "running");
+  EXPECT_TRUE(alice.get_available_resources("blast").empty());
   alice.destroy(job);
-  EXPECT_EQ(fx.grid->job_runner("node1").running_count(), 0u);
+  // The kill fired the job's exit callback, whose automatic unreserve hands
+  // the host back; the clock never moved, so nothing else could have.
+  EXPECT_EQ(alice.get_available_resources("blast").size(), 1u);
 }
 
 TEST(WsrfGrid, DownloadReturnsUploadedBytes) {

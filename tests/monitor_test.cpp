@@ -154,6 +154,8 @@ TEST(Monitor, EachStackDeliversSnapshotsAndOneAlertThroughFaultyRoute) {
 
   fx.slo.add_objective({.name = "high-request-rate",
                         .kind = SloObjective::Kind::kThreshold,
+                        .good_metric = {},
+                        .bad_metrics = {},
                         .series = "app.requests",
                         .threshold = 10.0,
                         .short_window_ms = 0,
@@ -263,6 +265,8 @@ TEST(Monitor, SnapshotAndAlertOctetsArePinned) {
   SloTracker slo(&series, &fx.clock);
   slo.add_objective({.name = "high-request-rate",
                      .kind = SloObjective::Kind::kThreshold,
+                     .good_metric = {},
+                     .bad_metrics = {},
                      .series = "app.requests",
                      .threshold = 10.0,
                      .short_window_ms = 0,
@@ -334,6 +338,7 @@ TEST(Monitor, AlertThresholdIsTheObjectivesBurnThreshold) {
   fx.slo.add_objective({.name = "availability",
                         .good_metric = "svc.ok",
                         .bad_metrics = {"svc.err"},
+                        .series = {},
                         .target = 0.9,
                         .short_window_ms = 3000,
                         .long_window_ms = 10'000,
@@ -374,6 +379,8 @@ TEST(Monitor, OneTickThresholdObjectiveJudgesTheSampledInstant) {
   SloTracker slo(&series, &clock);
   slo.add_objective({.name = "high-request-rate",
                      .kind = SloObjective::Kind::kThreshold,
+                     .good_metric = {},
+                     .bad_metrics = {},
                      .series = "app.requests",
                      .threshold = 10.0,
                      .short_window_ms = 0,

@@ -30,7 +30,9 @@ TEST(Admission, TokenBucketDrainsAndRefillsOnInjectedClock) {
   telemetry::MetricsRegistry reg;
   AdmissionController ctl({
       .clock = &clock,
+      .queue_depth = {},
       .per_tenant = {.rate_per_sec = 2.0, .burst = 2.0},
+      .tenant_overrides = {},
       .retry_after_ms = 1,
       .metrics = &reg,
   });
@@ -57,7 +59,9 @@ TEST(Admission, TenantOverrideIsolatesTheAggressor) {
   telemetry::MetricsRegistry reg;
   AdmissionController ctl({
       .clock = &clock,
+      .queue_depth = {},
       // Default shape: unlimited (rate 0 disables the bucket).
+      .per_tenant = {},
       .tenant_overrides = {{"bulky", {.rate_per_sec = 1.0, .burst = 1.0}}},
       .metrics = &reg,
   });
@@ -75,7 +79,9 @@ TEST(Admission, BucketsAreKeyedPerService) {
   telemetry::MetricsRegistry reg;
   AdmissionController ctl({
       .clock = &clock,
+      .queue_depth = {},
       .per_tenant = {.rate_per_sec = 1.0, .burst = 1.0},
+      .tenant_overrides = {},
       .metrics = &reg,
   });
   EXPECT_TRUE(ctl.admit(Priority::kNormal, "alice", "/A").admitted);
@@ -89,7 +95,9 @@ TEST(Admission, MonitoringIsExemptFromBuckets) {
   telemetry::MetricsRegistry reg;
   AdmissionController ctl({
       .clock = &clock,
+      .queue_depth = {},
       .per_tenant = {.rate_per_sec = 1.0, .burst = 1.0},
+      .tenant_overrides = {},
       .metrics = &reg,
   });
   for (int i = 0; i < 20; ++i) {
@@ -104,6 +112,8 @@ TEST(Admission, DepthShedsBulkFirstMonitoringLast) {
   telemetry::MetricsRegistry reg;
   AdmissionController ctl({
       .queue_depth = [&depth] { return depth; },
+      .per_tenant = {},
+      .tenant_overrides = {},
       .metrics = &reg,
   });
 
@@ -129,7 +139,10 @@ TEST(Admission, DepthShedsBulkFirstMonitoringLast) {
 
 TEST(Admission, InflightCountsTowardDepth) {
   telemetry::MetricsRegistry reg;
-  AdmissionController ctl({.metrics = &reg});
+  AdmissionController ctl({.queue_depth = {},
+                          .per_tenant = {},
+                          .tenant_overrides = {},
+                          .metrics = &reg});
   for (int i = 0; i < 64; ++i) ctl.on_start();
   EXPECT_EQ(ctl.depth(), 64u);
   EXPECT_FALSE(ctl.admit(Priority::kBulk, "t", "/Svc").admitted);
@@ -144,6 +157,8 @@ TEST(Admission, SheddingEventsAreEdgeTriggeredWithHysteresis) {
   telemetry::MetricsRegistry reg;
   AdmissionController ctl({
       .queue_depth = [&depth] { return depth; },
+      .per_tenant = {},
+      .tenant_overrides = {},
       .metrics = &reg,
   });
   telemetry::EventLog& log = telemetry::EventLog::global();
@@ -227,6 +242,8 @@ struct ShedFixture {
   ShedFixture() {
     controller = std::make_shared<AdmissionController>(AdmissionConfig{
         .queue_depth = [this] { return depth; },
+        .per_tenant = {},
+        .tenant_overrides = {},
         .metrics = &reg,
     });
     container.chain().insert_before(
@@ -435,7 +452,10 @@ TEST(RetryBreaker, FaultsDoNotTripTheBreaker) {
     soap::Envelope call(const std::string&, const soap::Envelope&) override {
       ++calls;
       return soap::Envelope::make_fault(
-          {.code = "Sender", .reason = "application error"});
+          {.code = "Sender",
+           .reason = "application error",
+           .detail = "",
+           .subcode = ""});
     }
   } inner;
   common::ManualClock clock(0);
@@ -457,12 +477,16 @@ TEST(Admission, ShedRateFiresMonitorAlert) {
   telemetry::MetricsRegistry reg;
   AdmissionController ctl({
       .queue_depth = [] { return std::size_t{100}; },
+      .per_tenant = {},
+      .tenant_overrides = {},
       .metrics = &reg,
   });
   telemetry::TimeSeriesStore series({.registry = &reg, .clock = &clock});
   telemetry::SloTracker slo(&series, &clock);
   slo.add_objective({.name = "shedding",
                      .kind = telemetry::SloObjective::Kind::kThreshold,
+                     .good_metric = {},
+                     .bad_metrics = {},
                      .series = "container.shed_total",
                      .threshold = 5.0,
                      .short_window_ms = 0,

@@ -48,7 +48,10 @@ class AlwaysFaultingCaller final : public SoapCaller {
   soap::Envelope call(const std::string&, const soap::Envelope&) override {
     ++calls;
     return soap::Envelope::make_fault(
-        {.code = "Sender", .reason = "scripted application fault"});
+        {.code = "Sender",
+         .reason = "scripted application fault",
+         .detail = "",
+         .subcode = ""});
   }
 };
 

@@ -51,6 +51,7 @@ TEST(Slo, AvailabilityBurnNeedsBothWindowsOverThreshold) {
   slo.add_objective({.name = "availability",
                      .good_metric = "svc.ok",
                      .bad_metrics = {"svc.err"},
+                     .series = {},
                      .target = 0.9,  // 10% error budget
                      .short_window_ms = 3000,
                      .long_window_ms = 10'000,
@@ -106,6 +107,8 @@ TEST(Slo, LatencyObjectiveCountsSlowIntervalsAgainstP99Series) {
   SloTracker slo(&store, &clock);
   slo.add_objective({.name = "latency",
                      .kind = SloObjective::Kind::kThreshold,
+                     .good_metric = {},
+                     .bad_metrics = {},
                      .series = "svc.us.p99",
                      .threshold = 1000.0,
                      .target = 0.5,  // half the intervals may be slow
@@ -298,6 +301,7 @@ struct SloFixture {
     slo.add_objective({.name = "availability",
                        .good_metric = "container.requests",
                        .bad_metrics = {"container.faults"},
+                       .series = {},
                        .target = 0.9,
                        .short_window_ms = 3000,
                        .long_window_ms = 10'000,

@@ -1,9 +1,9 @@
 // Time-series retention and cost-attribution tests: counter-rate math over
 // actual elapsed time (resets, gaps, zero-elapsed cycles), rollup rings
-// against a brute-force oracle, query resolution fallback, the Prometheus
-// text exposition, per-tenant cost attribution through the container
-// pipeline, the EventLog sequence cursor across ring wraparound, and the
-// Health rollup of the PR-6/PR-8 subsystems.
+// against a brute-force oracle, query resolution fallback, per-tenant cost
+// attribution through the container pipeline, the EventLog sequence cursor
+// across ring wraparound, and the Health rollup of the admission and
+// breaker state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include "soap/namespaces.hpp"
 #include "telemetry/cost.hpp"
 #include "telemetry/event_log.hpp"
-#include "telemetry/exposition.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/propagation.hpp"
 #include "telemetry/service.hpp"
@@ -255,6 +254,7 @@ TEST(TimeSeries, ConcurrentWritersSamplerAndSloReaderAreRaceFree) {
   slo.add_objective({.name = "avail",
                      .good_metric = "hammer.ok",
                      .bad_metrics = {"hammer.bad"},
+                     .series = {},
                      .target = 0.9});
 
   constexpr int kIters = 400;
@@ -288,61 +288,6 @@ TEST(TimeSeries, ConcurrentWritersSamplerAndSloReaderAreRaceFree) {
   EXPECT_EQ(store.samples_taken(), static_cast<std::uint64_t>(kIters / 4));
   EXPECT_EQ(store.query("remote|hammer.ok").points.size(),
             static_cast<std::size_t>(kIters / 4));
-}
-
-// --- Prometheus text exposition --------------------------------------------
-
-TEST(Prometheus, NameManglingAndTextFormat) {
-  EXPECT_EQ(prometheus_name("container.dispatch_us"),
-            "gs_container_dispatch_us");
-  EXPECT_EQ(prometheus_name("tenant.alice-1.requests"),
-            "gs_tenant_alice_1_requests");
-
-  MetricsRegistry reg;
-  reg.counter("app.requests").add(5);
-  reg.gauge("app.inflight").set(-2);
-  for (int i = 0; i < 100; ++i) reg.histogram("app.latency_us").record(64);
-
-  std::string text = prometheus_text(reg);
-  EXPECT_NE(text.find("# TYPE gs_app_requests counter"), std::string::npos);
-  EXPECT_NE(text.find("gs_app_requests_total 5"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE gs_app_inflight gauge"), std::string::npos);
-  EXPECT_NE(text.find("gs_app_inflight -2"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE gs_app_latency_us summary"), std::string::npos);
-  EXPECT_NE(text.find("gs_app_latency_us{quantile=\"0.99\"}"),
-            std::string::npos);
-  EXPECT_NE(text.find("gs_app_latency_us_count 100"), std::string::npos);
-  EXPECT_NE(text.find("gs_app_latency_us_sum 6400"), std::string::npos);
-}
-
-class TeapotEndpoint final : public net::Endpoint {
- public:
-  net::HttpResponse handle(const net::HttpRequest&) override {
-    net::HttpResponse r;
-    r.status = 418;
-    return r;
-  }
-};
-
-TEST(Prometheus, HttpEndpointServesScrapePageAndDelegatesTheRest) {
-  MetricsRegistry reg;
-  reg.counter("app.requests").add(3);
-  TeapotEndpoint inner;
-  MetricsHttpEndpoint endpoint(inner, &reg);
-
-  net::HttpRequest scrape;
-  scrape.method = "GET";
-  scrape.path = "/metrics";
-  net::HttpResponse page = endpoint.handle(scrape);
-  EXPECT_EQ(page.status, 200);
-  EXPECT_EQ(page.headers["Content-Type"], kPrometheusContentType);
-  EXPECT_NE(page.body_str().find("gs_app_requests_total 3"),
-            std::string::npos);
-
-  net::HttpRequest other;
-  other.method = "POST";
-  other.path = "/Counter";
-  EXPECT_EQ(endpoint.handle(other).status, 418);  // passed through
 }
 
 // --- per-tenant cost attribution -------------------------------------------
@@ -388,7 +333,7 @@ TEST(Cost, AggregatorKeepsLosslessTotalsAndEmitsTenantMetrics) {
   EXPECT_EQ(bob->total.faults, 1u);
   EXPECT_FALSE(agg.tenant("mallory").has_value());
 
-  // The registry mirror downstream consumers (series, monitor, Prometheus)
+  // The registry mirror downstream consumers (series, monitor, SLOs)
   // read from.
   EXPECT_EQ(reg.counter("tenant.alice.requests").value(), 2u);
   EXPECT_EQ(reg.counter("tenant.alice.bytes_in").value(), 1000u);
@@ -428,7 +373,10 @@ TEST(Cost, ContainerAttributesRequestsToTenantsFromTheWire) {
   container.chain().insert_before(
       "parse", std::make_shared<container::AdmissionHandler>(
                    std::make_shared<container::AdmissionController>(
-                       container::AdmissionConfig{.metrics = &reg})));
+                       container::AdmissionConfig{.queue_depth = {},
+                                                  .per_tenant = {},
+                                                  .tenant_overrides = {},
+                                                  .metrics = &reg})));
   PongService svc;
   container.deploy("/Pong", svc);
   CostAggregator costs(&reg);
@@ -512,7 +460,7 @@ TEST(EventLogCursor, SequenceSurvivesWraparoundAndExposesLoss) {
   EXPECT_EQ(log.events_since(6)[0].message, "after clear");
 }
 
-// --- Health rollup (regression: PR-6/PR-8 state was invisible) -------------
+// --- Health rollup (regression: admission/breaker state was invisible) -----
 
 const xml::Element* find_child(const xml::Element& parent,
                                const std::string& local) {
@@ -522,14 +470,12 @@ const xml::Element* find_child(const xml::Element& parent,
   return nullptr;
 }
 
-TEST(Health, RollupCoversAdmissionBreakerAndScheduler) {
+TEST(Health, RollupCoversAdmissionAndBreaker) {
   MetricsRegistry reg;
   reg.counter("container.admitted").add(10);
   reg.counter("container.shed_total").add(3);
   reg.gauge("net.breaker_open_routes").set(1);
   reg.counter("net.breaker_opened").add(2);
-  reg.gauge("sched.queue_depth").set(5);
-  reg.gauge("sched.nodes_up").set(8);
   EventLog events;
 
   auto doc = telemetry_document(reg, TraceLog::global(), &events);
@@ -542,15 +488,10 @@ TEST(Health, RollupCoversAdmissionBreakerAndScheduler) {
   ASSERT_NE(breaker, nullptr);
   EXPECT_EQ(breaker->attr("open_routes"), "1");
   EXPECT_EQ(breaker->attr("opened"), "2");
-
-  const xml::Element* sched = find_child(*health, "Scheduler");
-  ASSERT_NE(sched, nullptr);
-  EXPECT_EQ(sched->attr("queue_depth"), "5");
-  EXPECT_EQ(sched->attr("nodes_up"), "8");
 }
 
 TEST(Health, RollupSectionsAbsentWhenSubsystemsAreSilent) {
-  MetricsRegistry reg;  // nothing from admission, breaker, or scheduler
+  MetricsRegistry reg;  // nothing from admission or breaker
   EventLog events;
   auto doc = telemetry_document(reg, TraceLog::global(), &events);
   const xml::Element* health = find_child(*doc, "Health");
@@ -558,7 +499,6 @@ TEST(Health, RollupSectionsAbsentWhenSubsystemsAreSilent) {
   EXPECT_FALSE(health->attr("admitted").has_value());
   EXPECT_FALSE(health->attr("shed_total").has_value());
   EXPECT_EQ(find_child(*health, "Breaker"), nullptr);
-  EXPECT_EQ(find_child(*health, "Scheduler"), nullptr);
 }
 
 // --- pinned wire octets ------------------------------------------------------
