@@ -2,10 +2,22 @@
 //
 // Little-endian 64-bit limbs with 128-bit products, schoolbook
 // multiplication, word-level (Knuth D) division, and windowed Montgomery
-// (CIOS) exponentiation whose products run in one caller-owned scratch
-// buffer, so an exponentiation allocates a fixed number of times whatever
-// the exponent's length. Sized for the RSA-1024 keys the paper's WSE X.509
-// profile used.
+// exponentiation whose products run in one caller-owned scratch buffer, so
+// an exponentiation allocates a fixed number of times whatever the
+// exponent's length. The Montgomery product is one template on the limb
+// count, instantiated at 8 and 16 limbs (the 512-bit primes and 1024-bit
+// moduli of the paper's WSE X.509 profile) and run-time sized otherwise.
+//
+// Key generation draws exactly what the original 32-bit code
+// (tests/bignum_reference.hpp) draws: every seed gives the same keys and
+// leaves the generator in the same state. is_probable_prime trial-divides
+// by the odd primes below 4096, one limb division per run of primes. A
+// factor up to 47 rejects before any draw, as the original's 15-prime
+// trial division does. A larger factor q is used after each round's base a
+// is drawn: a base that passes the round has a^(n-1) = 1 (mod n), so a base
+// with a^((n-1) mod (q-1)) != 1 (mod q) is a witness, found in one-limb
+// arithmetic. Otherwise the round runs in full, on one Montgomery context
+// shared by every round.
 #pragma once
 
 #include <cstdint>
@@ -88,7 +100,8 @@ class BigUint {
   /// Uniform random integer in [0, bound), drawn like random_bits.
   static BigUint random_below(const BigUint& bound, std::mt19937_64& rng);
 
-  /// Miller-Rabin probable-prime test with `rounds` random bases.
+  /// Miller-Rabin probable-prime test with `rounds` random bases, after
+  /// trial division by the primes below 4096 (see the file comment).
   static bool is_probable_prime(const BigUint& n, int rounds,
                                 std::mt19937_64& rng);
   /// Random probable prime with exactly `bits` bits.

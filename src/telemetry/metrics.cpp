@@ -128,27 +128,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return snap;
 }
 
-std::string MetricsRegistry::to_text() const {
-  MetricsSnapshot snap = snapshot();
-  std::string out;
-  for (const auto& [name, value] : snap.counters) {
-    out += name + " " + std::to_string(value) + "\n";
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    out += name + " " + std::to_string(value) + "\n";
-  }
-  for (const auto& [name, h] : snap.histograms) {
-    out += name + " count=" + std::to_string(h.count) +
-           " sum_us=" + std::to_string(h.sum_us) +
-           " min_us=" + std::to_string(h.count == 0 ? 0 : h.min_us) +
-           " max_us=" + std::to_string(h.max_us) +
-           " p50=" + std::to_string(h.percentile(50)) +
-           " p90=" + std::to_string(h.percentile(90)) +
-           " p99=" + std::to_string(h.percentile(99)) + "\n";
-  }
-  return out;
-}
-
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
   return registry;

@@ -171,11 +171,6 @@ class MetricsRegistry {
 
   MetricsSnapshot snapshot() const;
 
-  /// Plain-text dump, one metric per line (`name value`, histograms as
-  /// `name count=N sum_us=S min_us=.. max_us=.. p50=.. p90=.. p99=..`) —
-  /// the bench harness's and humans' view of the registry.
-  std::string to_text() const;
-
   /// Process-wide registry the built-in instrumentation writes to.
   static MetricsRegistry& global();
 

@@ -19,18 +19,18 @@
 #include "security/rsa.hpp"
 
 // Counting global operator new for this binary: heap allocations made on
-// the calling thread.
+// the calling thread. The replacements are kept out of line so the compiler
+// does not pair an inlined malloc() or free() with the allocation function
+// it sees at a call site.
 namespace {
 thread_local std::uint64_t tl_heap_allocations = 0;
 }  // namespace
 
-void* operator new(std::size_t size) {
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++tl_heap_allocations;
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
-// Kept out of line so the compiler does not pair an inlined free() with the
-// operator new it sees at a call site.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
@@ -215,6 +215,67 @@ TEST(BigUintParity, RandomDrawsMatchReference) {
                 RefUint::random_prime(bits, ref_rng).to_hex());
     }
     EXPECT_EQ(rng(), ref_rng());
+  }
+}
+
+TEST(BigUintParity, PrimalityMatchesReferenceOnSievedCandidates) {
+  // Odd candidates as random_prime draws them, at widths inside and far
+  // beyond the sieve's primes, through every path: a factor up to 47 (no
+  // draw), a larger sieve factor (settled after a round's draw), none (the
+  // full rounds), and no rounds at all. The verdict and the generator's
+  // state must match the original's 15-prime trial division.
+  const int kRounds[] = {20, 1, 2, 0};
+  for (size_t bits : {12, 16, 24, 33, 64, 130, 256, 512}) {
+    SCOPED_TRACE(bits);
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+      std::mt19937_64 rng(seed * 1000 + bits);
+      const BigUint n = odd(BigUint::random_bits(bits, rng));
+      std::mt19937_64 ref_rng = rng;
+      const int rounds = kRounds[seed % 4];
+      ASSERT_EQ(BigUint::is_probable_prime(n, rounds, rng),
+                RefUint::is_probable_prime(to_ref(n), rounds, ref_rng))
+          << n.to_hex() << " rounds " << rounds;
+      ASSERT_EQ(rng(), ref_rng()) << n.to_hex();
+    }
+  }
+}
+
+TEST(BigUintParity, SieveFactorFallsThroughToTheFullRoundOnFermatLiars) {
+  // n with a sieve factor q > 47 is settled in one-limb arithmetic unless
+  // the drawn base a has a^(n-1) = 1 (mod q); then the full round runs.
+  // 3233 = 53 * 61: 4 of the 52 nonzero residues mod 53 are such liars.
+  // 56052361 = 211 * 421 * 631 is a Carmichael number: every base coprime
+  // to it is, and so is every base coprime to 16752649 = 4093^2, the square
+  // of the sieve's top prime (4092 divides n - 1).
+  // 286903 = 379 * 757 has strong liars among a quarter of its bases, so
+  // round 0 often passes whole and round 1 draws again. 53 and 4093 are
+  // sieve primes themselves and take every round.
+  struct Case {
+    std::uint64_t n, q;  // q: the smallest factor, 0 for a prime
+  };
+  for (const Case& c : {Case{3233, 53}, Case{56052361, 211}, Case{16752649, 4093},
+                        Case{286903, 379}, Case{53, 0}, Case{4093, 0}}) {
+    SCOPED_TRACE(c.n);
+    const BigUint n(c.n);
+    int liars = 0;
+    for (std::uint64_t seed = 0; seed < 300; ++seed) {
+      std::mt19937_64 rng(seed), ref_rng(seed), peek(seed);
+      const BigUint a = BigUint(2) + BigUint::random_below(n - BigUint(4), peek);
+      if (c.q != 0 &&
+          BigUint::mod_exp(a, n - BigUint(1), BigUint(c.q)) == BigUint(1)) {
+        ++liars;
+      }
+      const int rounds = seed % 2 ? 20 : 1;
+      const bool prime = BigUint::is_probable_prime(n, rounds, rng);
+      ASSERT_EQ(prime, RefUint::is_probable_prime(RefUint(c.n), rounds, ref_rng));
+      if (c.q == 0) {
+        ASSERT_TRUE(prime);
+      }
+      ASSERT_EQ(rng(), ref_rng());
+    }
+    if (c.q != 0) {
+      EXPECT_GT(liars, 0);  // the full round did run
+    }
   }
 }
 
